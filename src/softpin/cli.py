@@ -47,17 +47,19 @@ Reproducibility
 ---------------
 Outputs depend only on the effective config (the YAML after flag
 overrides): re-running the same config and seed reproduces every file byte
-for byte, at any ``--threads`` level.  Job j of a run draws its seed as the
-first 64-bit word of ``numpy.random.SeedSequence(seed, spawn_key=(j,))``;
-jobs are numbered in task order (grid position first), so adding workers
-reorders execution but never the streams.  CSV files open with comment
-lines carrying the SHA-256 of the numeric config blocks (seed, model,
-task, numerics) and the toolkit version; JSON files carry the same fields
-in a leading ``_meta`` object.
+for byte.  Job j of a run draws its seed as the first 64-bit word of
+``numpy.random.SeedSequence(seed, spawn_key=(j,))``; jobs are numbered in
+task order (grid position first).  ``--threads`` is accepted and ignored:
+jobs run one after another in the calling thread, because the per-step
+loops hold the interpreter lock and a thread pool only slowed runs down.
+CSV files open with comment lines carrying the SHA-256 of the numeric
+config blocks (seed, model, task, numerics) and the toolkit version; JSON
+files carry the same fields in a leading ``_meta`` object.
 
 Exit codes: 0 success; 2 invalid config, unknown subcommand, or unwritable
 output; 3 numeric non-convergence (divergence flags, failed brackets,
-flagged Monte Carlo estimates).
+flagged Monte Carlo estimates, arithmetic failures, and non-finite results:
+a file that would hold a non-finite number is not written).
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -428,7 +429,6 @@ class RunContext:
     out_dir: str
     fmt: str
     prefix: str
-    threads: int
     meta: dict
     numerics: dict = field(default_factory=dict)
 
@@ -466,6 +466,12 @@ def _cell(v) -> str:
 
 
 def _emit(ctx: RunContext, stem: str, columns, rows: list[dict]) -> str:
+    for r in rows:
+        for c in columns:
+            v = _plain(r.get(c))
+            if isinstance(v, float) and not math.isfinite(v):
+                raise FloatingPointError(
+                    f"non-finite {c} = {v!r}; {stem} not written")
     path = ctx.path(stem)
     if ctx.fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -484,15 +490,6 @@ def _emit(ctx: RunContext, stem: str, columns, rows: list[dict]) -> str:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     return path
-
-
-def _pmap(fn, items, threads: int) -> list:
-    """Order-preserving map over independent jobs."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ------------------------------------------------------------------ handlers
@@ -564,7 +561,7 @@ def _run_critical_curve(config, ctx: RunContext) -> int:
                        confidence=q.confidence)
         return row
 
-    rows = _pmap(one, enumerate(task["beta_grid"]), ctx.threads)
+    rows = [one(job) for job in enumerate(task["beta_grid"])]
     _emit(ctx, "critical_curve", CURVE_COLUMNS, rows)
     return EXIT_OK
 
@@ -766,7 +763,7 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None,
                         help="override the output directory")
         sp.add_argument("--threads", type=int, default=1,
-                        help="worker-pool size (never changes the numbers)")
+                        help="accepted and ignored: jobs run serially")
         sp.add_argument("--format", choices=("csv", "json"), default=None,
                         help="override the output format")
     return parser
@@ -775,7 +772,10 @@ def _parser() -> argparse.ArgumentParser:
 def run(subcommand: str, config: dict, *, seed: int | None = None,
         out: str | None = None, fmt: str | None = None,
         threads: int = 1) -> int:
-    """Validate and execute one subcommand; returns the process exit code."""
+    """Validate and execute one subcommand; returns the process exit code.
+
+    ``threads`` is accepted for compatibility and ignored.
+    """
     try:
         _validate(config, subcommand)
         output = config.get("output", {})
@@ -793,7 +793,6 @@ def run(subcommand: str, config: dict, *, seed: int | None = None,
         }
         ctx = RunContext(
             seed=eff_seed, out_dir=out_dir, fmt=eff_fmt, prefix=prefix,
-            threads=max(1, threads),
             meta={
                 "config_sha256": config_digest(config, eff_seed),
                 "version": __version__,
@@ -821,6 +820,9 @@ def run(subcommand: str, config: dict, *, seed: int | None = None,
         return EXIT_CONFIG
     except RuntimeError as exc:
         print(f"softpin: numerics did not converge: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except ArithmeticError as exc:
+        print(f"softpin: numerics failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "SignedKernel",
     "folded_kernel",
     "signed_kernel",
+    "layout",
     "recommended_truncation",
 ]
 
@@ -36,35 +37,39 @@ def recommended_truncation(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class FoldedKernel:
-    """Transition kernel of |S| on {0..L}.
-
-    p_up[x] + p_down[x] == 1 for every state; p_up[L] = 0 encodes the
-    reflecting truncation, p_up[0] = 1 because both signed steps out of the
-    origin land on |x| = 1.
-    """
+class _Kernel:
+    """Nearest-neighbour kernel; p_up[i] + p_down[i] == 1 for every state."""
 
     l: int
     p_up: np.ndarray
     p_down: np.ndarray
 
     def step(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """One transition of the mass on the last axis of v, (..., sites).
+
+        Every leading index is an independent row; ``out`` must not share
+        memory with ``v``.
+        """
         if out is None:
-            out = np.zeros_like(v)
-        else:
-            out[:] = 0.0
-        out[1:] += v[:-1] * self.p_up[:-1]
-        out[:-1] += v[1:] * self.p_down[1:]
+            out = np.empty_like(v)
+        np.multiply(v[..., :-1], self.p_up[:-1], out=out[..., 1:])
+        out[..., 0] = 0.0
+        out[..., :-1] += v[..., 1:] * self.p_down[1:]
         return out
 
 
 @dataclass(frozen=True)
-class SignedKernel:
-    """Transition kernel on {-L..L}; index i corresponds to height i - L."""
+class FoldedKernel(_Kernel):
+    """Transition kernel of |S| on {0..L}.
 
-    l: int
-    p_up: np.ndarray
-    p_down: np.ndarray
+    p_up[L] = 0 encodes the reflecting truncation, p_up[0] = 1 because both
+    signed steps out of the origin land on |x| = 1.
+    """
+
+
+@dataclass(frozen=True)
+class SignedKernel(_Kernel):
+    """Transition kernel on {-L..L}; index i corresponds to height i - L."""
 
     @property
     def origin(self) -> int:
@@ -72,15 +77,6 @@ class SignedKernel:
 
     def heights(self) -> np.ndarray:
         return np.arange(-self.l, self.l + 1)
-
-    def step(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            out = np.zeros_like(v)
-        else:
-            out[:] = 0.0
-        out[1:] += v[:-1] * self.p_up[:-1]
-        out[:-1] += v[1:] * self.p_down[1:]
-        return out
 
 
 def folded_kernel(drift_fn, l: int) -> FoldedKernel:
@@ -110,3 +106,20 @@ def signed_kernel(drift_fn, l: int) -> SignedKernel:
     p_up[0] += p_down[0]
     p_down[0] = 0.0
     return SignedKernel(l=l, p_up=p_up, p_down=p_down)
+
+
+def layout(walk, spec, n: int, l: int | None = None,
+           folded: bool | None = None):
+    """(kernel, heights, origin) for an n-step recursion of walk under spec.
+
+    The folded lattice serves symmetric potentials unless ``folded`` is
+    False; l defaults to the walk's truncation height for n steps.
+    """
+    use_folded = spec.symmetric if folded is None else folded
+    if use_folded and not spec.symmetric:
+        raise ValueError("folded recursion needs a symmetric potential")
+    l_eff = l if l is not None else walk.resolve_l(n)
+    if use_folded:
+        return folded_kernel(walk.drift, l_eff), np.arange(l_eff + 1), 0
+    ker = signed_kernel(walk.drift, l_eff)
+    return ker, ker.heights(), ker.origin

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import folded_kernel, signed_kernel
+from .lattice import layout
 from .model import ChargeModel, PotentialSpec, WalkSpec, psi, return_law
 from .transfer import quenched_free_energy
 
@@ -99,22 +99,17 @@ def excursion_weights(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
     bt, ht = kappa * beta, kappa * h
-    l_eff = l if l is not None else walk.resolve_l(m_max)
     a = np.zeros(m_max + 1)
     psi0 = float(psi(charges, spec, bt, ht, 0))
-    w0 = math.exp(psi0)
-    if spec.symmetric:
-        ker = folded_kernel(walk.drift, l_eff)
-        heights = np.arange(l_eff + 1)
-        origin = 0
-    else:
-        ker = signed_kernel(walk.drift, l_eff)
-        heights = ker.heights()
-        origin = ker.origin
-    w = np.exp(np.asarray(psi(charges, spec, bt, ht, heights), dtype=float))
+    try:
+        w0 = math.exp(psi0)
+    except OverflowError:  # the first return alone passes the cap
+        w0 = math.inf
+    ker, heights, origin = layout(walk, spec, m_max, l)
     psi_off = np.asarray(psi(charges, spec, bt, ht, heights), dtype=float)
-    psi_off[origin] = -math.inf
+    psi_off[origin] = -math.inf  # killed at the origin: weight never used
     psi_plus = max(0.0, float(psi_off.max()))
+    w = np.exp(psi_off)
 
     v = np.zeros(len(heights))
     v[origin] = 1.0
@@ -124,7 +119,8 @@ def excursion_weights(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
     m_stop = m_max
     for n in range(1, m_max + 1):
         nxt = ker.step(v, nxt)
-        a[n] = nxt[origin] * w0
+        if nxt[origin]:  # 0 * inf would poison the sum when w0 overflows
+            a[n] = nxt[origin] * w0
         nxt[origin] = 0.0
         np.multiply(nxt, w, out=nxt)
         v, nxt = nxt, v

@@ -39,7 +39,7 @@ from .continuum import (
     coefficient_candidates,
     continuum_free_energy_short,
 )
-from .lattice import folded_kernel, signed_kernel
+from .lattice import layout
 from .localization import excursion_weights
 from .model import ChargeModel, PhasePoint, PotentialSpec, WalkSpec, c_star, estimate_c_weights, psi
 from .transfer import renewal_root
@@ -238,23 +238,14 @@ def series_coefficient(walk: WalkSpec, charges: ChargeModel,
         raise ValueError("series coefficients are supported for 1 <= k <= 4")
     if tn < 1:
         raise ValueError("tn must be a positive integer")
-    l_eff = l if l is not None else walk.resolve_l(tn)
-    if spec.symmetric:
-        ker = folded_kernel(walk.drift, l_eff)
-        heights = np.arange(l_eff + 1)
-        origin = 0
-    else:
-        ker = signed_kernel(walk.drift, l_eff)
-        heights = ker.heights()
-        origin = ker.origin
+    ker, heights, origin = layout(walk, spec, tn, l)
     chi = np.exp(np.asarray(psi(charges, spec, point.beta, point.h, heights),
                             dtype=float)) - 1.0
     layers = np.zeros((k + 1, len(heights)))
     layers[0, origin] = 1.0
     stepped = np.zeros_like(layers)
     for _ in range(tn):
-        for j in range(k + 1):
-            ker.step(layers[j], stepped[j])
+        ker.step(layers, stepped)
         for j in range(k, 0, -1):
             np.multiply(stepped[j - 1], chi, out=layers[j])
             layers[j] += stepped[j]

@@ -4,7 +4,9 @@ Both endpoint conditions are carried in one sweep: after n steps the
 renormalized mass vector yields the free partition function (sum over
 heights) and the constrained one (mass at the origin, even n only).  The
 recursion is log-stabilized by factoring out the running maximum, so
-horizons of 2^20 steps stay in float64 range.
+horizons of 2^20 steps stay in float64 range; site weights beyond
+exp(LOG_WEIGHT_CAP) are shifted into the same log-scale, so strong
+couplings stay finite.  Disorder samples run as rows of one sweep.
 
 Free-energy estimates report the constrained value at the largest ladder
 rung (a rigorous lower bound on the limit by super-additivity) bracketed
@@ -27,7 +29,7 @@ import numpy as np
 from scipy import special
 from scipy.optimize import brentq
 
-from .lattice import folded_kernel, signed_kernel
+from .lattice import layout
 from .model import ChargeModel, PotentialSpec, WalkSpec, phi_eval, psi
 
 __all__ = [
@@ -74,62 +76,86 @@ def _check_record_points(record_at) -> np.ndarray:
     return pts
 
 
-def _resolve_layout(walk: WalkSpec, spec: PotentialSpec, n_max: int,
-                    l: int | None, folded: bool | None):
-    use_folded = spec.symmetric if folded is None else folded
-    if use_folded and not spec.symmetric:
-        raise ValueError("folded recursion needs a symmetric potential")
-    l_eff = l if l is not None else walk.resolve_l(n_max)
-    if use_folded:
-        ker = folded_kernel(walk.drift, l_eff)
-        heights = np.arange(l_eff + 1)
-        origin = 0
-    else:
-        ker = signed_kernel(walk.drift, l_eff)
-        heights = ker.heights()
-        origin = ker.origin
-    return ker, heights, origin
+# largest log site weight one step applies: exp(709.8) overflows, and a step
+# at most doubles the peak of a renormalized state
+LOG_WEIGHT_CAP = 700.0
+# steps whose row maxima go into the running log-scale in one np.log call
+_LOG_EVERY = 256
 
 
-def _sweep(ker, origin: int, step_log_weights, record_at: np.ndarray) -> PartitionSweep:
-    """step_log_weights(n) -> per-site log weight vector for step n (1-based)."""
-    n_max = int(record_at[-1])
-    size = len(ker.p_up)
-    v = np.zeros(size)
-    v[origin] = 1.0
-    nxt = np.zeros_like(v)
-    acc = 0.0
-    rec_free = np.empty(len(record_at))
-    rec_con = np.empty(len(record_at))
-    idx = 0
-    if record_at[0] == 0:  # empty product: Z = Z_constrained = 1
-        rec_free[0] = rec_con[0] = 0.0
-        idx = 1
+def _sweep(ker, origin: int, step_weights, log_shift, record_at: np.ndarray,
+           rows: tuple = ()):
+    """Forward sweep of independent chains started at the origin.
+
+    The state has shape rows + (sites,): ``rows = ()`` carries one chain,
+    ``(r,)`` carries r of them side by side.  step_weights(n) gives the site
+    weights of step n (1-based) divided by exp(log_shift[..., n - 1]), the
+    shift that keeps them below exp(LOG_WEIGHT_CAP); log_shift broadcasts
+    against rows + (n_max,).  Returns (log_z_free, log_z_constrained), each
+    of shape rows + (len(record_at),).
+    """
+    pts = record_at.tolist()
+    n_max = pts[-1]
+    log_shift = np.broadcast_to(log_shift, rows + (n_max,))
+    v = np.zeros(rows + (len(ker.p_up),))
+    v[..., origin] = 1.0
+    nxt = np.empty_like(v)
+    acc = np.zeros(rows)  # log-scale divided out of v so far
+    maxima = np.empty(rows + (_LOG_EVERY,))  # row maxima not yet in acc
+    k = 0
+    rec_free = np.zeros(rows + (len(pts),))  # n = 0: Z = Z_constrained = 1
+    rec_con = np.zeros_like(rec_free)
+    idx = 1 if pts[0] == 0 else 0
     for n in range(1, n_max + 1):
         nxt = ker.step(v, nxt)
-        w = step_log_weights(n)
-        if w is not None:
-            np.multiply(nxt, w, out=nxt)
-        m = nxt.max()
-        acc += math.log(m)
+        nxt *= step_weights(n)
+        m = nxt.max(axis=-1, keepdims=True, out=maxima[..., k : k + 1])
         nxt /= m
         v, nxt = nxt, v
-        if idx < len(record_at) and n == record_at[idx]:
-            rec_free[idx] = acc + math.log(v.sum())
-            rec_con[idx] = acc + math.log(v[origin])
+        k += 1
+        if k == _LOG_EVERY or n == pts[idx]:
+            acc += np.log(maxima[..., :k]).sum(axis=-1)
+            acc += log_shift[..., n - k : n].sum(axis=-1)
+            k = 0
+        if n == pts[idx]:
+            rec_free[..., idx] = acc + np.log(v.sum(axis=-1))
+            rec_con[..., idx] = acc + np.log(v[..., origin])
             idx += 1
-    return PartitionSweep(
-        n_values=record_at.copy(), log_z_free=rec_free, log_z_constrained=rec_con
-    )
+    return rec_free, rec_con
 
 
 def annealed_sweep(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
                    beta: float, h: float, record_at, l: int | None = None,
                    folded: bool | None = None) -> PartitionSweep:
     pts = _check_record_points(record_at)
-    ker, heights, origin = _resolve_layout(walk, spec, int(pts[-1]), l, folded)
-    w = np.exp(psi(charges, spec, beta, h, heights))
-    return _sweep(ker, origin, lambda n: w, pts)
+    ker, heights, origin = layout(walk, spec, int(pts[-1]), l, folded)
+    log_w = np.asarray(psi(charges, spec, beta, h, heights), dtype=float)
+    shift = max(float(log_w.max()) - LOG_WEIGHT_CAP, 0.0)
+    w = np.exp(log_w - shift)
+    free, con = _sweep(ker, origin, lambda n: w, shift, pts)
+    return PartitionSweep(n_values=pts, log_z_free=free, log_z_constrained=con)
+
+
+def _quenched_rows(walk, spec, g: np.ndarray, pts: np.ndarray, l, folded):
+    """(log_z_free, log_z_constrained) along pts for each row of g, the
+    per-step couplings beta * omega - h in front of phi(S_n)."""
+    ker, heights, origin = layout(walk, spec, int(pts[-1]), l, folded)
+    phi_vec = np.asarray(phi_eval(spec, heights), dtype=float)
+    phi_ends = (phi_vec.min(), phi_vec.max())
+    scaled = g.size > 0 and max(
+        a * b for a in (g.min(), g.max()) for b in phi_ends) > LOG_WEIGHT_CAP
+    shift = 0.0
+    if scaled:  # per step, the largest g * phi over the sites
+        shift = np.maximum(g * phi_ends[0], g * phi_ends[1]) - LOG_WEIGHT_CAP
+        np.maximum(shift, 0.0, out=shift)
+
+    def weights(n):
+        log_w = g[..., n - 1, None] * phi_vec
+        if scaled:
+            log_w -= shift[..., n - 1, None]
+        return np.exp(log_w, out=log_w)
+
+    return _sweep(ker, origin, weights, shift, pts, rows=g.shape[:-1])
 
 
 def quenched_sweep(walk: WalkSpec, spec: PotentialSpec, beta: float, h: float,
@@ -139,10 +165,9 @@ def quenched_sweep(walk: WalkSpec, spec: PotentialSpec, beta: float, h: float,
     omega = np.asarray(omega, dtype=float)
     if len(omega) < pts[-1]:
         raise ValueError("need one charge per step")
-    ker, heights, origin = _resolve_layout(walk, spec, int(pts[-1]), l, folded)
-    phi_vec = np.asarray(phi_eval(spec, heights), dtype=float)
-    g = beta * omega - h  # per-step coupling in front of phi(S_n)
-    return _sweep(ker, origin, lambda n: np.exp(g[n - 1] * phi_vec), pts)
+    g = beta * omega[: pts[-1]] - h
+    free, con = _quenched_rows(walk, spec, g, pts, l, folded)
+    return PartitionSweep(n_values=pts, log_z_free=free, log_z_constrained=con)
 
 
 def annealed_partition(walk, spec, charges, beta, h, n: int,
@@ -239,20 +264,24 @@ def quenched_free_energy(walk, spec, charges, beta, h, n_max: int,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    ladder = default_ladder(n_max, n_points)
-    sweeps = []
+    ladder = _check_record_points(default_ladder(n_max, n_points))
+    g = np.empty((n_samples, n_max))  # beta * omega - h, built in place
     for i in range(n_samples):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,)))
-        )
-        omega = charges.sample(rng, n_max)
-        sweeps.append(quenched_sweep(walk, spec, beta, h, omega, ladder, l=l))
+        g[i] = charges.sample(np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=(i,)))), n_max)
+    g *= beta
+    g -= h
+    free, con = _quenched_rows(walk, spec, g, ladder, l, None)
+    sweeps = [
+        PartitionSweep(n_values=ladder, log_z_free=free[i],
+                       log_z_constrained=con[i])
+        for i in range(n_samples)
+    ]
     mean_sweep = PartitionSweep(
-        n_values=sweeps[0].n_values.copy(),
-        log_z_free=np.mean([s.log_z_free for s in sweeps], axis=0),
-        log_z_constrained=np.mean([s.log_z_constrained for s in sweeps], axis=0),
+        n_values=ladder, log_z_free=free.mean(axis=0),
+        log_z_constrained=con.mean(axis=0),
     )
-    f_con_samples = np.array([s.f_constrained()[-1] for s in sweeps])
+    f_con_samples = con[:, -1] / ladder[-1]
     sem = (
         float(np.std(f_con_samples, ddof=1) / math.sqrt(n_samples))
         if n_samples > 1 else 0.0

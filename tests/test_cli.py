@@ -357,6 +357,28 @@ def test_diverged_scaling_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("subcommand,task,code", [
+    ("free-energy", {"beta": 40.0, "h": 0.0, "n_max": 256}, 0),
+    ("localize", {"beta": 40.0, "h": 0.0}, 3),  # the excursion sum diverges
+])
+def test_strong_coupling_writes_no_non_finite_cell(tmp_path, capsys,
+                                                   subcommand, task, code):
+    # psi(0) = 800 overflows exp(): finite numbers or exit 3, no traceback
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "c.yaml", {
+        "model": pinning_model(alpha=0.6), "task": task,
+        "output": {"dir": str(out)},
+    })
+    assert main([subcommand, "--config", cfg]) == code
+    err = capsys.readouterr().err
+    assert (code == 3) == ("non-finite" in err)
+    cells = [cell for path in out.glob("*.csv")
+             for row in read_csv(path)[2] for cell in row.values()]
+    numbers = [float(c) for c in cells if c not in ("", "True", "False")]
+    assert numbers or code == 3
+    assert all(math.isfinite(x) for x in numbers)
+
+
 def test_flagged_monte_carlo_exits_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.yaml", {
         "task": {"alpha": 0.4, "theta": 0.8, "beta_hat": 8.0, "h_hat": 0.1,

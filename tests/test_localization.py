@@ -61,6 +61,15 @@ class TestExcursionWeights:
         b = excursion_weights(srw, spec, gaussian, 1.2 * kappa, 0.4 * kappa, m_max=256)
         np.testing.assert_array_equal(a.a, b.a)
 
+    def test_overflowing_origin_weight_flags_divergence(self, pinning, gaussian):
+        # psi(0) = beta^2 / 2 = 800: exp(psi(0)) does not fit in a float
+        walk = WalkSpec(alpha=0.6)
+        ew = excursion_weights(walk, pinning, gaussian, 40.0, 0.0, m_max=64)
+        assert ew.diverged and ew.m_stop == 2
+        assert not np.any(np.isnan(ew.a))
+        cv = excursion_sum(walk, pinning, gaussian, 40.0, 0.0, m_max=64)
+        assert cv.diverged and cv.verdict == "yes"
+
     def test_validation(self, srw, pinning, gaussian):
         with pytest.raises(ValueError):
             excursion_weights(srw, pinning, gaussian, 1.0, 0.0, m_max=2)

@@ -26,6 +26,26 @@ from softpin.model import (
 from conftest import enumerate_srw_first_return
 
 
+# ------------------------------------------------------------------ kernels
+
+
+@pytest.mark.parametrize("make", [folded_kernel, signed_kernel])
+def test_step_on_rows_equals_row_by_row_steps(make):
+    ker = make(WalkSpec(alpha=0.7).drift, 9)
+    sites = len(ker.p_up)
+    v = np.random.default_rng(3).random((2, 3, sites))
+    want = np.array([[ker.step(row) for row in block] for block in v])
+    np.testing.assert_array_equal(ker.step(v), want)
+    out = np.full_like(v, np.nan)
+    assert ker.step(v, out) is out
+    np.testing.assert_array_equal(out, want)
+    one = np.full(sites, np.nan)
+    np.testing.assert_array_equal(ker.step(v[1, 2], one), want[1, 2])
+    # against the dense transition matrix
+    dense = np.diag(ker.p_up[:-1], 1) + np.diag(ker.p_down[1:], -1)
+    np.testing.assert_allclose(want, v @ dense, rtol=1e-14)
+
+
 # ---------------------------------------------------------------- potentials
 
 def test_phi_shapes_and_values():

@@ -260,6 +260,40 @@ def test_quenched_reproducible_and_seed_sensitive():
     np.testing.assert_array_equal(s1, s4)
 
 
+@pytest.mark.parametrize("spec,charges,n_samples", [
+    (PotentialSpec(kind="power_tail", theta=3.0), GAUSS, 5),  # folded
+    (PotentialSpec(kind="copolymer"), BERN, 4),  # signed
+    (PotentialSpec(kind="power_tail", theta=3.0), GAUSS, 1),
+])
+def test_batched_samples_match_per_sample_sweeps(spec, charges, n_samples):
+    walk = WalkSpec(alpha=0.6)
+    est = quenched_free_energy(walk, spec, charges, 0.8, 0.2, n_max=256,
+                               n_samples=n_samples, seed=9)
+    assert len(est.sample_sweeps) == n_samples
+    for i, sw in enumerate(est.sample_sweeps):
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(9, spawn_key=(i,))))
+        one = quenched_sweep(walk, spec, 0.8, 0.2, charges.sample(rng, 256),
+                             sw.n_values)
+        np.testing.assert_allclose(sw.log_z_free, one.log_z_free, rtol=1e-12)
+        np.testing.assert_allclose(sw.log_z_constrained, one.log_z_constrained,
+                                   rtol=1e-12)
+
+
+def test_strong_coupling_sweeps_stay_finite():
+    # psi(0) = beta^2 / 2 = 800: exp(psi) overflows, yet a path that sits at
+    # the origin every other step gives f = psi(0)/2 + log(return prob)/2
+    walk = WalkSpec(alpha=0.6)
+    est = annealed_free_energy(walk, PIN, GAUSS, 40.0, 0.0, n_max=256)
+    p2 = 0.5 * (1.0 - float(walk.drift(1)))
+    assert est.value == pytest.approx(400.0 + 0.5 * math.log(p2), rel=1e-9)
+    omega = np.random.default_rng(0).standard_normal(256)
+    sw = quenched_sweep(walk, PotentialSpec(kind="copolymer"), 400.0, 0.0,
+                        omega, [256])
+    assert np.all(np.isfinite(sw.log_z_free))
+    assert np.all(np.isfinite(sw.log_z_constrained))
+
+
 def test_quenched_below_annealed_jensen():
     pw = PotentialSpec(kind="power_tail", theta=3.0)
     walk = WalkSpec(alpha=0.6)
