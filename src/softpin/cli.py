@@ -104,6 +104,7 @@ from .model import (
     PotentialSpec,
     WalkSpec,
     estimate_c_weights,
+    height_law,
     return_law,
 )
 from .scaling import (
@@ -473,21 +474,19 @@ def _emit(ctx: RunContext, stem: str, columns, rows: list[dict]) -> str:
                 raise FloatingPointError(
                     f"non-finite {c} = {v!r}; {stem} not written")
     path = ctx.path(stem)
-    if ctx.fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if ctx.fmt == "csv":
             for line in ctx.header_lines:
                 fh.write(f"# {line}\n")
             fh.write(",".join(columns) + "\n")
             for r in rows:
                 fh.write(",".join(_cell(r.get(c)) for c in columns) + "\n")
-    else:
-        payload = {
-            "_meta": ctx.meta,
-            "columns": list(columns),
-            "rows": [{c: _plain(r.get(c)) for c in columns} for r in rows],
-        }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
+        else:
+            json.dump({
+                "_meta": ctx.meta,
+                "columns": list(columns),
+                "rows": [{c: _plain(r.get(c)) for c in columns} for r in rows],
+            }, fh, indent=2)
             fh.write("\n")
     return path
 
@@ -535,8 +534,8 @@ def _run_critical_curve(config, ctx: RunContext) -> int:
     num = ctx.numerics
     que = task.get("quenched")
 
-    def one(job):
-        j, beta = job
+    rows = []
+    for j, beta in enumerate(task["beta_grid"]):
         ann = annealed_critical_h(
             walk, spec, charges, beta, tol=num["tol"], m_max=num["m_max"],
             l=num["l"],
@@ -559,9 +558,7 @@ def _run_critical_curve(config, ctx: RunContext) -> int:
             )
             row.update(hc_que_lo=q.lo, hc_que_hi=q.hi,
                        confidence=q.confidence)
-        return row
-
-    rows = [one(job) for job in enumerate(task["beta_grid"])]
+        rows.append(row)
     _emit(ctx, "critical_curve", CURVE_COLUMNS, rows)
     return EXIT_OK
 
@@ -611,12 +608,7 @@ def _run_bessel_check(config, ctx: RunContext) -> int:
     # the reference weights come from a longer probe so the ratio is a
     # genuine consistency check, not an identity
     l = walk.resolve_l(n)
-    ker = folded_kernel(walk.drift, l)
-    v = np.zeros(l + 1)
-    v[0] = 1.0
-    out = np.zeros_like(v)
-    for _ in range(n):
-        v, out = ker.step(v, out), v
+    v = height_law(folded_kernel(walk.drift, l), n)
     cw = estimate_c_weights(walk, k_max=max(ks),
                             n_probe=task.get("n_probe", 4 * n))
     for k in ks:

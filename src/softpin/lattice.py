@@ -7,6 +7,9 @@ onto the inward one so the kernel stays stochastic.  Two layouts are
 supported: a *folded* lattice over ``|x| in {0..L}`` (valid whenever the site
 weights are symmetric, since the drift is antisymmetric) and a *signed*
 lattice over ``x in {-L..L}``.
+
+``first_passage`` is the one killed first-passage loop on these kernels:
+the first-return law and the weighted excursion sums both run through it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ __all__ = [
     "folded_kernel",
     "signed_kernel",
     "layout",
+    "first_passage",
     "recommended_truncation",
 ]
 
@@ -123,3 +127,33 @@ def layout(walk, spec, n: int, l: int | None = None,
         return folded_kernel(walk.drift, l_eff), np.arange(l_eff + 1), 0
     ker = signed_kernel(walk.drift, l_eff)
     return ker, ker.heights(), ker.origin
+
+
+def first_passage(ker, origin: int, w: np.ndarray, w0: float, m_max: int,
+                  cap: float) -> tuple[np.ndarray, bool, int]:
+    """Killed first-passage recursion of a walk started at ``origin``.
+
+    Each step moves the state by ``ker``; the mass that lands on the origin,
+    times the return weight w0, is a[n] and is removed, and the rest is
+    multiplied by the off-origin site weights w.  Returns (a, diverged,
+    m_stop): the loop stops early, with diverged=True and a zero past
+    m_stop, once the partial sum of a passes cap or the state stops being
+    finite and below 1e200 (an overflowed weight turns 0 * inf into NaN).
+    """
+    a = np.zeros(m_max + 1)
+    v = np.zeros(len(w))
+    v[origin] = 1.0
+    nxt = np.zeros_like(v)
+    partial = 0.0
+    bounded = bool(np.all(w <= 1.0))  # v then stays a sub-probability vector
+    for n in range(1, m_max + 1):
+        nxt = ker.step(v, nxt)
+        if nxt[origin]:  # 0 * inf would poison the sum when w0 overflows
+            a[n] = nxt[origin] * w0
+        nxt[origin] = 0.0
+        np.multiply(nxt, w, out=nxt)
+        v, nxt = nxt, v
+        partial += a[n]
+        if not (partial <= cap and (bounded or v.max() <= 1e200)):
+            return a, True, n
+    return a, False, m_max

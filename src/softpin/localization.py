@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import layout
+from .lattice import first_passage, layout
 from .model import ChargeModel, PotentialSpec, WalkSpec, psi, return_law
 from .transfer import quenched_free_energy
 
@@ -51,7 +51,6 @@ __all__ = [
     "criterion_start_invariance",
     "StartInvarianceResult",
     "CURVE_COLUMNS",
-    "write_curve_csv",
 ]
 
 DIVERGENCE_CAP = 1e12
@@ -92,14 +91,14 @@ def excursion_weights(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
     A_m multiplies the first-return probability by the exponential weight
     collected at the tempered phase point (kappa*beta, kappa*h); interior
     sites never include the origin, whose weight enters once at the return
-    step.  Aborts (diverged=True) once the partial sum passes the cap.
+    step.  Aborts (diverged=True) once the partial sum passes the cap or
+    the recursion stops being finite.
     """
     if m_max < 4:
         raise ValueError("m_max must be >= 4")
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
     bt, ht = kappa * beta, kappa * h
-    a = np.zeros(m_max + 1)
     psi0 = float(psi(charges, spec, bt, ht, 0))
     try:
         w0 = math.exp(psi0)
@@ -109,27 +108,8 @@ def excursion_weights(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
     psi_off = np.asarray(psi(charges, spec, bt, ht, heights), dtype=float)
     psi_off[origin] = -math.inf  # killed at the origin: weight never used
     psi_plus = max(0.0, float(psi_off.max()))
-    w = np.exp(psi_off)
-
-    v = np.zeros(len(heights))
-    v[origin] = 1.0
-    nxt = np.zeros_like(v)
-    partial = 0.0
-    diverged = False
-    m_stop = m_max
-    for n in range(1, m_max + 1):
-        nxt = ker.step(v, nxt)
-        if nxt[origin]:  # 0 * inf would poison the sum when w0 overflows
-            a[n] = nxt[origin] * w0
-        nxt[origin] = 0.0
-        np.multiply(nxt, w, out=nxt)
-        v, nxt = nxt, v
-        partial += a[n]
-        if partial > divergence_cap or v.max() > 1e200:
-            diverged = True
-            m_stop = n
-            a[n + 1 :] = 0.0
-            break
+    a, diverged, m_stop = first_passage(
+        ker, origin, np.exp(psi_off), w0, m_max, divergence_cap)
     return ExcursionWeights(
         m_values=np.arange(m_max + 1), a=a, psi0=psi0,
         psi_plus_off_origin=psi_plus, alpha=walk.alpha,
@@ -286,6 +266,12 @@ def transient_criterion(walk, spec, charges, beta, h, r: float,
 
 
 # ---------------------------------------------------------- critical curves
+
+CURVE_COLUMNS = (
+    "beta", "hc_ann_lo", "hc_ann_hi", "hc_lower_bound",
+    "hc_que_lo", "hc_que_hi", "confidence",
+)
+
 
 @dataclass(frozen=True)
 class CriticalBracket:
@@ -487,25 +473,3 @@ def criterion_start_invariance(transition: np.ndarray, psi_values: np.ndarray,
     return StartInvarianceResult(
         values=values, above=above, consistent=bool(above.all() or not above.any())
     )
-
-
-# ---------------------------------------------------------------- curve CSV
-
-CURVE_COLUMNS = (
-    "beta", "hc_ann_lo", "hc_ann_hi", "hc_lower_bound",
-    "hc_que_lo", "hc_que_hi", "confidence",
-)
-
-
-def write_curve_csv(path, rows: list[dict], header_lines=()) -> None:
-    """rows: dicts with CURVE_COLUMNS keys; quenched fields may be None."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(CURVE_COLUMNS) + "\n")
-        for r in rows:
-            cells = []
-            for c in CURVE_COLUMNS:
-                v = r.get(c)
-                cells.append("" if v is None else (repr(v) if isinstance(v, float) else str(v)))
-            fh.write(",".join(cells) + "\n")

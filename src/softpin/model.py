@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import folded_kernel, recommended_truncation
+from .lattice import first_passage, folded_kernel, recommended_truncation
 
 __all__ = [
     "PotentialSpec",
@@ -36,6 +36,7 @@ __all__ = [
     "psi",
     "transition_prob",
     "return_law",
+    "height_law",
     "estimate_c_weights",
     "c_star",
     "load_potential_table",
@@ -255,16 +256,8 @@ def return_law(walk: WalkSpec, n_max: int) -> np.ndarray:
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     l = walk.resolve_l(n_max)
-    ker = folded_kernel(walk.drift, l)
-    v = np.zeros(l + 1)
-    v[1] = 1.0  # after step 1 the folded walk sits at height 1
-    k_arr = np.zeros(n_max + 1)
-    nxt = np.zeros_like(v)
-    for n in range(2, n_max + 1):
-        k_arr[n] = v[1] * ker.p_down[1]
-        nxt = ker.step(v, nxt)
-        nxt[0] = 0.0  # absorb at the origin
-        v, nxt = nxt, v
+    k_arr, _, _ = first_passage(
+        folded_kernel(walk.drift, l), 0, np.ones(l + 1), 1.0, n_max, math.inf)
     missing = 1.0 - k_arr.sum()
     if missing > 10.0 * n_max ** (-walk.alpha):
         warnings.warn(
@@ -295,6 +288,16 @@ class CWeights:
         return len(self.values) - 1
 
 
+def height_law(ker, n: int) -> np.ndarray:
+    """P(|S_n| = k), k = 0..l, on the folded lattice of ker, from |S_0| = 0."""
+    v = np.zeros(ker.l + 1)
+    v[0] = 1.0
+    out = np.empty_like(v)
+    for _ in range(n):
+        v, out = ker.step(v, out), v
+    return v
+
+
 def estimate_c_weights(walk: WalkSpec, k_max: int, n_probe: int) -> CWeights:
     """Estimate c(k), k = 0..k_max, from the height distribution at n_probe.
 
@@ -312,10 +315,7 @@ def estimate_c_weights(walk: WalkSpec, k_max: int, n_probe: int) -> CWeights:
         )
     l = max(walk.resolve_l(n_probe + 1), k_max + 2)
     ker = folded_kernel(walk.drift, l)
-    v = np.zeros(l + 1)
-    v[0] = 1.0
-    for _ in range(n_probe):
-        v = ker.step(v)
+    v = height_law(ker, n_probe)
     v_next = ker.step(v)
     vals = np.empty(k_max + 1)
     for k in range(k_max + 1):

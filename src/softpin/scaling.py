@@ -54,8 +54,6 @@ __all__ = [
     "compare_to_continuum",
     "SCALED_COLUMNS",
     "SERIES_COLUMNS",
-    "write_scaled_csv",
-    "write_series_csv",
 ]
 
 # default index horizon of the excursion sum, as a multiple of N: at the
@@ -185,7 +183,8 @@ def scaled_free_energy(schedule: ScalingSchedule, walk: WalkSpec,
     continuum target is the explicit light-tail free energy, evaluated with
     the lattice constants cstar[phi] and cstar[phi^2] (estimated from the
     walk's height distribution unless supplied); the other regimes have no
-    closed form and report no target.
+    closed form and report no target.  A rung whose excursion sum diverges
+    is localized with an infinite N * F.
     """
     _require_compatible(schedule, walk, spec)
     if m_mult < 4:
@@ -206,15 +205,16 @@ def scaled_free_energy(schedule: ScalingSchedule, walk: WalkSpec,
         ew = excursion_weights(
             walk, spec, charges, beta_n, h_n, m_max=m_mult * size, l=l
         )
-        root = renewal_root(ew.a, walk.alpha)
-        n_times_f = size * root.f
+        # a diverged sum has no renewal root: F is beyond resolution
+        root = None if ew.diverged else renewal_root(ew.a, walk.alpha)
+        n_times_f = math.inf if root is None else size * root.f
         rel_gap = None
         if target is not None and target > 0.0:
             rel_gap = abs(n_times_f - target) / target
         out.append(ScaledFreeEnergyPoint(
             n=size, beta_n=beta_n, h_n=h_n, n_times_f=n_times_f,
             continuum_target=target, rel_gap=rel_gap,
-            localized=root.localized, diverged=ew.diverged,
+            localized=root is None or root.localized, diverged=ew.diverged,
         ))
     return out
 
@@ -308,36 +308,8 @@ def compare_to_continuum(schedule: ScalingSchedule, walk: WalkSpec,
     return rows
 
 
-# ----------------------------------------------------------------- CSV output
+# ------------------------------------------------------------ output columns
 
 SCALED_COLUMNS = ("N", "beta_N", "h_N", "N_times_F", "continuum_target", "rel_gap")
 
 SERIES_COLUMNS = ("N", "k", "C_TNk", "hatC_gamma_ak", "hatC_gamma_ak_plus1")
-
-
-def _write_csv(path, columns, rows, header_lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for cells in rows:
-            fh.write(",".join(
-                "" if v is None else (repr(v) if isinstance(v, float) else str(v))
-                for v in cells
-            ) + "\n")
-
-
-def write_scaled_csv(path, points: list[ScaledFreeEnergyPoint],
-                     header_lines=()) -> None:
-    _write_csv(path, SCALED_COLUMNS, [
-        (p.n, p.beta_n, p.h_n, p.n_times_f, p.continuum_target, p.rel_gap)
-        for p in points
-    ], header_lines)
-
-
-def write_series_csv(path, rows: list[SeriesComparisonRow],
-                     header_lines=()) -> None:
-    _write_csv(path, SERIES_COLUMNS, [
-        (r.n, r.k, r.c_tnk, r.hat_gamma_ak, r.hat_gamma_ak_plus1)
-        for r in rows
-    ], header_lines)

@@ -45,7 +45,6 @@ __all__ = [
     "compare_free_constrained",
     "renewal_root",
     "ladder_csv_rows",
-    "write_ladder_csv",
     "default_ladder",
 ]
 
@@ -387,53 +386,24 @@ def renewal_root(weights: np.ndarray, alpha: float, fit_tail: bool = True) -> Re
     )
 
 
-# -------------------------------------------------------------------- CSV IO
+# -------------------------------------------------------------- ladder rows
 
 LADDER_COLUMNS = ("N", "log_Z_free", "log_Z_constrained", "f_free", "f_constrained")
 
 
 def ladder_csv_rows(estimate: FreeEnergyEstimate) -> list[dict]:
-    """Row dicts for the ladder CSV; quenched runs add sample and seed."""
+    """Row dicts of the ladder output; quenched runs add sample and seed."""
     rows = []
-    if estimate.sample_sweeps:
-        for i, sw in enumerate(estimate.sample_sweeps):
-            for j, n in enumerate(sw.n_values):
-                rows.append({
-                    "N": int(n),
-                    "log_Z_free": float(sw.log_z_free[j]),
-                    "log_Z_constrained": float(sw.log_z_constrained[j]),
-                    "f_free": float(sw.log_z_free[j] / n),
-                    "f_constrained": float(sw.log_z_constrained[j] / n),
-                    "sample": i,
-                    "seed": estimate.seed,
-                })
-    else:
-        sw = estimate.ladder
+    for i, sw in enumerate(estimate.sample_sweeps or [estimate.ladder]):
         for j, n in enumerate(sw.n_values):
-            rows.append({
+            row = {
                 "N": int(n),
                 "log_Z_free": float(sw.log_z_free[j]),
                 "log_Z_constrained": float(sw.log_z_constrained[j]),
                 "f_free": float(sw.log_z_free[j] / n),
                 "f_constrained": float(sw.log_z_constrained[j] / n),
-            })
+            }
+            if estimate.sample_sweeps:
+                row.update(sample=i, seed=estimate.seed)
+            rows.append(row)
     return rows
-
-
-def write_ladder_csv(path, estimate: FreeEnergyEstimate, header_lines=()) -> None:
-    rows = ladder_csv_rows(estimate)
-    cols = list(LADDER_COLUMNS) + (
-        ["sample", "seed"] if estimate.sample_sweeps else []
-    )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(cols) + "\n")
-        for r in rows:
-            fh.write(",".join(_cell(r[c]) for c in cols) + "\n")
-
-
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)

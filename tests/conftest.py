@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from softpin.cli import RunContext, _emit
 from softpin.model import ChargeModel, PotentialSpec, WalkSpec
 
 
@@ -23,6 +26,22 @@ def pinning():
 def srw():
     # alpha = 1/2 is the simple random walk: d(x) == 0
     return WalkSpec(alpha=0.5)
+
+
+@pytest.fixture
+def emit(tmp_path):
+    """Write row dicts through the CLI's one writer; returns the CSV lines.
+
+    The three comment lines come first, the first being
+    ``# config sha256 abc``; the column line is line 3.
+    """
+    def write(columns, rows):
+        ctx = RunContext(seed=0, out_dir=str(tmp_path), fmt="csv", prefix="",
+                         meta={"config_sha256": "abc", "version": "0",
+                               "subcommand": "test"})
+        path = _emit(ctx, "rows", columns, rows)
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    return write
 
 
 def enumerate_srw_first_return(n: int) -> float:

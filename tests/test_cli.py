@@ -345,15 +345,23 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
 
 
 def test_diverged_scaling_exits_3(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "c.yaml", {
-        "model": {"walk": {"alpha": 0.6},
-                  "potential": {"kind": "power_tail", "theta": 3.0}},
-        "task": {"alpha": 0.6, "theta": 3.0, "beta_hat": 80.0, "h_hat": 0.1,
-                 "n_ladder": [64], "m_mult": 4,
-                 "cstar_phi": CS1, "cstar_phi2": CS2},
-        "output": {"dir": str(tmp_path / "out")},
-    })
-    assert main(["scaling", "--config", cfg]) == 3
+    task = {"alpha": 0.6, "theta": 3.0, "h_hat": 0.1}
+    cases = [
+        ({"kind": "power_tail", "theta": 3.0},
+         {"beta_hat": 80.0, "n_ladder": [64], "m_mult": 4,
+          "cstar_phi": CS1, "cstar_phi2": CS2}),
+        # exp(psi(0)) overflows: no renewal root for a NaN solver to chase
+        ({"kind": "pinning"},
+         {"beta_hat": 2000.0, "n_ladder": [16, 32],
+          "cstar_phi": 1.0, "cstar_phi2": 1.0}),
+    ]
+    for i, (potential, extra) in enumerate(cases):
+        cfg = write_cfg(tmp_path, f"c{i}.yaml", {
+            "model": {"walk": {"alpha": 0.6}, "potential": potential},
+            "task": {**task, **extra},
+            "output": {"dir": str(tmp_path / f"out{i}")},
+        })
+        assert main(["scaling", "--config", cfg]) == 3, potential
     capsys.readouterr()
 
 

@@ -14,9 +14,12 @@ Closed-form oracles used here:
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softpin.lattice import folded_kernel
 from softpin.model import ChargeModel, PotentialSpec, WalkSpec, return_law
@@ -28,7 +31,6 @@ from softpin.localization import (
     excursion_weights,
     rescaled_lower_bound,
     transient_criterion,
-    write_curve_csv,
 )
 
 LOG_COSH_1 = 0.4337808304830271
@@ -70,11 +72,47 @@ class TestExcursionWeights:
         cv = excursion_sum(walk, pinning, gaussian, 40.0, 0.0, m_max=64)
         assert cv.diverged and cv.verdict == "yes"
 
+    def test_overflowing_off_origin_weight_flags_divergence(self, gaussian):
+        # psi(3) = 800: 0 * inf = NaN at sites the walk has not reached yet
+        spec = PotentialSpec(kind="table", table={0: 0.0, 3: 1.0})
+        walk = WalkSpec(alpha=0.6)
+        ew = excursion_weights(walk, spec, gaussian, 40.0, 0.0, m_max=64)
+        assert ew.diverged
+        assert np.all(np.isfinite(ew.a))
+        cv = excursion_sum(walk, spec, gaussian, 40.0, 0.0, m_max=64)
+        assert cv.diverged and cv.verdict == "yes"
+
     def test_validation(self, srw, pinning, gaussian):
         with pytest.raises(ValueError):
             excursion_weights(srw, pinning, gaussian, 1.0, 0.0, m_max=2)
         with pytest.raises(ValueError):
             excursion_weights(srw, pinning, gaussian, 1.0, 0.0, m_max=16, kappa=0.0)
+
+
+_SPECS = st.one_of(
+    st.builds(PotentialSpec, kind=st.sampled_from(["pinning", "copolymer"])),
+    st.builds(PotentialSpec, kind=st.just("power_tail"),
+              theta=st.floats(0.1, 6.0)),
+    st.builds(PotentialSpec, kind=st.just("table"), table=st.dictionaries(
+        st.integers(-4, 4), st.floats(0.0, 2.0), min_size=1,
+    ).filter(lambda t: any(v > 0 for v in t.values()))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(0.05, 0.95), spec=_SPECS,
+       law=st.sampled_from(["gaussian", "bernoulli_pm1"]),
+       beta=st.floats(0.0, 1e3), h=st.floats(-5.0, 5.0),
+       m_max=st.sampled_from([16, 64]))
+def test_excursion_numbers_are_finite_or_flagged(alpha, spec, law, beta, h,
+                                                 m_max):
+    walk, charges = WalkSpec(alpha=alpha), ChargeModel(law)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # return-law mass at small m_max
+        ew = excursion_weights(walk, spec, charges, beta, h, m_max)
+        cv = excursion_sum(walk, spec, charges, beta, h, m_max)
+    assert ew.diverged or np.all(np.isfinite(ew.a))
+    assert cv.diverged or math.isfinite(cv.value)
 
 
 # ------------------------------------------------------------- criterion
@@ -256,17 +294,17 @@ class TestStartInvariance:
 # --------------------------------------------------------------- curve CSV
 
 class TestCurveCsv:
-    def test_round_trip_format(self, tmp_path):
+    def test_round_trip_format(self, emit):
         rows = [
-            {"beta": 0.5, "hc_ann_lo": 0.124, "hc_ann_hi": 0.125,
+            {"beta": 0.5, "hc_ann_lo": np.float64(0.124), "hc_ann_hi": 0.125,
              "hc_lower_bound": 0.083, "hc_que_lo": None, "hc_que_hi": None,
              "confidence": 1.0},
         ]
-        path = tmp_path / "curve.csv"
-        write_curve_csv(path, rows, header_lines=["config hash: abc"])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# config hash: abc"
-        assert lines[1] == ",".join(CURVE_COLUMNS)
-        cells = lines[2].split(",")
+        lines = emit(CURVE_COLUMNS, rows)
+        assert lines[0] == "# config sha256 abc"
+        assert lines[3] == ",".join(CURVE_COLUMNS)
+        assert len(lines) == 5
+        cells = lines[4].split(",")
         assert cells[0] == "0.5"
-        assert cells[4] == "" and cells[5] == ""
+        assert cells[1] == "0.124"  # a numpy float is written like a float
+        assert cells[4] == "" and cells[5] == ""  # None stays empty

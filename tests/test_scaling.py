@@ -26,8 +26,6 @@ from softpin.scaling import (
     scaled_free_energy,
     scaling_exponents,
     series_coefficient,
-    write_scaled_csv,
-    write_series_csv,
 )
 from softpin.transfer import annealed_free_energy, annealed_partition
 
@@ -224,6 +222,17 @@ def test_scaled_ladder_trends_to_continuum_target():
         assert r.h_n == pytest.approx(0.1 * r.n ** -0.6)
 
 
+def test_diverged_rung_is_localized_without_a_renewal_root():
+    # psi(0) ~ beta_N^2 / 2 overflows exp(): the excursion sum diverges
+    schedule = ScalingSchedule(SHORT, beta_hat=2000.0, h_hat=0.1,
+                               n_ladder=(16, 32))
+    rows = scaled_free_energy(schedule, WALK6, GAUSS,
+                              PotentialSpec(kind="pinning"),
+                              cstar_phi=1.0, cstar_phi2=1.0)
+    for r in rows:
+        assert r.diverged and r.localized and r.n_times_f == math.inf
+
+
 def test_scaled_ladder_below_critical_goes_to_zero():
     # 0.5 * bhat^2 * cstar[phi^2] < hhat * cstar[phi]: delocalized schedule
     sched = short_schedule(beta_hat=0.3, h_hat=1.0, ladder=(256, 512))
@@ -358,8 +367,8 @@ def test_pinning_scaled_critical_ratio():
 
 # ------------------------------------------------------------------ reports
 
-def test_scaled_csv_roundtrip(tmp_path):
-    rows = [
+def test_scaled_csv_roundtrip(emit):
+    points = [
         ScaledFreeEnergyPoint(n=256, beta_n=0.19, h_n=0.0359,
                               n_times_f=0.0795220001, continuum_target=0.0791,
                               rel_gap=0.005, localized=True, diverged=False),
@@ -367,27 +376,28 @@ def test_scaled_csv_roundtrip(tmp_path):
                               n_times_f=0.0, continuum_target=None,
                               rel_gap=None, localized=False, diverged=False),
     ]
-    path = tmp_path / "scaled.csv"
-    write_scaled_csv(path, rows, header_lines=("run 7", "seed 3"))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# run 7"
-    assert lines[1] == "# seed 3"
-    assert lines[2] == ",".join(SCALED_COLUMNS)
-    first = lines[3].split(",")
+    lines = emit(SCALED_COLUMNS, [
+        dict(zip(SCALED_COLUMNS, (p.n, p.beta_n, p.h_n, p.n_times_f,
+                                  p.continuum_target, p.rel_gap)))
+        for p in points
+    ])
+    assert lines[0] == "# config sha256 abc"
+    assert lines[3] == ",".join(SCALED_COLUMNS)
+    first = lines[4].split(",")
     assert first[0] == "256"
     assert float(first[3]) == 0.0795220001  # repr round-trips exactly
-    assert lines[4].split(",")[4] == ""  # absent target stays empty
+    assert lines[5].split(",")[4] == ""  # absent target stays empty
+    assert len(lines) == 6
+
+
+def test_series_csv_roundtrip(emit):
+    r = SeriesComparisonRow(n=256, k=2, c_tnk=0.040237,
+                            hat_gamma_ak=0.0519, hat_gamma_ak_plus1=0.0432,
+                            rel_gap=0.069)
+    lines = emit(SERIES_COLUMNS, [dict(zip(SERIES_COLUMNS, (
+        r.n, r.k, r.c_tnk, r.hat_gamma_ak, r.hat_gamma_ak_plus1)))])
+    assert lines[3] == ",".join(SERIES_COLUMNS)
     assert len(lines) == 5
-
-
-def test_series_csv_roundtrip(tmp_path):
-    rows = [SeriesComparisonRow(n=256, k=2, c_tnk=0.040237,
-                                hat_gamma_ak=0.0519, hat_gamma_ak_plus1=0.0432,
-                                rel_gap=0.069)]
-    path = tmp_path / "series.csv"
-    write_series_csv(path, rows)
-    lines = path.read_text().splitlines()
-    assert lines[0] == ",".join(SERIES_COLUMNS)
-    cells = lines[1].split(",")
+    cells = lines[4].split(",")
     assert cells[:2] == ["256", "2"]
     assert float(cells[2]) == 0.040237

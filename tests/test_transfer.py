@@ -17,7 +17,6 @@ from softpin.transfer import (
     quenched_partition,
     quenched_sweep,
     renewal_root,
-    write_ladder_csv,
 )
 
 GAUSS = ChargeModel("gaussian")
@@ -341,26 +340,27 @@ def test_renewal_root_tail_fit_improves_marginal_case():
 
 # --------------------------------------------------------------------- CSV
 
-def test_ladder_csv_annealed(tmp_path):
+def test_ladder_csv_annealed(emit):
     est = annealed_free_energy(SRW, PIN, GAUSS, 0.5, 0.2, n_max=64, n_points=3)
-    path = tmp_path / "ladder.csv"
-    write_ladder_csv(path, est, header_lines=["config_sha256=abc"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# config_sha256=abc"
-    assert lines[1] == ",".join(LADDER_COLUMNS)
-    assert len(lines) == 2 + 3
-    first = lines[2].split(",")
-    assert int(first[0]) == 16
+    rows = ladder_csv_rows(est)
+    lines = emit(LADDER_COLUMNS, rows)
+    assert lines[0] == "# config sha256 abc"
+    assert all(line.startswith("# ") for line in lines[:3])
+    assert lines[3] == ",".join(LADDER_COLUMNS)
+    assert len(lines) == 4 + 3
+    first = lines[4].split(",")
+    assert first[0] == "16"  # ints stay ints
+    assert float(first[3]) == rows[0]["f_free"]  # repr round-trips exactly
     assert float(first[3]) == pytest.approx(float(first[1]) / 16.0)
 
 
-def test_ladder_csv_quenched_has_sample_and_seed(tmp_path):
+def test_ladder_csv_quenched_has_sample_and_seed(emit):
     est = quenched_free_energy(SRW, PIN, GAUSS, 0.5, 0.2, n_max=64,
                                n_samples=2, seed=9, n_points=2)
     rows = ladder_csv_rows(est)
     assert {r["sample"] for r in rows} == {0, 1}
     assert all(r["seed"] == 9 for r in rows)
-    path = tmp_path / "q.csv"
-    write_ladder_csv(path, est)
-    header = path.read_text().splitlines()[0]
-    assert header == ",".join(LADDER_COLUMNS) + ",sample,seed"
+    lines = emit(LADDER_COLUMNS + ("sample", "seed"), rows)
+    assert lines[3] == ",".join(LADDER_COLUMNS) + ",sample,seed"
+    assert [line.split(",")[-2:] for line in lines[4:]] == [
+        ["0", "9"], ["0", "9"], ["1", "9"], ["1", "9"]]
