@@ -86,15 +86,12 @@ from .continuum import (
     continuum_free_energy_mc,
     continuum_free_energy_short,
     critical_exponent,
-    mc_record,
     sharp_constant,
     ztilde_growth_rate,
 )
 from .lattice import folded_kernel
 from .localization import (
-    CURVE_COLUMNS,
     annealed_critical_h,
-    excursion_sum,
     rescaled_lower_bound,
     quenched_critical_h,
     transient_criterion,
@@ -108,16 +105,13 @@ from .model import (
     return_law,
 )
 from .scaling import (
-    SCALED_COLUMNS,
-    SERIES_COLUMNS,
     ScalingSchedule,
     compare_to_continuum,
     scaled_free_energy,
 )
 from .transfer import (
-    LADDER_COLUMNS,
+    FreeEnergyEstimate,
     annealed_free_energy,
-    ladder_csv_rows,
     quenched_free_energy,
 )
 
@@ -491,6 +485,38 @@ def _emit(ctx: RunContext, stem: str, columns, rows: list[dict]) -> str:
     return path
 
 
+# ------------------------------------------------------------ output columns
+
+LADDER_COLUMNS = ("N", "log_Z_free", "log_Z_constrained", "f_free", "f_constrained")
+QUENCHED_COLUMNS = LADDER_COLUMNS + ("sample", "seed")
+CURVE_COLUMNS = (
+    "beta", "hc_ann_lo", "hc_ann_hi", "hc_lower_bound",
+    "hc_que_lo", "hc_que_hi", "confidence",
+)
+SCALED_COLUMNS = ("N", "beta_N", "h_N", "N_times_F", "continuum_target",
+                  "rel_gap", "localized", "diverged")
+SERIES_COLUMNS = ("N", "k", "C_TNk", "hatC_gamma_ak", "hatC_gamma_ak_plus1",
+                  "rel_gap")
+
+
+def ladder_csv_rows(estimate: FreeEnergyEstimate) -> list[dict]:
+    """Row dicts of the ladder output; quenched runs add sample and seed."""
+    rows = []
+    for i, sw in enumerate(estimate.sample_sweeps or [estimate.ladder]):
+        for j, n in enumerate(sw.n_values):
+            row = {
+                "N": int(n),
+                "log_Z_free": float(sw.log_z_free[j]),
+                "log_Z_constrained": float(sw.log_z_constrained[j]),
+                "f_free": float(sw.log_z_free[j] / n),
+                "f_constrained": float(sw.log_z_constrained[j] / n),
+            }
+            if estimate.sample_sweeps:
+                row.update(sample=i, seed=estimate.seed)
+            rows.append(row)
+    return rows
+
+
 # ------------------------------------------------------------------ handlers
 
 def _run_free_energy(config, ctx: RunContext) -> int:
@@ -516,8 +542,8 @@ def _run_free_energy(config, ctx: RunContext) -> int:
             n_samples=task["quenched"]["n_samples"],
             seed=job_seed(ctx.seed, 0), n_points=num["n_points"], l=num["l"],
         )
-        cols = list(LADDER_COLUMNS) + ["sample", "seed"]
-        _emit(ctx, "free_energy_quenched", cols, ladder_csv_rows(que))
+        _emit(ctx, "free_energy_quenched", QUENCHED_COLUMNS,
+              ladder_csv_rows(que))
         summary.update(
             f_quenched=que.value, quenched_error=que.error,
             n_samples=que.n_samples, quenched_converged=que.converged,
@@ -567,14 +593,11 @@ def _run_localize(config, ctx: RunContext) -> int:
     walk, spec, charges = _build_model(config)
     task = config["task"]
     num = ctx.numerics
-    kwargs = dict(m_max=num["m_max"], kappa=task.get("kappa", 1.0), l=num["l"])
-    r = task.get("return_mass", 1.0)
-    if r == 1.0:
-        cv = excursion_sum(walk, spec, charges, task["beta"], task["h"],
-                           **kwargs)
-    else:
-        cv = transient_criterion(walk, spec, charges, task["beta"], task["h"],
-                                 r, **kwargs)
+    cv = transient_criterion(
+        walk, spec, charges, task["beta"], task["h"],
+        task.get("return_mass", 1.0), m_max=num["m_max"],
+        kappa=task.get("kappa", 1.0), l=num["l"],
+    )
     row = {
         "beta": task["beta"], "h": task["h"], "kappa": cv.kappa,
         "m_max": cv.m_max, "partial_sum": cv.value,
@@ -649,7 +672,7 @@ def _run_scaling(config, ctx: RunContext) -> int:
         schedule, walk, charges, spec, m_mult=task.get("m_mult", 48),
         l=ctx.numerics["l"], **kwargs,
     )
-    _emit(ctx, "scaling_ladder", SCALED_COLUMNS + ("localized", "diverged"), [
+    _emit(ctx, "scaling_ladder", SCALED_COLUMNS, [
         {
             "N": p.n, "beta_N": p.beta_n, "h_N": p.h_n,
             "N_times_F": p.n_times_f, "continuum_target": p.continuum_target,
@@ -664,7 +687,7 @@ def _run_scaling(config, ctx: RunContext) -> int:
             schedule, walk, charges, spec, T=series.get("T", 1.0),
             k=series.get("k", 1), l=ctx.numerics["l"], **kwargs,
         )
-        _emit(ctx, "scaling_series", SERIES_COLUMNS + ("rel_gap",), [
+        _emit(ctx, "scaling_series", SERIES_COLUMNS, [
             {
                 "N": r.n, "k": r.k, "C_TNk": r.c_tnk,
                 "hatC_gamma_ak": r.hat_gamma_ak,
@@ -717,8 +740,13 @@ def _run_continuum(config, ctx: RunContext) -> int:
             seed=job_seed(ctx.seed, 0), eps=mc.get("eps"),
             n_bootstrap=mc.get("n_bootstrap", 200),
         )
-        _emit(ctx, "continuum_mc", tuple(mc_record(params, cp, est)),
-              [mc_record(params, cp, est)])
+        row = {
+            "alpha": params.alpha, "theta": params.theta,
+            "beta_hat": cp.beta_hat, "h_hat": cp.h_hat, "T": est.T,
+            "dt": est.dt, "n_paths": est.n_paths, "estimate": est.estimate,
+            "stderr": est.stderr, "flagged": est.flagged,
+        }
+        _emit(ctx, "continuum_mc", tuple(row), [row])
         if est.flagged:
             code = EXIT_NUMERIC
     return code

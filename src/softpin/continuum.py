@@ -69,7 +69,6 @@ __all__ = [
     "ztilde_growth_rate",
     "McEstimate",
     "continuum_free_energy_mc",
-    "mc_record",
 ]
 
 REGIMES = ("long_range", "intermediate", "short_range")
@@ -273,14 +272,13 @@ def _simplex_level(alpha: float, T: float, t_prev: np.ndarray, depth: int,
     return gap * (inner @ weights)
 
 
-def simplex_weight_integral(alpha: float, T: float, k: int,
-                            n_nodes: int = 64) -> float:
+def simplex_weight_integral(alpha: float, T: float, k: int) -> float:
     """Brute-force value of the ordered-simplex weight integral
 
         Int_{0<t_1<...<t_k<T} prod_{l=1}^{k} (t_l - t_{l-1})^(alpha-1) dt,
 
-    the k-th moment kernel of the local-time expansion.  Cost grows like
-    n_nodes^(k-1); supported for k <= 4.
+    the k-th moment kernel of the local-time expansion, by nested 64-node
+    Gauss-Legendre rules.  Cost grows like 64^(k-1); supported for k <= 4.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -288,7 +286,7 @@ def simplex_weight_integral(alpha: float, T: float, k: int,
         raise ValueError("T must be positive")
     if not 1 <= k <= 4:
         raise ValueError("brute-force simplex integration supports 1 <= k <= 4")
-    x, w = leggauss(n_nodes)
+    x, w = leggauss(64)
     nodes = 0.5 * (x + 1.0)  # map to (0, 1)
     weights = 0.5 * w
     return float(_simplex_level(alpha, T, np.array(0.0), k, nodes, weights))
@@ -574,20 +572,3 @@ def continuum_free_energy_mc(params: ContinuumParams, cp: ContinuumPhasePoint,
         estimate=estimate, stderr=stderr, flagged=flagged, n_paths=n_paths,
         T=T, dt=dt, eps=eps, regime=params.regime,
     )
-
-
-def mc_record(params: ContinuumParams, cp: ContinuumPhasePoint,
-              est: McEstimate) -> dict:
-    """JSON-ready record of a Monte Carlo run."""
-    return {
-        "alpha": params.alpha,
-        "theta": params.theta,
-        "beta_hat": cp.beta_hat,
-        "h_hat": cp.h_hat,
-        "T": est.T,
-        "dt": est.dt,
-        "n_paths": est.n_paths,
-        "estimate": est.estimate,
-        "stderr": est.stderr,
-        "flagged": est.flagged,
-    }

@@ -50,10 +50,12 @@ __all__ = [
     "quenched_critical_h",
     "criterion_start_invariance",
     "StartInvarianceResult",
-    "CURVE_COLUMNS",
 ]
 
 DIVERGENCE_CAP = 1e12
+# largest log site weight whose exponential is finite: capping there keeps
+# an unreached site at 0 * weight = 0 instead of 0 * inf = NaN
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,7 @@ def _decay_rate(spec: PotentialSpec, alpha: float) -> float:
 
 def excursion_weights(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
                       beta: float, h: float, m_max: int, kappa: float = 1.0,
-                      l: int | None = None,
-                      divergence_cap: float = DIVERGENCE_CAP) -> ExcursionWeights:
+                      l: int | None = None) -> ExcursionWeights:
     """First-passage recursion for the excursion weights A_m, m <= m_max.
 
     A_m multiplies the first-return probability by the exponential weight
@@ -109,7 +110,8 @@ def excursion_weights(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
     psi_off[origin] = -math.inf  # killed at the origin: weight never used
     psi_plus = max(0.0, float(psi_off.max()))
     a, diverged, m_stop = first_passage(
-        ker, origin, np.exp(psi_off), w0, m_max, divergence_cap)
+        ker, origin, np.exp(np.minimum(psi_off, _LOG_FLOAT_MAX)), w0, m_max,
+        DIVERGENCE_CAP)
     return ExcursionWeights(
         m_values=np.arange(m_max + 1), a=a, psi0=psi0,
         psi_plus_off_origin=psi_plus, alpha=walk.alpha,
@@ -267,12 +269,6 @@ def transient_criterion(walk, spec, charges, beta, h, r: float,
 
 # ---------------------------------------------------------- critical curves
 
-CURVE_COLUMNS = (
-    "beta", "hc_ann_lo", "hc_ann_hi", "hc_lower_bound",
-    "hc_que_lo", "hc_que_hi", "confidence",
-)
-
-
 @dataclass(frozen=True)
 class CriticalBracket:
     """Bisection bracket [lo, hi] for a critical height."""
@@ -299,6 +295,18 @@ def _upper_start(charges: ChargeModel, spec: PotentialSpec, beta: float,
     if beta == 0.0:
         return 0.25
     return float(charges.cumulant(kappa * beta * phi_max) / (kappa * phi_max)) + 0.05
+
+
+def _bisect(pred, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve [lo, hi] down to width tol, keeping pred true at lo and false
+    at hi."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def annealed_critical_h(walk, spec, charges, beta: float, tol: float = 1e-3,
@@ -331,20 +339,13 @@ def annealed_critical_h(walk, spec, charges, beta: float, tol: float = 1e-3,
                 break
         else:
             raise RuntimeError("no delocalized height found")
-    lo = 0.0
-    if not localized(lo):
-        step = max(tol, 0.05)
-        while not localized(lo) and lo > -4.0:
-            lo -= step
-            step *= 2.0
-        if not localized(lo):
+    lo, step = 0.0, max(tol, 0.05)
+    while not localized(lo):
+        if lo <= -4.0:
             raise RuntimeError("no localized height found down to h = -4")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if localized(mid):
-            lo = mid
-        else:
-            hi = mid
+        lo -= step
+        step *= 2.0
+    lo, hi = _bisect(localized, lo, hi, tol)
     return CriticalBracket(beta=beta, lo=lo, hi=hi, kappa=kappa)
 
 
@@ -363,8 +364,8 @@ def rescaled_lower_bound(walk, spec, charges, beta: float, tol: float = 1e-3,
 
 def quenched_critical_h(walk, spec, charges, beta: float, n_max: int = 4096,
                         n_samples: int = 200, seed: int = 0,
-                        tol: float = 5e-3, detect: float = 3.0,
-                        h_hi: float | None = None) -> CriticalBracket:
+                        tol: float = 5e-3,
+                        detect: float = 3.0) -> CriticalBracket:
     """Monte Carlo confidence band for the quenched critical height.
 
     The transition is located through the sign of the disorder-averaged
@@ -375,9 +376,6 @@ def quenched_critical_h(walk, spec, charges, beta: float, n_max: int = 4096,
     in h, so each edge is bisected to resolution tol; the band still carries
     the O(log(n_max)/n_max) downward drift of the finite-size crossing.
     """
-    if h_hi is None:
-        h_hi = _upper_start(charges, spec, beta, 1.0)
-
     cache: dict[float, tuple[float, float]] = {}
 
     def mean_sem(h: float) -> tuple[float, float]:
@@ -399,7 +397,7 @@ def quenched_critical_h(walk, spec, charges, beta: float, n_max: int = 4096,
 
     if not surely_localized(0.0):
         return CriticalBracket(beta=beta, lo=0.0, hi=0.0, confidence=0.0)
-    top = h_hi
+    top = _upper_start(charges, spec, beta, 1.0)
     for _ in range(60):
         if surely_delocalized(top):
             break
@@ -407,24 +405,10 @@ def quenched_critical_h(walk, spec, charges, beta: float, n_max: int = 4096,
     else:
         raise RuntimeError("no delocalized height found")
 
-    lo, hi = 0.0, top
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if surely_localized(mid):
-            lo = mid
-        else:
-            hi = mid
-    band_lo = lo
-
-    lo, hi = band_lo, top
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if surely_delocalized(mid):
-            hi = mid
-        else:
-            lo = mid
+    band_lo, _ = _bisect(surely_localized, 0.0, top, tol)
+    _, band_hi = _bisect(lambda h: not surely_delocalized(h), band_lo, top, tol)
     conf = math.erf(detect / math.sqrt(2.0))
-    return CriticalBracket(beta=beta, lo=band_lo, hi=hi, confidence=conf)
+    return CriticalBracket(beta=beta, lo=band_lo, hi=band_hi, confidence=conf)
 
 
 # ------------------------------------------------------- start invariance
@@ -437,8 +421,7 @@ class StartInvarianceResult:
 
 
 def criterion_start_invariance(transition: np.ndarray, psi_values: np.ndarray,
-                               m_max: int = 4096,
-                               cap: float = DIVERGENCE_CAP) -> StartInvarianceResult:
+                               m_max: int = 4096) -> StartInvarianceResult:
     """First-return criterion evaluated from every state of a finite chain.
 
     For an irreducible finite chain the predicate A_x > 1 does not depend
@@ -463,7 +446,7 @@ def criterion_start_invariance(transition: np.ndarray, psi_values: np.ndarray,
             v = (v @ p) * w
             total += float(v[x])
             v[x] = 0.0
-            if total > cap or v.max() > 1e200:
+            if total > DIVERGENCE_CAP or v.max() > 1e200:
                 total = math.inf
                 break
             if v.max() < 1e-300:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -175,7 +175,6 @@ class WalkSpec:
     alpha: float
     epsilon_corr: float = 0.0
     l_max: int | None = None
-    period: int = field(default=2, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -184,8 +183,6 @@ class WalkSpec:
             raise ValueError("epsilon_corr must be >= 0")
         if self.l_max is not None and self.l_max < 1:
             raise ValueError("l_max must be a positive integer")
-        if self.period != 2:
-            raise ValueError("only the period-2 nearest-neighbour walk is supported")
 
     def drift(self, x) -> np.ndarray:
         """Vectorized d(x); |d| <= |alpha - 1/2| < 1/2 everywhere."""

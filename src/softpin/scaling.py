@@ -52,8 +52,6 @@ __all__ = [
     "series_coefficient",
     "SeriesComparisonRow",
     "compare_to_continuum",
-    "SCALED_COLUMNS",
-    "SERIES_COLUMNS",
 ]
 
 # default index horizon of the excursion sum, as a multiple of N: at the
@@ -306,10 +304,3 @@ def compare_to_continuum(schedule: ScalingSchedule, walk: WalkSpec,
             hat_gamma_ak_plus1=cand.gamma_ak_plus1, rel_gap=rel_gap,
         ))
     return rows
-
-
-# ------------------------------------------------------------ output columns
-
-SCALED_COLUMNS = ("N", "beta_N", "h_N", "N_times_F", "continuum_target", "rel_gap")
-
-SERIES_COLUMNS = ("N", "k", "C_TNk", "hatC_gamma_ak", "hatC_gamma_ak_plus1")

@@ -44,7 +44,6 @@ __all__ = [
     "quenched_free_energy",
     "compare_free_constrained",
     "renewal_root",
-    "ladder_csv_rows",
     "default_ladder",
 ]
 
@@ -334,7 +333,7 @@ def _tail_integral(alpha: float, m0: float, f: float) -> float:
     return head - rest
 
 
-def renewal_root(weights: np.ndarray, alpha: float, fit_tail: bool = True) -> RenewalRoot:
+def renewal_root(weights: np.ndarray, alpha: float) -> RenewalRoot:
     """Solve sum_m A_m e^(-F m) (+ fitted tail) = 1 for F >= 0.
 
     weights[m] is the m-step excursion weight A_m (index 0 unused).  The
@@ -347,63 +346,27 @@ def renewal_root(weights: np.ndarray, alpha: float, fit_tail: bool = True) -> Re
     m = np.arange(len(a), dtype=float)
     m_max = len(a) - 1
     c_fit = 0.0
-    if fit_tail:
-        window = (m >= m_max // 2) & (m > 0) & (a > 0)
-        if window.sum() >= 4:
-            c_fit = float(np.mean(a[window] * m[window] ** (1.0 + alpha)))
+    window = (m >= m_max // 2) & (m > 0) & (a > 0)
+    if window.sum() >= 4:
+        c_fit = float(np.mean(a[window] * m[window] ** (1.0 + alpha)))
 
-    def g(f: float) -> float:
+    def g(f: float, c: float) -> float:
         s = float(np.dot(a[2:], np.exp(-f * m[2:])))
-        if c_fit > 0.0:
-            s += c_fit * _tail_integral(alpha, m_max + 1.0, f)
+        if c > 0.0:
+            s += c * _tail_integral(alpha, m_max + 1.0, f)
         return s - 1.0
 
-    partial = float(a.sum())
-    if g(0.0) <= 0.0:
-        return RenewalRoot(
-            f=0.0, f_lower=0.0, tail_coeff=c_fit, partial_sum=partial,
-            localized=False,
-        )
-    hi = 1.0 / m_max
-    while g(hi) > 0.0 and hi < 1e3:
-        hi *= 2.0
-    f_root = float(brentq(g, 0.0, hi, xtol=1e-15, rtol=1e-13))
-    if fit_tail and c_fit > 0.0:
-        c_save, c_fit = c_fit, 0.0
-        if g(0.0) <= 0.0:
-            f_lower = 0.0
-        else:
-            hi2 = max(f_root, 1.0 / m_max)
-            while g(hi2) > 0.0 and hi2 < 1e3:
-                hi2 *= 2.0
-            f_lower = float(brentq(g, 0.0, hi2, xtol=1e-15, rtol=1e-13))
-        c_fit = c_save
-    else:
-        f_lower = f_root
+    def root(c: float, hi: float) -> float:
+        if g(0.0, c) <= 0.0:
+            return 0.0
+        while g(hi, c) > 0.0 and hi < 1e3:
+            hi *= 2.0
+        return float(brentq(g, 0.0, hi, args=(c,), xtol=1e-15, rtol=1e-13))
+
+    localized = g(0.0, c_fit) > 0.0
+    f_root = root(c_fit, 1.0 / m_max)
+    f_lower = root(0.0, max(f_root, 1.0 / m_max)) if c_fit > 0.0 else f_root
     return RenewalRoot(
-        f=f_root, f_lower=f_lower, tail_coeff=c_fit, partial_sum=partial,
-        localized=True,
+        f=f_root, f_lower=f_lower, tail_coeff=c_fit,
+        partial_sum=float(a.sum()), localized=localized,
     )
-
-
-# -------------------------------------------------------------- ladder rows
-
-LADDER_COLUMNS = ("N", "log_Z_free", "log_Z_constrained", "f_free", "f_constrained")
-
-
-def ladder_csv_rows(estimate: FreeEnergyEstimate) -> list[dict]:
-    """Row dicts of the ladder output; quenched runs add sample and seed."""
-    rows = []
-    for i, sw in enumerate(estimate.sample_sweeps or [estimate.ladder]):
-        for j, n in enumerate(sw.n_values):
-            row = {
-                "N": int(n),
-                "log_Z_free": float(sw.log_z_free[j]),
-                "log_Z_constrained": float(sw.log_z_constrained[j]),
-                "f_free": float(sw.log_z_free[j] / n),
-                "f_constrained": float(sw.log_z_constrained[j] / n),
-            }
-            if estimate.sample_sweeps:
-                row.update(sample=i, seed=estimate.seed)
-            rows.append(row)
-    return rows

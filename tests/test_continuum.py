@@ -24,7 +24,6 @@ from softpin.continuum import (
     hat_g,
     local_time_mean,
     log_bessel_i,
-    mc_record,
     sharp_constant,
     simplex_weight_integral,
     ztilde_growth_rate,
@@ -665,19 +664,6 @@ class TestFreeEnergyMc:
             continuum_free_energy_mc(LONG, cp, T=1.0, dt=4e-7, n_paths=4)
         with pytest.raises(ValueError):
             continuum_free_energy_mc(LONG, cp, T=0.0)
-
-    def test_record_round_trip(self):
-        cp = ContinuumPhasePoint(beta_hat=0.7, h_hat=0.2)
-        est = continuum_free_energy_mc(LONG, cp, T=1.0, dt=1e-3, n_paths=30, seed=1)
-        rec = mc_record(LONG, cp, est)
-        assert set(rec) == {
-            "alpha", "theta", "beta_hat", "h_hat", "T", "dt",
-            "n_paths", "estimate", "stderr", "flagged",
-        }
-        assert rec["alpha"] == LONG.alpha
-        assert rec["beta_hat"] == 0.7
-        assert rec["estimate"] == est.estimate
-        assert rec["flagged"] is est.flagged
 
 
 class TestCriticalCurveMc:

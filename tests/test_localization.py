@@ -21,10 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import softpin.localization as localization
+from softpin.cli import CURVE_COLUMNS
 from softpin.lattice import folded_kernel
 from softpin.model import ChargeModel, PotentialSpec, WalkSpec, return_law
 from softpin.localization import (
-    CURVE_COLUMNS,
     annealed_critical_h,
     criterion_start_invariance,
     excursion_sum,
@@ -81,6 +82,17 @@ class TestExcursionWeights:
         assert np.all(np.isfinite(ew.a))
         cv = excursion_sum(walk, spec, gaussian, 40.0, 0.0, m_max=64)
         assert cv.diverged and cv.verdict == "yes"
+
+    def test_unreached_overflowing_site_does_not_diverge(self, srw, gaussian):
+        # psi(6) = 800, but a 4-step excursion never reaches height 6
+        spec = PotentialSpec(kind="table", table={0: 0.01, 6: 1.0})
+        ew = excursion_weights(srw, spec, gaussian, 40.0, 0.0, m_max=4)
+        assert not ew.diverged and ew.m_stop == 4
+        assert ew.a[2] == pytest.approx(0.541643, rel=1e-5)
+        assert ew.a[4] == pytest.approx(0.135411, rel=1e-5)
+        # the walk first reaches height 6 at step 6
+        ew = excursion_weights(srw, spec, gaussian, 40.0, 0.0, m_max=64)
+        assert ew.diverged and ew.m_stop == 6
 
     def test_validation(self, srw, pinning, gaussian):
         with pytest.raises(ValueError):
@@ -209,6 +221,22 @@ class TestAnnealedCriticalH:
         ]
         assert mids[0] == pytest.approx(0.0, abs=2e-3)
         assert mids[0] < mids[1] < mids[2]
+
+    def test_each_height_is_evaluated_once(self, srw, pinning, gaussian,
+                                           monkeypatch):
+        seen = []
+        inner = localization.excursion_sum
+
+        def spy(walk, spec, charges, beta, h, **kwargs):
+            seen.append(h)
+            return inner(walk, spec, charges, beta, h, **kwargs)
+
+        monkeypatch.setattr(localization, "excursion_sum", spy)
+        br = annealed_critical_h(srw, pinning, gaussian, 0.0, tol=1e-3, m_max=256)
+        assert len(seen) == len(set(seen)) == 12
+        assert seen[:3] == [0.25, 0.0, -0.05]  # upper start, then down from 0
+        # the bracket of the search that evaluated h = 0 and h = -0.05 twice
+        assert (br.lo, br.hi) == (-0.0001953125, 0.000390625)
 
     def test_alpha_dependence_through_return_law_only(self, pinning, gaussian):
         # single-site potential: the crossing is at psi(0) = 0 whatever alpha.

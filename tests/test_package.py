@@ -1,4 +1,5 @@
-"""Package-wide checks: exported names resolve, and only the CLI writes files."""
+"""Package-wide checks: exported names resolve, and only the CLI writes files
+or defines output columns."""
 
 import ast
 import importlib
@@ -50,3 +51,11 @@ def test_only_the_cli_opens_files_for_writing():
         if _write_calls(path.read_text(encoding="utf-8"))
     }
     assert writers == {"cli"}
+
+
+def test_only_the_cli_defines_output_columns():
+    owners = {
+        name for name in MODULES
+        for n in vars(importlib.import_module(name)) if n.endswith("_COLUMNS")
+    }
+    assert owners == {"softpin.cli"}

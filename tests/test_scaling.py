@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from softpin.cli import SCALED_COLUMNS, SERIES_COLUMNS
 from softpin.continuum import ContinuumParams
 from softpin.lattice import folded_kernel
 from softpin.localization import annealed_critical_h
@@ -17,8 +18,6 @@ from softpin.model import (
     psi,
 )
 from softpin.scaling import (
-    SCALED_COLUMNS,
-    SERIES_COLUMNS,
     ScaledFreeEnergyPoint,
     ScalingSchedule,
     SeriesComparisonRow,
@@ -378,7 +377,8 @@ def test_scaled_csv_roundtrip(emit):
     ]
     lines = emit(SCALED_COLUMNS, [
         dict(zip(SCALED_COLUMNS, (p.n, p.beta_n, p.h_n, p.n_times_f,
-                                  p.continuum_target, p.rel_gap)))
+                                  p.continuum_target, p.rel_gap,
+                                  p.localized, p.diverged)))
         for p in points
     ])
     assert lines[0] == "# config sha256 abc"
@@ -387,6 +387,7 @@ def test_scaled_csv_roundtrip(emit):
     assert first[0] == "256"
     assert float(first[3]) == 0.0795220001  # repr round-trips exactly
     assert lines[5].split(",")[4] == ""  # absent target stays empty
+    assert lines[5].split(",")[6:] == ["False", "False"]
     assert len(lines) == 6
 
 
@@ -395,7 +396,8 @@ def test_series_csv_roundtrip(emit):
                             hat_gamma_ak=0.0519, hat_gamma_ak_plus1=0.0432,
                             rel_gap=0.069)
     lines = emit(SERIES_COLUMNS, [dict(zip(SERIES_COLUMNS, (
-        r.n, r.k, r.c_tnk, r.hat_gamma_ak, r.hat_gamma_ak_plus1)))])
+        r.n, r.k, r.c_tnk, r.hat_gamma_ak, r.hat_gamma_ak_plus1,
+        r.rel_gap)))])
     assert lines[3] == ",".join(SERIES_COLUMNS)
     assert len(lines) == 5
     cells = lines[4].split(",")

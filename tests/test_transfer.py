@@ -4,15 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from softpin.cli import LADDER_COLUMNS, QUENCHED_COLUMNS, ladder_csv_rows
 from softpin.model import ChargeModel, PotentialSpec, WalkSpec, phi_eval, psi, return_law
 from softpin.transfer import (
-    LADDER_COLUMNS,
     annealed_free_energy,
     annealed_partition,
     annealed_sweep,
     compare_free_constrained,
     default_ladder,
-    ladder_csv_rows,
     quenched_free_energy,
     quenched_partition,
     quenched_sweep,
@@ -332,10 +331,9 @@ def test_renewal_root_tail_fit_improves_marginal_case():
     # weights just above critical: the truncated sum alone underestimates
     k = return_law(SRW, 2048)
     weights = k * 1.01
-    with_tail = renewal_root(weights, alpha=0.5, fit_tail=True)
-    without = renewal_root(weights, alpha=0.5, fit_tail=False)
-    assert with_tail.f >= without.f >= 0.0
-    assert with_tail.localized
+    root = renewal_root(weights, alpha=0.5)
+    assert root.f >= root.f_lower >= 0.0
+    assert root.localized
 
 
 # --------------------------------------------------------------------- CSV
@@ -360,7 +358,7 @@ def test_ladder_csv_quenched_has_sample_and_seed(emit):
     rows = ladder_csv_rows(est)
     assert {r["sample"] for r in rows} == {0, 1}
     assert all(r["seed"] == 9 for r in rows)
-    lines = emit(LADDER_COLUMNS + ("sample", "seed"), rows)
+    lines = emit(QUENCHED_COLUMNS, rows)
     assert lines[3] == ",".join(LADDER_COLUMNS) + ",sample,seed"
     assert [line.split(",")[-2:] for line in lines[4:]] == [
         ["0", "9"], ["0", "9"], ["1", "9"], ["1", "9"]]
