@@ -53,8 +53,7 @@ __all__ = [
 ]
 
 DIVERGENCE_CAP = 1e12
-# largest log site weight whose exponential is finite: capping there keeps
-# an unreached site at 0 * weight = 0 instead of 0 * inf = NaN
+# largest log site weight whose exponential is finite
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
@@ -92,8 +91,10 @@ def excursion_weights(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
     A_m multiplies the first-return probability by the exponential weight
     collected at the tempered phase point (kappa*beta, kappa*h); interior
     sites never include the origin, whose weight enters once at the return
-    step.  Aborts (diverged=True) once the partial sum passes the cap or
-    the recursion stops being finite.
+    step.  Aborts (diverged=True) once the partial sum passes the cap, the
+    recursion stops being finite, or the walk reaches a site whose weight
+    overflows (at step |x|, the first step a nearest-neighbour walk can be
+    there; an unreached one contributes nothing).
     """
     if m_max < 4:
         raise ValueError("m_max must be >= 4")
@@ -109,9 +110,15 @@ def excursion_weights(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
     psi_off = np.asarray(psi(charges, spec, bt, ht, heights), dtype=float)
     psi_off[origin] = -math.inf  # killed at the origin: weight never used
     psi_plus = max(0.0, float(psi_off.max()))
+    over = psi_off > _LOG_FLOAT_MAX
+    reach = int(np.abs(heights[over]).min()) if over.any() else m_max + 1
+    n = min(m_max, reach)
     a, diverged, m_stop = first_passage(
-        ker, origin, np.exp(np.minimum(psi_off, _LOG_FLOAT_MAX)), w0, m_max,
+        ker, origin, np.exp(np.where(over, -math.inf, psi_off)), w0, n,
         DIVERGENCE_CAP)
+    if not diverged and reach <= m_max:
+        diverged, m_stop = True, reach
+    a = np.pad(a, (0, m_max - n))
     return ExcursionWeights(
         m_values=np.arange(m_max + 1), a=a, psi0=psi0,
         psi_plus_off_origin=psi_plus, alpha=walk.alpha,

@@ -94,6 +94,16 @@ class TestExcursionWeights:
         ew = excursion_weights(srw, spec, gaussian, 40.0, 0.0, m_max=64)
         assert ew.diverged and ew.m_stop == 6
 
+    def test_overflowing_site_behind_an_underflowing_one_diverges(
+            self, srw, gaussian):
+        # psi(1) = -1201 underflows and psi(2) = 10000 overflows; every path
+        # to height 2 passes height 1, yet the 2-3 bounce gains e^psi(2)/4
+        spec = PotentialSpec(kind="table", table={1: 40.0, 2: 200.0})
+        cv = excursion_sum(srw, spec, gaussian, 1.0, 50.0, m_max=64)
+        assert cv.diverged and cv.verdict == "yes"
+        ew = excursion_weights(srw, spec, gaussian, 1.0, 50.0, m_max=64)
+        assert ew.m_stop == 2
+
     def test_validation(self, srw, pinning, gaussian):
         with pytest.raises(ValueError):
             excursion_weights(srw, pinning, gaussian, 1.0, 0.0, m_max=2)
