@@ -4,7 +4,9 @@ Subcommands
 -----------
 free-energy     annealed (optionally quenched Monte Carlo) free-energy ladders
 critical-curve  annealed critical heights across a beta grid, with optional
-                rescaled lower bound and quenched Monte Carlo brackets
+                rescaled lower bound and quenched Monte Carlo brackets; the
+                grid's annealed searches run in lockstep, one height per
+                search and round, and each gives the bracket it gives alone
 localize        excursion-sum localization criterion at one phase point
 bessel-check    walk diagnostics: return-law mass, local-limit ratios,
                 transition-density normalizations
@@ -91,8 +93,7 @@ from .continuum import (
 )
 from .lattice import folded_kernel
 from .localization import (
-    annealed_critical_h,
-    rescaled_lower_bound,
+    annealed_critical_curve,
     quenched_critical_h,
     transient_criterion,
 )
@@ -560,22 +561,17 @@ def _run_critical_curve(config, ctx: RunContext) -> int:
     num = ctx.numerics
     que = task.get("quenched")
 
+    grid = task["beta_grid"]
+    brackets, bounds = annealed_critical_curve(
+        walk, spec, charges, grid, grid if task.get("lower_bound") else (),
+        tol=num["tol"], m_max=num["m_max"], l=num["l"])
     rows = []
-    for j, beta in enumerate(task["beta_grid"]):
-        ann = annealed_critical_h(
-            walk, spec, charges, beta, tol=num["tol"], m_max=num["m_max"],
-            l=num["l"],
-        )
+    for j, (beta, ann) in enumerate(zip(grid, brackets)):
         row = {
             "beta": beta, "hc_ann_lo": ann.lo, "hc_ann_hi": ann.hi,
-            "hc_lower_bound": None, "hc_que_lo": None, "hc_que_hi": None,
-            "confidence": None,
+            "hc_lower_bound": bounds[j].lo if bounds else None,
+            "hc_que_lo": None, "hc_que_hi": None, "confidence": None,
         }
-        if task.get("lower_bound", False):
-            row["hc_lower_bound"] = rescaled_lower_bound(
-                walk, spec, charges, beta, tol=num["tol"], m_max=num["m_max"],
-                l=num["l"],
-            ).lo
         if que is not None:
             q = quenched_critical_h(
                 walk, spec, charges, beta, n_max=que["n_max"],

@@ -9,13 +9,14 @@ weights are symmetric, since the drift is antisymmetric) and a *signed*
 lattice over ``x in {-L..L}``.
 
 ``first_passage`` is the one killed first-passage loop on these kernels:
-the first-return law and the weighted excursion sums both run through it.
+the first-return law and the weighted excursion sums both run through it,
+the latter many phase points at a time as rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -129,31 +130,55 @@ def layout(walk, spec, n: int, l: int | None = None,
     return ker, ker.heights(), ker.origin
 
 
-def first_passage(ker, origin: int, w: np.ndarray, w0: float, m_max: int,
-                  cap: float) -> tuple[np.ndarray, bool, int]:
-    """Killed first-passage recursion of a walk started at ``origin``.
+def first_passage(ker, origin: int, w: np.ndarray, w0, m_max: int,
+                  cap: float):
+    """Killed first-passage recursions of walks started at ``origin``.
 
-    Each step moves the state by ``ker``; the mass that lands on the origin,
-    times the return weight w0, is a[n] and is removed, and the rest is
-    multiplied by the off-origin site weights w.  Returns (a, diverged,
-    m_stop): the loop stops early, with diverged=True and a zero past
-    m_stop, once the partial sum of a passes cap or the state stops being
-    finite and below 1e200 (an overflowed weight turns 0 * inf into NaN).
+    Each row of the site weights w, rows + (sites,), and return weights w0,
+    rows, is an independent walk.  Each step moves the state by ``ker``; the
+    mass on the origin, times w0, is a[n] and is removed, and the rest is
+    multiplied by w.  Returns (a, diverged, m_stop) per row (a bool and an
+    int for rows = ()).  A row stops, with diverged=True and a zero past
+    m_stop, once its partial sum of a passes cap or its state stops being
+    finite and below 1e200 (an overflowed weight turns 0 * inf into NaN);
+    its state and weights are zeroed, and the loop ends with the last row.
     """
-    a = np.zeros(m_max + 1)
-    v = np.zeros(len(w))
-    v[origin] = 1.0
-    nxt = np.zeros_like(v)
-    partial = 0.0
-    bounded = bool(np.all(w <= 1.0))  # v then stays a sub-probability vector
+    w = np.asarray(w, dtype=float)
+    rows, sites = w.shape[:-1], w.shape[-1]
+    r = math.prod(rows)
+    # sum(v_n) <= max(w)^n, as the kernel is stochastic and killing only
+    # removes mass: below 1e200 the state needs no per-step check
+    w_top = float(w.max())
+    bounded = w_top <= 1.0 or m_max * math.log(w_top) <= math.log(1e200)
+    # rows laid end to end on one lattice: no mass crosses from one row to
+    # the next, as p_up is 0 on the top site and p_down on the bottom one
+    ker = replace(ker, p_up=np.tile(ker.p_up, r), p_down=np.tile(ker.p_down, r))
+    w = np.where(np.arange(sites) == origin, 0.0, w).ravel()  # kills returns
+    seg = [slice(i * sites, (i + 1) * sites) for i in range(r)]
+    at = slice(origin, None, sites)
+    v, nxt = np.zeros(r * sites), np.zeros(r * sites)
+    v[at] = 1.0
+    w0 = np.broadcast_to(np.asarray(w0, dtype=float), rows).ravel().tolist()
+    a = np.zeros((r, m_max + 1))
+    partial, m_stop, live = [0.0] * r, [m_max] * r, list(range(r))
     for n in range(1, m_max + 1):
         nxt = ker.step(v, nxt)
-        if nxt[origin]:  # 0 * inf would poison the sum when w0 overflows
-            a[n] = nxt[origin] * w0
-        nxt[origin] = 0.0
+        ret = nxt[at].tolist()
         np.multiply(nxt, w, out=nxt)
         v, nxt = nxt, v
-        partial += a[n]
-        if not (partial <= cap and (bounded or v.max() <= 1e200)):
-            return a, True, n
-    return a, False, m_max
+        blown = not (bounded or v.max() <= 1e200)
+        for i in list(live):
+            if ret[i]:  # 0 * inf would poison the sum when w0 overflows
+                a[i, n] = x = ret[i] * w0[i]
+                partial[i] += x
+            if not partial[i] <= cap or blown and not v[seg[i]].max() <= 1e200:
+                live.remove(i)
+                m_stop[i] = n
+                v[seg[i]] = w[seg[i]] = 0.0
+        if not live:
+            break
+    diverged = [i not in live for i in range(r)]
+    if not rows:
+        return a[0], diverged[0], m_stop[0]
+    return (a.reshape(rows + (-1,)), np.reshape(diverged, rows),
+            np.reshape(m_stop, rows))

@@ -45,6 +45,7 @@ __all__ = [
     "excursion_weights",
     "excursion_sum",
     "transient_criterion",
+    "annealed_critical_curve",
     "annealed_critical_h",
     "rescaled_lower_bound",
     "quenched_critical_h",
@@ -96,35 +97,46 @@ def excursion_weights(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
     overflows (at step |x|, the first step a nearest-neighbour walk can be
     there; an unreached one contributes nothing).
     """
+    return _excursion_rows(walk, spec, charges, [beta], [h], m_max, kappa, l)[0]
+
+
+def _return_weight(psi0: float) -> float:
+    try:
+        return math.exp(psi0)
+    except OverflowError:  # the first return alone passes the cap
+        return math.inf
+
+
+def _excursion_rows(walk, spec, charges, beta, h, m_max: int, kappa=1.0,
+                    l: int | None = None) -> list[ExcursionWeights]:
+    """``excursion_weights`` at each phase point (beta[i], h[i]), tempered
+    by kappa (one or one per point), as rows of one recursion."""
     if m_max < 4:
         raise ValueError("m_max must be >= 4")
-    if kappa <= 0.0:
+    kappa = np.broadcast_to(np.asarray(kappa, dtype=float), np.shape(beta))
+    if np.any(kappa <= 0.0):
         raise ValueError("kappa must be positive")
-    bt, ht = kappa * beta, kappa * h
-    psi0 = float(psi(charges, spec, bt, ht, 0))
-    try:
-        w0 = math.exp(psi0)
-    except OverflowError:  # the first return alone passes the cap
-        w0 = math.inf
+    bt, ht = kappa * np.asarray(beta), kappa * np.asarray(h)
     ker, heights, origin = layout(walk, spec, m_max, l)
-    psi_off = np.asarray(psi(charges, spec, bt, ht, heights), dtype=float)
-    psi_off[origin] = -math.inf  # killed at the origin: weight never used
-    psi_plus = max(0.0, float(psi_off.max()))
-    over = psi_off > _LOG_FLOAT_MAX
-    reach = int(np.abs(heights[over]).min()) if over.any() else m_max + 1
-    n = min(m_max, reach)
+    psi_x = psi(charges, spec, bt[:, None], ht[:, None], heights)
+    psi0 = psi_x[:, origin].tolist()
+    psi_x[:, origin] = -math.inf  # killed at the origin: weight never used
+    over = psi_x > _LOG_FLOAT_MAX
+    reach = np.where(over, np.abs(heights), m_max + 1).min(axis=1)
+    n = min(m_max, int(reach.max()))
     a, diverged, m_stop = first_passage(
-        ker, origin, np.exp(np.where(over, -math.inf, psi_off)), w0, n,
-        DIVERGENCE_CAP)
-    if not diverged and reach <= m_max:
-        diverged, m_stop = True, reach
-    a = np.pad(a, (0, m_max - n))
-    return ExcursionWeights(
-        m_values=np.arange(m_max + 1), a=a, psi0=psi0,
-        psi_plus_off_origin=psi_plus, alpha=walk.alpha,
-        decay_rate=_decay_rate(spec, walk.alpha), diverged=diverged,
-        m_stop=m_stop,
-    )
+        ker, origin, np.exp(np.where(over, -math.inf, psi_x)),
+        [_return_weight(p) for p in psi0], n, DIVERGENCE_CAP)
+    # a row that reaches an overflowing site diverges there
+    late = (reach <= m_max) & ~(diverged & (m_stop <= reach))
+    diverged, m_stop = diverged | late, np.where(late, reach, m_stop)
+    a[np.arange(n + 1) > np.where(late, reach, n)[:, None]] = 0.0
+    a = np.pad(a, ((0, 0), (0, m_max - n)))
+    m_values, rate = np.arange(m_max + 1), _decay_rate(spec, walk.alpha)
+    return [ExcursionWeights(m_values, a[i], psi0[i],
+                             max(0.0, float(psi_x[i].max())), walk.alpha,
+                             rate, bool(diverged[i]), int(m_stop[i]))
+            for i in range(len(psi0))]
 
 
 @dataclass(frozen=True)
@@ -192,23 +204,26 @@ def _tail_bound(ew: ExcursionWeights, k_partial: float) -> float:
     return base * k_tail if b1 == 0.0 else total + base * k_tail
 
 
-def _tail_estimate(ew: ExcursionWeights) -> float:
+def _estimate(ew: ExcursionWeights) -> float:
+    """Partial sum completed with a fitted power-law tail; inf once the
+    recursion diverged."""
     if ew.diverged:
         return math.inf
+    partial = float(ew.a.sum())
     alpha = ew.alpha
     m_max = ew.m_max
     ms = np.arange(m_max // 2, m_max + 1, dtype=float)
     window = ew.a[m_max // 2 :]
     pos = window > 0
     if not np.any(pos):
-        return 0.0
+        return partial
     mf = ms[pos]
     y = window[pos] * mf ** (1.0 + alpha)
     if len(mf) < 8:
         # too short to fit curvature: flat fit over the full window, parity
         # zeros included so the constant pairs with an integral over all m
         c_fit = float(np.mean(window * ms ** (1.0 + alpha)))
-        return max(0.0, c_fit * (m_max + 1.0) ** (-alpha) / alpha)
+        return partial + max(0.0, c_fit * (m_max + 1.0) ** (-alpha) / alpha)
     # two-term fit y ~ c + d m^(-delta) on the supported lengths; the
     # leading finite-length correction to the return law decays with
     # exponent min(1, 2 alpha)
@@ -220,40 +235,27 @@ def _tail_estimate(ew: ExcursionWeights) -> float:
         c_fit * m0**-alpha / alpha
         + d_fit * m0 ** -(alpha + delta) / (alpha + delta)
     )
-    return max(0.0, float(tail))
+    return partial + max(0.0, float(tail))
 
 
 def excursion_sum(walk, spec, charges, beta, h, m_max: int = 4096,
                   kappa: float = 1.0, threshold: float = 1.0,
-                  l: int | None = None,
-                  k_partial: float | None = None) -> CriterionValue:
-    """Evaluate the localization sum against ``threshold`` (default 1).
-
-    k_partial, when given, is the precomputed mass sum(K(m), m <= m_max)
-    of the bare return law on the same lattice (saves a recursion in
-    bisection loops).
-    """
+                  l: int | None = None) -> CriterionValue:
+    """Evaluate the localization sum against ``threshold`` (default 1)."""
     ew = excursion_weights(walk, spec, charges, beta, h, m_max, kappa=kappa, l=l)
     partial = float(ew.a.sum())
-    if ew.diverged:
-        return CriterionValue(
-            value=partial, tail_bound=math.inf, estimate=math.inf,
-            verdict="yes", threshold=threshold, kappa=kappa, m_max=m_max,
-            diverged=True,
-        )
-    if k_partial is None:
-        k_partial = float(return_law(walk, m_max).sum())
-    tail = _tail_bound(ew, k_partial)
-    est = partial + _tail_estimate(ew)
-    if partial > threshold:
+    tail = math.inf if ew.diverged else _tail_bound(
+        ew, float(return_law(walk, m_max).sum()))
+    if ew.diverged or partial > threshold:
         verdict = "yes"
     elif partial + tail <= threshold:
         verdict = "no"
     else:
         verdict = "undetermined"
     return CriterionValue(
-        value=partial, tail_bound=tail, estimate=est, verdict=verdict,
-        threshold=threshold, kappa=kappa, m_max=m_max, diverged=False,
+        value=partial, tail_bound=tail, estimate=_estimate(ew),
+        verdict=verdict, threshold=threshold, kappa=kappa, m_max=m_max,
+        diverged=ew.diverged,
     )
 
 
@@ -304,69 +306,104 @@ def _upper_start(charges: ChargeModel, spec: PotentialSpec, beta: float,
     return float(charges.cumulant(kappa * beta * phi_max) / (kappa * phi_max)) + 0.05
 
 
-def _bisect(pred, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Halve [lo, hi] down to width tol, keeping pred true at lo and false
-    at hi."""
+def _bisect(lo: float, hi: float, tol: float):
+    """Search halving [lo, hi] to width tol (or to adjacent floats): yields
+    each midpoint, is sent whether the predicate holds there (moving lo)."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if pred(mid):
+        if not lo < mid < hi:
+            break
+        if (yield mid):
             lo = mid
         else:
             hi = mid
     return lo, hi
 
 
-def annealed_critical_h(walk, spec, charges, beta: float, tol: float = 1e-3,
-                        m_max: int = 4096, kappa: float = 1.0,
-                        l: int | None = None) -> CriticalBracket:
-    """Bracket the critical height of the (tempered) excursion criterion.
-
-    Bisection on the tail-completed point estimate of the excursion sum;
-    the bracket is an estimate with resolution tol, not a certification
-    (rigorous verdicts blur into an ``undetermined`` band of width
-    ~m_max^(-alpha) around the curve).
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    l_eff = l if l is not None else walk.resolve_l(m_max)
-    k_partial = float(return_law(walk, m_max).sum())
-
-    def localized(h: float) -> bool:
-        cv = excursion_sum(
-            walk, spec, charges, beta, h, m_max=m_max, kappa=kappa, l=l_eff,
-            k_partial=k_partial,
-        )
-        return cv.estimate > cv.threshold
-
+def _annealed_search(charges, spec, beta: float, kappa: float, tol: float):
+    """Search for the critical height at beta: yields heights, is sent
+    whether the tempered sum is localized at each, returns (lo, hi)."""
     hi = _upper_start(charges, spec, beta, kappa)
-    if localized(hi):  # should not happen; widen defensively
+    if (yield hi):  # should not happen; widen defensively
         for _ in range(60):
             hi *= 2.0
-            if not localized(hi):
+            if not (yield hi):
                 break
         else:
             raise RuntimeError("no delocalized height found")
     lo, step = 0.0, max(tol, 0.05)
-    while not localized(lo):
+    while not (yield lo):
         if lo <= -4.0:
             raise RuntimeError("no localized height found down to h = -4")
         lo -= step
         step *= 2.0
-    lo, hi = _bisect(localized, lo, hi, tol)
-    return CriticalBracket(beta=beta, lo=lo, hi=hi, kappa=kappa)
+    return (yield from _bisect(lo, hi, tol))
+
+
+def _lockstep(searches, verdicts) -> list:
+    """Run searches side by side and return their results; verdicts(jobs)
+    answers one round's (search index, height) pairs, one per open search."""
+    results = [None] * len(searches)
+    sent = dict.fromkeys(range(len(searches)))  # None starts a search
+    while sent:
+        jobs = []
+        for i, verdict in sent.items():
+            try:
+                jobs.append((i, searches[i].send(verdict)))
+            except StopIteration as done:
+                results[i] = done.value
+        sent = dict(zip([i for i, _ in jobs], verdicts(jobs) if jobs else ()))
+    return results
+
+
+def annealed_critical_curve(walk, spec, charges, betas, bound_betas=(),
+                            tol: float = 1e-3, m_max: int = 4096,
+                            kappa: float = 1.0, l: int | None = None):
+    """Annealed critical-height brackets at each of betas and rescaled
+    lower bounds (1+alpha) * h_c^ann(beta/(1+alpha)) at each of
+    bound_betas, in grid order.
+
+    Each search bisects the tail-completed point estimate of the excursion
+    sum to resolution tol: an estimate, not a certification (rigorous
+    verdicts blur into an ``undetermined`` band of width ~m_max^(-alpha)).
+    A round evaluates one height per open search, as rows of one recursion.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    s = 1.0 + walk.alpha
+    # (beta, kappa, tol) of each search; the lower bounds come last
+    jobs = [(b, kappa, tol) for b in betas]
+    jobs += [(b / s, 1.0, tol / s) for b in bound_betas]
+
+    def localized(pending):
+        beta, kap = zip(*(jobs[i][:2] for i, _ in pending))
+        return [_estimate(ew) > 1.0 for ew in _excursion_rows(
+            walk, spec, charges, beta, [h for _, h in pending], m_max, kap, l)]
+
+    found = _lockstep([_annealed_search(charges, spec, *job) for job in jobs],
+                      localized)
+    brackets = [CriticalBracket(beta=b, lo=lo, hi=hi, kappa=kappa)
+                for b, (lo, hi) in zip(betas, found)]
+    bounds = [CriticalBracket(beta=b, lo=s * lo, hi=s * hi)
+              for b, (lo, hi) in zip(bound_betas, found[len(betas):])]
+    return brackets, bounds
+
+
+def annealed_critical_h(walk, spec, charges, beta: float, tol: float = 1e-3,
+                        m_max: int = 4096, kappa: float = 1.0,
+                        l: int | None = None) -> CriticalBracket:
+    """Bracket the critical height of the (tempered) excursion criterion
+    at one beta; see ``annealed_critical_curve``."""
+    return annealed_critical_curve(walk, spec, charges, [beta], tol=tol,
+                                   m_max=m_max, kappa=kappa, l=l)[0][0]
 
 
 def rescaled_lower_bound(walk, spec, charges, beta: float, tol: float = 1e-3,
               m_max: int = 4096, l: int | None = None) -> CriticalBracket:
     """Rescaled annealed curve bounding the quenched critical height from
     below: (1+alpha) * h_c^ann(beta/(1+alpha))."""
-    s = 1.0 + walk.alpha
-    inner = annealed_critical_h(
-        walk, spec, charges, beta / s, tol=tol / s, m_max=m_max, l=l
-    )
-    return CriticalBracket(
-        beta=beta, lo=s * inner.lo, hi=s * inner.hi, kappa=inner.kappa
-    )
+    return annealed_critical_curve(walk, spec, charges, [], [beta], tol=tol,
+                                   m_max=m_max, l=l)[1][0]
 
 
 def quenched_critical_h(walk, spec, charges, beta: float, n_max: int = 4096,
@@ -412,8 +449,10 @@ def quenched_critical_h(walk, spec, charges, beta: float, n_max: int = 4096,
     else:
         raise RuntimeError("no delocalized height found")
 
-    band_lo, _ = _bisect(surely_localized, 0.0, top, tol)
-    _, band_hi = _bisect(lambda h: not surely_delocalized(h), band_lo, top, tol)
+    (band_lo, _), = _lockstep([_bisect(0.0, top, tol)], lambda jobs: [
+        surely_localized(h) for _, h in jobs])
+    (_, band_hi), = _lockstep([_bisect(band_lo, top, tol)], lambda jobs: [
+        not surely_delocalized(h) for _, h in jobs])
     conf = math.erf(detect / math.sqrt(2.0))
     return CriticalBracket(beta=beta, lo=band_lo, hi=band_hi, confidence=conf)
 

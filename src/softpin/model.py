@@ -213,8 +213,9 @@ class PhasePoint:
 
 
 def psi(charges: ChargeModel, spec: PotentialSpec, beta: float, h: float, x):
-    """Annealed site potential psi(x) = log M(beta*phi(x)) - h*phi(x)."""
-    if beta < 0:
+    """Annealed site potential psi(x) = log M(beta*phi(x)) - h*phi(x);
+    beta and h may be arrays that broadcast against x."""
+    if np.min(beta) < 0:
         raise ValueError("beta must be >= 0")
     p = np.asarray(phi_eval(spec, x), dtype=float)
     out = np.asarray(charges.cumulant(beta * p)) - h * p

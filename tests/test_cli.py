@@ -433,19 +433,25 @@ _POTENTIALS = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(subcommand=st.sampled_from(["localize", "free-energy"]),
+@given(subcommand=st.sampled_from(["localize", "free-energy",
+                                   "critical-curve"]),
        alpha=st.floats(0.05, 0.95), potential=_POTENTIALS,
        law=st.sampled_from(["gaussian", "bernoulli_pm1"]),
        beta=st.floats(0.0, 1e3), h=st.floats(-5.0, 5.0),
        m_max=st.sampled_from([16, 64]), n_max=st.sampled_from([16, 32]),
-       quenched=st.booleans())
+       quenched=st.booleans(),
+       beta_grid=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=3),
+       lower_bound=st.booleans())
 def test_exit_code_is_0_2_or_3_and_written_numbers_are_finite(
-        subcommand, alpha, potential, law, beta, h, m_max, n_max, quenched):
+        subcommand, alpha, potential, law, beta, h, m_max, n_max, quenched,
+        beta_grid, lower_bound):
     task = {"beta": beta, "h": h}
     if subcommand == "free-energy":
         task["n_max"] = n_max
         if quenched:
             task["quenched"] = {"n_samples": 2}
+    if subcommand == "critical-curve":
+        task = {"beta_grid": beta_grid, "lower_bound": lower_bound}
     config = {
         "model": {"walk": {"alpha": alpha}, "potential": potential,
                   "charges": {"law": law}},

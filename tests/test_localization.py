@@ -26,6 +26,7 @@ from softpin.cli import CURVE_COLUMNS
 from softpin.lattice import folded_kernel
 from softpin.model import ChargeModel, PotentialSpec, WalkSpec, return_law
 from softpin.localization import (
+    annealed_critical_curve,
     annealed_critical_h,
     criterion_start_invariance,
     excursion_sum,
@@ -103,6 +104,36 @@ class TestExcursionWeights:
         assert cv.diverged and cv.verdict == "yes"
         ew = excursion_weights(srw, spec, gaussian, 1.0, 50.0, m_max=64)
         assert ew.m_stop == 2
+
+    @pytest.mark.parametrize("spec,law,points,m_max", [
+        # folded lattice: decaying, slowly growing, overflowing return weight
+        (PotentialSpec(kind="power_tail", theta=3.0), "gaussian",
+         [(0.5, 0.1), (1.0, 0.0), (40.0, 0.0), (0.0, -0.3)], 256),
+        # signed lattice: a sum that diverges next to ones that converge
+        (PotentialSpec(kind="copolymer"), "bernoulli_pm1",
+         [(1.0, 0.1), (0.5, 2.0), (0.0, 0.0)], 256),
+        # an overflowing site the walk does not reach, then does reach
+        (PotentialSpec(kind="table", table={0: 0.01, 6: 1.0}), "gaussian",
+         [(40.0, 0.0), (1.0, 0.0), (0.0, 0.2)], 4),
+        (PotentialSpec(kind="table", table={0: 0.01, 6: 1.0}), "gaussian",
+         [(40.0, 0.0), (1.0, 0.0), (0.0, 0.2)], 64),
+        # an overflowing site reached behind an underflowing one
+        (PotentialSpec(kind="table", table={1: 40.0, 2: 200.0}), "gaussian",
+         [(1.0, 50.0), (0.01, 0.5), (0.5, 100.0)], 64),
+    ])
+    def test_rows_equal_one_phase_point_at_a_time(self, srw, spec, law,
+                                                  points, m_max):
+        charges = ChargeModel(law)
+        beta, h = zip(*points)
+        rows = localization._excursion_rows(srw, spec, charges, beta, h,
+                                            m_max)
+        for (b, hh), row in zip(points, rows):
+            alone = excursion_weights(srw, spec, charges, b, hh, m_max)
+            assert np.array_equal(row.a, alone.a)
+            assert (row.diverged, row.m_stop) == (alone.diverged,
+                                                  alone.m_stop)
+            assert row.psi0 == alone.psi0
+            assert row.psi_plus_off_origin == alone.psi_plus_off_origin
 
     def test_validation(self, srw, pinning, gaussian):
         with pytest.raises(ValueError):
@@ -235,18 +266,25 @@ class TestAnnealedCriticalH:
     def test_each_height_is_evaluated_once(self, srw, pinning, gaussian,
                                            monkeypatch):
         seen = []
-        inner = localization.excursion_sum
+        inner = localization._excursion_rows
 
-        def spy(walk, spec, charges, beta, h, **kwargs):
-            seen.append(h)
-            return inner(walk, spec, charges, beta, h, **kwargs)
+        def spy(walk, spec, charges, beta, h, *args, **kwargs):
+            seen.extend(h)
+            return inner(walk, spec, charges, beta, h, *args, **kwargs)
 
-        monkeypatch.setattr(localization, "excursion_sum", spy)
+        monkeypatch.setattr(localization, "_excursion_rows", spy)
         br = annealed_critical_h(srw, pinning, gaussian, 0.0, tol=1e-3, m_max=256)
         assert len(seen) == len(set(seen)) == 12
         assert seen[:3] == [0.25, 0.0, -0.05]  # upper start, then down from 0
         # the bracket of the search that evaluated h = 0 and h = -0.05 twice
         assert (br.lo, br.hi) == (-0.0001953125, 0.000390625)
+
+    def test_bisection_stops_at_adjacent_floats(self, srw, gaussian):
+        # psi = -h * 1e-15 crosses near h = 1.5e13, where floats lie 2^-9
+        # apart: a bracket of width tol = 1e-3 does not exist there
+        spec = PotentialSpec(kind="table", table={-1: 1e-15, 4: 1e-15})
+        br = annealed_critical_h(srw, spec, gaussian, 0.0, tol=1e-3, m_max=16)
+        assert br.lo > 1e12 and br.hi == np.nextafter(br.lo, math.inf)
 
     def test_alpha_dependence_through_return_law_only(self, pinning, gaussian):
         # single-site potential: the crossing is at psi(0) = 0 whatever alpha.
@@ -256,6 +294,42 @@ class TestAnnealedCriticalH:
             br = annealed_critical_h(WalkSpec(alpha=alpha), pinning, gaussian, 1.0,
                                      tol=1e-3, m_max=4096)
             assert br.mid == pytest.approx(0.5, abs=1.5e-3)
+
+
+def test_grid_equals_one_beta_calls(gaussian):
+    walk = WalkSpec(alpha=0.6)
+    spec = PotentialSpec(kind="power_tail", theta=3.0)
+    betas = [0.0, 0.25, 0.5, 1.0]
+    brackets, bounds = annealed_critical_curve(
+        walk, spec, gaussian, betas, betas[1:], tol=1e-3, m_max=256)
+    for beta, br in zip(betas, brackets):
+        alone = annealed_critical_h(walk, spec, gaussian, beta, tol=1e-3,
+                                    m_max=256)
+        assert br == alone
+    for beta, br in zip(betas[1:], bounds):
+        alone = rescaled_lower_bound(walk, spec, gaussian, beta, tol=1e-3,
+                                     m_max=256)
+        assert br == alone
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.floats(0.05, 0.95),
+       kind=st.sampled_from(["pinning", "power_tail", "copolymer"]),
+       theta=st.floats(0.1, 6.0),
+       law=st.sampled_from(["gaussian", "bernoulli_pm1"]),
+       betas=st.lists(st.floats(0.0, 5.0), min_size=2, max_size=4,
+                      unique=True).map(sorted),
+       m_max=st.sampled_from([16, 64]))
+def test_annealed_brackets_are_ordered_along_the_beta_grid(
+        alpha, kind, theta, law, betas, m_max):
+    spec = PotentialSpec(kind=kind, theta=theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # return-law mass at small m_max
+        brackets, _ = annealed_critical_curve(
+            WalkSpec(alpha=alpha), spec, ChargeModel(law), betas, tol=1e-2,
+            m_max=m_max)
+    for low, high in itertools.combinations(brackets, 2):
+        assert low.lo <= high.hi
 
 
 class TestMbgLower:
