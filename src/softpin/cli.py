@@ -597,7 +597,9 @@ def _run_localize(config, ctx: RunContext) -> int:
     row = {
         "beta": task["beta"], "h": task["h"], "kappa": cv.kappa,
         "m_max": cv.m_max, "partial_sum": cv.value,
-        "tail_bound": cv.tail_bound, "estimate": cv.estimate,
+        # no tail bound on a sum that did not diverge: an empty cell
+        "tail_bound": None if cv.tail_bound == math.inf and not cv.diverged
+        else cv.tail_bound, "estimate": cv.estimate,
         "threshold": cv.threshold, "localized": cv.verdict,
         "diverged": cv.diverged,
     }

@@ -1,16 +1,16 @@
-"""Truncated height-lattice stepping kernels.
+"""Truncated height-lattice stepping kernel.
 
-Everything downstream (partition functions, return laws, excursion sums)
-walks the same tridiagonal structure: nearest-neighbour steps on heights
-truncated at ``|x| = L``, with the outward step at the boundary folded back
-onto the inward one so the kernel stays stochastic.  Two layouts are
-supported: a *folded* lattice over ``|x| in {0..L}`` (valid whenever the site
-weights are symmetric, since the drift is antisymmetric) and a *signed*
-lattice over ``x in {-L..L}``.
-
-``first_passage`` is the one killed first-passage loop on these kernels:
-the first-return law and the weighted excursion sums both run through it,
-the latter many phase points at a time as rows.
+Everything downstream walks the same tridiagonal structure: nearest-neighbour
+steps on heights truncated at ``|x| = L``, with the outward step at the
+boundary folded back onto the inward one so the kernel stays stochastic.
+One kernel class carries its sites' ``heights`` and ``origin`` index, on a
+*folded* lattice over ``|x| in {0..L}`` (valid whenever the site weights are
+symmetric, since the drift is antisymmetric) or a *signed* one over
+``x in {-L..L}``.  ``step`` moves one flat state; ``tiled`` lays independent
+rows end to end, and no mass crosses between them, as p_up is 0 on each
+row's top site and p_down on its bottom one.  ``first_passage``, the one
+killed first-passage loop, runs the first-return law and the weighted
+excursion sums, the latter many phase points at a time as rows.
 """
 
 from __future__ import annotations
@@ -43,45 +43,39 @@ def recommended_truncation(n: int) -> int:
 
 @dataclass(frozen=True)
 class _Kernel:
-    """Nearest-neighbour kernel; p_up[i] + p_down[i] == 1 for every state."""
+    """Nearest-neighbour kernel; p_up[i] + p_down[i] == 1 for every state.
+    ``heights`` and ``origin`` describe one row, p_up and p_down all rows."""
 
     l: int
     p_up: np.ndarray
     p_down: np.ndarray
+    heights: np.ndarray
+    origin: int
+
+    def tiled(self, r: int) -> _Kernel:
+        """This kernel on r rows laid end to end on one flat lattice."""
+        return replace(self, p_up=np.tile(self.p_up, r),
+                       p_down=np.tile(self.p_down, r))
 
     def step(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """One transition of the mass on the last axis of v, (..., sites).
-
-        Every leading index is an independent row; ``out`` must not share
-        memory with ``v``.
-        """
+        """One transition of the flat state v; ``out`` must not share
+        memory with ``v``."""
         if out is None:
             out = np.empty_like(v)
-        np.multiply(v[..., :-1], self.p_up[:-1], out=out[..., 1:])
-        out[..., 0] = 0.0
-        out[..., :-1] += v[..., 1:] * self.p_down[1:]
+        np.multiply(v[:-1], self.p_up[:-1], out=out[1:])
+        out[0] = 0.0
+        out[:-1] += v[1:] * self.p_down[1:]
         return out
 
 
-@dataclass(frozen=True)
+# The two lattices keep their own names: the benchmark tracer
+# (bench/tracer.py) wraps FoldedKernel.step and SignedKernel.step.
 class FoldedKernel(_Kernel):
-    """Transition kernel of |S| on {0..L}.
-
-    p_up[L] = 0 encodes the reflecting truncation, p_up[0] = 1 because both
-    signed steps out of the origin land on |x| = 1.
-    """
+    """Kernel of |S| on {0..L}: p_up[L] = 0 reflects, p_up[0] = 1."""
 
 
-@dataclass(frozen=True)
 class SignedKernel(_Kernel):
-    """Transition kernel on {-L..L}; index i corresponds to height i - L."""
-
-    @property
-    def origin(self) -> int:
-        return self.l
-
-    def heights(self) -> np.ndarray:
-        return np.arange(-self.l, self.l + 1)
+    """Kernel on {-L..L}; index i is height i - L."""
 
 
 def folded_kernel(drift_fn, l: int) -> FoldedKernel:
@@ -96,7 +90,7 @@ def folded_kernel(drift_fn, l: int) -> FoldedKernel:
     # reflect: fold the outward step at the truncation height inward
     p_down[l] += p_up[l]
     p_up[l] = 0.0
-    return FoldedKernel(l=l, p_up=p_up, p_down=p_down)
+    return FoldedKernel(l, p_up, p_down, x, 0)
 
 
 def signed_kernel(drift_fn, l: int) -> SignedKernel:
@@ -110,12 +104,12 @@ def signed_kernel(drift_fn, l: int) -> SignedKernel:
     p_up[-1] = 0.0
     p_up[0] += p_down[0]
     p_down[0] = 0.0
-    return SignedKernel(l=l, p_up=p_up, p_down=p_down)
+    return SignedKernel(l, p_up, p_down, x, l)
 
 
 def layout(walk, spec, n: int, l: int | None = None,
-           folded: bool | None = None):
-    """(kernel, heights, origin) for an n-step recursion of walk under spec.
+           folded: bool | None = None) -> _Kernel:
+    """Kernel of an n-step recursion of walk under spec.
 
     The folded lattice serves symmetric potentials unless ``folded`` is
     False; l defaults to the walk's truncation height for n steps.
@@ -123,16 +117,12 @@ def layout(walk, spec, n: int, l: int | None = None,
     use_folded = spec.symmetric if folded is None else folded
     if use_folded and not spec.symmetric:
         raise ValueError("folded recursion needs a symmetric potential")
-    l_eff = l if l is not None else walk.resolve_l(n)
-    if use_folded:
-        return folded_kernel(walk.drift, l_eff), np.arange(l_eff + 1), 0
-    ker = signed_kernel(walk.drift, l_eff)
-    return ker, ker.heights(), ker.origin
+    make = folded_kernel if use_folded else signed_kernel
+    return make(walk.drift, l if l is not None else walk.resolve_l(n))
 
 
-def first_passage(ker, origin: int, w: np.ndarray, w0, m_max: int,
-                  cap: float):
-    """Killed first-passage recursions of walks started at ``origin``.
+def first_passage(ker, w: np.ndarray, w0, m_max: int, cap: float):
+    """Killed first-passage recursions of walks started at ``ker.origin``.
 
     Each row of the site weights w, rows + (sites,), and return weights w0,
     rows, is an independent walk.  Each step moves the state by ``ker``; the
@@ -150,9 +140,7 @@ def first_passage(ker, origin: int, w: np.ndarray, w0, m_max: int,
     # removes mass: below 1e200 the state needs no per-step check
     w_top = float(w.max())
     bounded = w_top <= 1.0 or m_max * math.log(w_top) <= math.log(1e200)
-    # rows laid end to end on one lattice: no mass crosses from one row to
-    # the next, as p_up is 0 on the top site and p_down on the bottom one
-    ker = replace(ker, p_up=np.tile(ker.p_up, r), p_down=np.tile(ker.p_down, r))
+    origin, ker = ker.origin, ker.tiled(r)
     w = np.where(np.arange(sites) == origin, 0.0, w).ravel()  # kills returns
     seg = [slice(i * sites, (i + 1) * sites) for i in range(r)]
     at = slice(origin, None, sites)

@@ -117,15 +117,15 @@ def _excursion_rows(walk, spec, charges, beta, h, m_max: int, kappa=1.0,
     if np.any(kappa <= 0.0):
         raise ValueError("kappa must be positive")
     bt, ht = kappa * np.asarray(beta), kappa * np.asarray(h)
-    ker, heights, origin = layout(walk, spec, m_max, l)
-    psi_x = psi(charges, spec, bt[:, None], ht[:, None], heights)
-    psi0 = psi_x[:, origin].tolist()
-    psi_x[:, origin] = -math.inf  # killed at the origin: weight never used
+    ker = layout(walk, spec, m_max, l)
+    psi_x = psi(charges, spec, bt[:, None], ht[:, None], ker.heights)
+    psi0 = psi_x[:, ker.origin].tolist()
+    psi_x[:, ker.origin] = -math.inf  # killed at the origin: weight never used
     over = psi_x > _LOG_FLOAT_MAX
-    reach = np.where(over, np.abs(heights), m_max + 1).min(axis=1)
+    reach = np.where(over, np.abs(ker.heights), m_max + 1).min(axis=1)
     n = min(m_max, int(reach.max()))
     a, diverged, m_stop = first_passage(
-        ker, origin, np.exp(np.where(over, -math.inf, psi_x)),
+        ker, np.exp(np.where(over, -math.inf, psi_x)),
         [_return_weight(p) for p in psi0], n, DIVERGENCE_CAP)
     # a row that reaches an overflowing site diverges there
     late = (reach <= m_max) & ~(diverged & (m_stop <= reach))

@@ -255,7 +255,7 @@ def return_law(walk: WalkSpec, n_max: int) -> np.ndarray:
         raise ValueError("n_max must be >= 2")
     l = walk.resolve_l(n_max)
     k_arr, _, _ = first_passage(
-        folded_kernel(walk.drift, l), 0, np.ones(l + 1), 1.0, n_max, math.inf)
+        folded_kernel(walk.drift, l), np.ones(l + 1), 1.0, n_max, math.inf)
     missing = 1.0 - k_arr.sum()
     if missing > 10.0 * n_max ** (-walk.alpha):
         warnings.warn(
@@ -287,9 +287,9 @@ class CWeights:
 
 
 def height_law(ker, n: int) -> np.ndarray:
-    """P(|S_n| = k), k = 0..l, on the folded lattice of ker, from |S_0| = 0."""
-    v = np.zeros(ker.l + 1)
-    v[0] = 1.0
+    """Law of S_n over ker.heights from S_0 = 0 (of |S_n| if folded)."""
+    v = np.zeros(len(ker.heights))
+    v[ker.origin] = 1.0
     out = np.empty_like(v)
     for _ in range(n):
         v, out = ker.step(v, out), v

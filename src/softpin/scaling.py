@@ -236,14 +236,15 @@ def series_coefficient(walk: WalkSpec, charges: ChargeModel,
         raise ValueError("series coefficients are supported for 1 <= k <= 4")
     if tn < 1:
         raise ValueError("tn must be a positive integer")
-    ker, heights, origin = layout(walk, spec, tn, l)
-    chi = np.exp(np.asarray(psi(charges, spec, point.beta, point.h, heights),
-                            dtype=float)) - 1.0
-    layers = np.zeros((k + 1, len(heights)))
-    layers[0, origin] = 1.0
+    ker = layout(walk, spec, tn, l)
+    chi = np.exp(np.asarray(psi(charges, spec, point.beta, point.h,
+                                ker.heights), dtype=float)) - 1.0
+    layers = np.zeros((k + 1, len(chi)))
+    layers[0, ker.origin] = 1.0
     stepped = np.zeros_like(layers)
+    tiled, flat, flat_stepped = ker.tiled(k + 1), layers.ravel(), stepped.ravel()
     for _ in range(tn):
-        ker.step(layers, stepped)
+        tiled.step(flat, flat_stepped)
         for j in range(k, 0, -1):
             np.multiply(stepped[j - 1], chi, out=layers[j])
             layers[j] += stepped[j]

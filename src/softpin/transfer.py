@@ -79,45 +79,52 @@ def _check_record_points(record_at) -> np.ndarray:
 LOG_WEIGHT_CAP = 700.0
 # steps whose row maxima go into the running log-scale in one np.log call
 _LOG_EVERY = 256
+# the smallest positive double: a renormalized row whose maximum is not above
+# it is dead
+_DEAD = 5e-324
 
 
-def _sweep(ker, origin: int, step_weights, log_shift, record_at: np.ndarray,
-           rows: tuple = ()):
-    """Forward sweep of independent chains started at the origin.
+def _sweep(ker, step_weights, log_shift, record_at: np.ndarray):
+    """Forward sweep of independent chains started at the origin, one per
+    row of the tiled kernel ``ker``.
 
-    The state has shape rows + (sites,): ``rows = ()`` carries one chain,
-    ``(r,)`` carries r of them side by side.  step_weights(n) gives the site
-    weights of step n (1-based) divided by exp(log_shift[..., n - 1]), the
-    shift that keeps them below exp(LOG_WEIGHT_CAP); log_shift broadcasts
-    against rows + (n_max,).  Returns (log_z_free, log_z_constrained), each
-    of shape rows + (len(record_at),).
+    step_weights(n) gives the flat site weights of step n (1-based) divided
+    by exp(log_shift[:, n - 1]), the shift that keeps them below
+    exp(LOG_WEIGHT_CAP); log_shift broadcasts against (rows, n_max).  A row
+    whose state dies (its maximum underflows to 0) is divided by _DEAD, not
+    0, so its state stays zero instead of leaking NaN into its neighbours,
+    and it reports NaN from then on.  Returns (log_z_free,
+    log_z_constrained), each of shape (rows, len(record_at)).
     """
     pts = record_at.tolist()
     n_max = pts[-1]
-    log_shift = np.broadcast_to(log_shift, rows + (n_max,))
-    v = np.zeros(rows + (len(ker.p_up),))
-    v[..., origin] = 1.0
-    nxt = np.empty_like(v)
-    acc = np.zeros(rows)  # log-scale divided out of v so far
-    maxima = np.empty(rows + (_LOG_EVERY,))  # row maxima not yet in acc
+    sites, origin = len(ker.heights), ker.origin
+    r = len(ker.p_up) // sites
+    log_shift = np.broadcast_to(log_shift, (r, n_max))
+    v, nxt = np.zeros(r * sites), np.empty(r * sites)
+    v[origin::sites] = 1.0
+    acc = np.zeros(r)  # log-scale divided out of v so far
+    maxima = np.empty((r, _LOG_EVERY))  # row maxima not yet in acc
     k = 0
-    rec_free = np.zeros(rows + (len(pts),))  # n = 0: Z = Z_constrained = 1
+    rec_free = np.zeros((r, len(pts)))  # n = 0: Z = Z_constrained = 1
     rec_con = np.zeros_like(rec_free)
     idx = 1 if pts[0] == 0 else 0
     for n in range(1, n_max + 1):
-        nxt = ker.step(v, nxt)
+        ker.step(v, nxt)
         nxt *= step_weights(n)
-        m = nxt.max(axis=-1, keepdims=True, out=maxima[..., k : k + 1])
-        nxt /= m
+        by_row = nxt.reshape(r, sites)
+        by_row /= by_row.max(axis=1, keepdims=True, out=maxima[:, k : k + 1],
+                             initial=_DEAD)
         v, nxt = nxt, v
         k += 1
         if k == _LOG_EVERY or n == pts[idx]:
-            acc += np.log(maxima[..., :k]).sum(axis=-1)
-            acc += log_shift[..., n - k : n].sum(axis=-1)
+            acc += np.log(maxima[:, :k]).sum(axis=-1)
+            acc += log_shift[:, n - k : n].sum(axis=-1)
+            acc[maxima[:, :k].min(axis=1) == _DEAD] = math.nan
             k = 0
         if n == pts[idx]:
-            rec_free[..., idx] = acc + np.log(v.sum(axis=-1))
-            rec_con[..., idx] = acc + np.log(v[..., origin])
+            rec_free[:, idx] = acc + np.log(v.reshape(r, sites).sum(axis=-1))
+            rec_con[:, idx] = acc + np.log(v[origin::sites])
             idx += 1
     return rec_free, rec_con
 
@@ -126,19 +133,19 @@ def annealed_sweep(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
                    beta: float, h: float, record_at, l: int | None = None,
                    folded: bool | None = None) -> PartitionSweep:
     pts = _check_record_points(record_at)
-    ker, heights, origin = layout(walk, spec, int(pts[-1]), l, folded)
-    log_w = np.asarray(psi(charges, spec, beta, h, heights), dtype=float)
+    ker = layout(walk, spec, int(pts[-1]), l, folded)
+    log_w = np.asarray(psi(charges, spec, beta, h, ker.heights), dtype=float)
     shift = max(float(log_w.max()) - LOG_WEIGHT_CAP, 0.0)
     w = np.exp(log_w - shift)
-    free, con = _sweep(ker, origin, lambda n: w, shift, pts)
+    (free,), (con,) = _sweep(ker, lambda n: w, shift, pts)
     return PartitionSweep(n_values=pts, log_z_free=free, log_z_constrained=con)
 
 
 def _quenched_rows(walk, spec, g: np.ndarray, pts: np.ndarray, l, folded):
     """(log_z_free, log_z_constrained) along pts for each row of g, the
     per-step couplings beta * omega - h in front of phi(S_n)."""
-    ker, heights, origin = layout(walk, spec, int(pts[-1]), l, folded)
-    phi_vec = np.asarray(phi_eval(spec, heights), dtype=float)
+    ker = layout(walk, spec, int(pts[-1]), l, folded)
+    phi_vec = np.asarray(phi_eval(spec, ker.heights), dtype=float)
     phi_ends = (phi_vec.min(), phi_vec.max())
     scaled = g.size > 0 and max(
         a * b for a in (g.min(), g.max()) for b in phi_ends) > LOG_WEIGHT_CAP
@@ -146,14 +153,15 @@ def _quenched_rows(walk, spec, g: np.ndarray, pts: np.ndarray, l, folded):
     if scaled:  # per step, the largest g * phi over the sites
         shift = np.maximum(g * phi_ends[0], g * phi_ends[1]) - LOG_WEIGHT_CAP
         np.maximum(shift, 0.0, out=shift)
+    log_w = np.empty((len(g), len(phi_vec)))  # one step's weights, by row
 
     def weights(n):
-        log_w = g[..., n - 1, None] * phi_vec
+        np.multiply(g[:, n - 1, None], phi_vec, out=log_w)
         if scaled:
-            log_w -= shift[..., n - 1, None]
-        return np.exp(log_w, out=log_w)
+            np.subtract(log_w, shift[:, n - 1, None], out=log_w)
+        return np.exp(log_w, out=log_w).reshape(-1)
 
-    return _sweep(ker, origin, weights, shift, pts, rows=g.shape[:-1])
+    return _sweep(ker.tiled(len(g)), weights, shift, pts)
 
 
 def quenched_sweep(walk: WalkSpec, spec: PotentialSpec, beta: float, h: float,
@@ -163,8 +171,8 @@ def quenched_sweep(walk: WalkSpec, spec: PotentialSpec, beta: float, h: float,
     omega = np.asarray(omega, dtype=float)
     if len(omega) < pts[-1]:
         raise ValueError("need one charge per step")
-    g = beta * omega[: pts[-1]] - h
-    free, con = _quenched_rows(walk, spec, g, pts, l, folded)
+    g = beta * omega[None, : pts[-1]] - h
+    (free,), (con,) = _quenched_rows(walk, spec, g, pts, l, folded)
     return PartitionSweep(n_values=pts, log_z_free=free, log_z_constrained=con)
 
 

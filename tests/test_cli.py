@@ -400,6 +400,23 @@ def test_diverged_scaling_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_localize_without_a_tail_bound_writes_an_empty_cell(tmp_path):
+    # copolymer, beta = 1: the heuristic tail sum does not converge, yet the
+    # partial sum alone certifies the verdict
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "c.yaml", {
+        "model": {"walk": {"alpha": 0.6}, "potential": {"kind": "copolymer"},
+                  "charges": {"law": "gaussian"}},
+        "task": {"beta": 1.0, "h": 0.499},
+        "output": {"dir": str(out)},
+    })
+    assert main(["localize", "--config", cfg]) == 0
+    _, _, (row,) = read_csv(out / "localize.csv")
+    assert row["tail_bound"] == ""
+    assert row["localized"] == "yes" and row["diverged"] == "False"
+    assert 1.0 < float(row["partial_sum"]) < float(row["estimate"])
+
+
 @pytest.mark.parametrize("subcommand,task,code", [
     ("free-energy", {"beta": 40.0, "h": 0.0, "n_max": 256}, 0),
     ("localize", {"beta": 40.0, "h": 0.0}, 3),  # the excursion sum diverges

@@ -30,17 +30,18 @@ from conftest import enumerate_srw_first_return
 
 
 @pytest.mark.parametrize("make", [folded_kernel, signed_kernel])
-def test_step_on_rows_equals_row_by_row_steps(make):
+def test_tiled_step_equals_row_by_row_steps(make):
     ker = make(WalkSpec(alpha=0.7).drift, 9)
-    sites = len(ker.p_up)
-    v = np.random.default_rng(3).random((2, 3, sites))
-    want = np.array([[ker.step(row) for row in block] for block in v])
-    np.testing.assert_array_equal(ker.step(v), want)
-    out = np.full_like(v, np.nan)
-    assert ker.step(v, out) is out
-    np.testing.assert_array_equal(out, want)
+    sites = len(ker.heights)
+    v = np.random.default_rng(3).random((6, sites))
+    want = np.array([ker.step(row) for row in v])
+    tiled = ker.tiled(6)
+    np.testing.assert_array_equal(tiled.step(v.ravel()), want.ravel())
+    out = np.full(v.size, np.nan)
+    assert tiled.step(v.ravel(), out) is out
+    np.testing.assert_array_equal(out, want.ravel())
     one = np.full(sites, np.nan)
-    np.testing.assert_array_equal(ker.step(v[1, 2], one), want[1, 2])
+    np.testing.assert_array_equal(ker.step(v[4], one), want[4])
     # against the dense transition matrix
     dense = np.diag(ker.p_up[:-1], 1) + np.diag(ker.p_down[1:], -1)
     np.testing.assert_allclose(want, v @ dense, rtol=1e-14)
@@ -354,7 +355,7 @@ def _occupation_sums(walk, spec, power, checkpoints):
         v[0] = 1.0
     else:
         kern = signed_kernel(walk.drift, l)
-        phi_p = phi_eval(spec, kern.heights()) ** power
+        phi_p = phi_eval(spec, kern.heights) ** power
         v = np.zeros(2 * l + 1)
         v[kern.origin] = 1.0
     out = np.zeros_like(v)

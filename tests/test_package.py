@@ -1,8 +1,10 @@
-"""Package-wide checks: exported names resolve, and only the CLI writes files
-or defines output columns."""
+"""Package-wide checks: exported names resolve, the names the benchmark
+tracer wraps resolve, and only the CLI writes files or defines output
+columns."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -21,6 +23,26 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     exported = getattr(module, "__all__", ())
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def _load_tracer():
+    """bench/tracer.py as a module, read from the checkout, not edited."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    missing = []
+    for module_name, attr, *_ in _load_tracer().TRACED:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []
 
 
 def _write_calls(source: str) -> list[int]:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softpin.cli import LADDER_COLUMNS, QUENCHED_COLUMNS, ladder_csv_rows
 from softpin.model import ChargeModel, PotentialSpec, WalkSpec, phi_eval, psi, return_law
@@ -258,24 +260,42 @@ def test_quenched_reproducible_and_seed_sensitive():
     np.testing.assert_array_equal(s1, s4)
 
 
-@pytest.mark.parametrize("spec,charges,n_samples", [
-    (PotentialSpec(kind="power_tail", theta=3.0), GAUSS, 5),  # folded
-    (PotentialSpec(kind="copolymer"), BERN, 4),  # signed
-    (PotentialSpec(kind="power_tail", theta=3.0), GAUSS, 1),
+# the last case's rows 1, 2, 4 and 5 die (their maxima underflow to 0):
+# on the flat row lattice they must not leak NaN into their neighbours, and
+# the top rung's constrained log Z is frozen at its value from before rows
+# shared one lattice
+DEAD_ROWS_TOP = [-math.inf, math.nan, math.nan, 6567.38264966039, math.nan,
+                 math.nan]
+
+
+@pytest.mark.parametrize("spec,charges,n_samples,coupling,top", [
+    pytest.param(PotentialSpec(kind="power_tail", theta=3.0), GAUSS, 5,
+                 (0.8, 0.2, 256, 9), None, id="spec0-charges0-5"),  # folded
+    pytest.param(PotentialSpec(kind="copolymer"), BERN, 4,
+                 (0.8, 0.2, 256, 9), None, id="spec1-charges1-4"),  # signed
+    pytest.param(PotentialSpec(kind="power_tail", theta=3.0), GAUSS, 1,
+                 (0.8, 0.2, 256, 9), None, id="spec2-charges2-1"),
+    pytest.param(PIN, GAUSS, 6, (1000.0, 0.0, 64, 1), DEAD_ROWS_TOP,
+                 id="dead-rows"),
 ])
-def test_batched_samples_match_per_sample_sweeps(spec, charges, n_samples):
+def test_batched_samples_match_per_sample_sweeps(spec, charges, n_samples,
+                                                 coupling, top):
     walk = WalkSpec(alpha=0.6)
-    est = quenched_free_energy(walk, spec, charges, 0.8, 0.2, n_max=256,
-                               n_samples=n_samples, seed=9)
+    beta, h, n_max, seed = coupling
+    est = quenched_free_energy(walk, spec, charges, beta, h, n_max=n_max,
+                               n_samples=n_samples, seed=seed)
     assert len(est.sample_sweeps) == n_samples
     for i, sw in enumerate(est.sample_sweeps):
         rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(9, spawn_key=(i,))))
-        one = quenched_sweep(walk, spec, 0.8, 0.2, charges.sample(rng, 256),
-                             sw.n_values)
+            np.random.SeedSequence(seed, spawn_key=(i,))))
+        one = quenched_sweep(walk, spec, beta, h,
+                             charges.sample(rng, n_max), sw.n_values)
         np.testing.assert_allclose(sw.log_z_free, one.log_z_free, rtol=1e-12)
         np.testing.assert_allclose(sw.log_z_constrained, one.log_z_constrained,
                                    rtol=1e-12)
+    if top is not None:
+        got = [sw.log_z_constrained[-1] for sw in est.sample_sweeps]
+        assert np.array_equal(got, top, equal_nan=True)
 
 
 def test_strong_coupling_sweeps_stay_finite():
@@ -300,6 +320,26 @@ def test_quenched_below_annealed_jensen():
         a = annealed_free_energy(walk, pw, GAUSS, b, h, n_max=2 ** 10)
         # per-sample Jensen holds in expectation; allow for sampling error
         assert q.value <= a.value + 3.0 * q.error
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.1, 0.9),
+       spec=st.one_of(
+           st.sampled_from([PIN, PotentialSpec(kind="copolymer")]),
+           st.floats(0.5, 5.0).map(
+               lambda t: PotentialSpec(kind="power_tail", theta=t))),
+       charges=st.sampled_from([GAUSS, BERN]), beta=st.floats(0.05, 2.0),
+       h=st.floats(-1.0, 1.0), n_max=st.sampled_from([16, 32, 64]))
+def test_quenched_never_exceeds_annealed(alpha, spec, charges, beta, h,
+                                         n_max):
+    # Jensen at every N on one lattice: E log Z_N <= log E Z_N, so the
+    # sample mean of the quenched values passes the annealed one by sampling
+    # noise only
+    walk = WalkSpec(alpha=alpha)
+    q = quenched_free_energy(walk, spec, charges, beta, h, n_max=n_max,
+                             n_samples=8, seed=3)
+    a = annealed_free_energy(walk, spec, charges, beta, h, n_max=n_max)
+    assert q.value <= a.value + 5.0 * q.sem + 1e-12 * (1.0 + abs(a.value))
 
 
 def test_compare_free_constrained_decreasing():
