@@ -48,8 +48,12 @@ and need no model block.
 Reproducibility
 ---------------
 Outputs depend only on the effective config (the YAML after flag
-overrides): re-running the same config and seed reproduces every file byte
-for byte.  Job j of a run draws its seed as the first 64-bit word of
+overrides): re-running the same code with the same config and seed
+reproduces every file byte for byte.  Recursions with fixed site weights
+take block steps (see ``softpin.lattice``): their excursion weights, return
+laws and height laws may differ from the one-step-at-a-time recursion of
+earlier versions by up to 1e-12 relative, so numbers written by those
+versions can differ in their last digits.  Job j of a run draws its seed as the first 64-bit word of
 ``numpy.random.SeedSequence(seed, spawn_key=(j,))``; jobs are numbered in
 task order (grid position first).  ``--threads`` is accepted and ignored:
 jobs run one after another in the calling thread, because the per-step

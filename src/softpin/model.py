@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import first_passage, folded_kernel, recommended_truncation
+from .lattice import (band_steps, first_passage, folded_kernel,
+                      recommended_truncation)
 
 __all__ = [
     "PotentialSpec",
@@ -290,10 +291,7 @@ def height_law(ker, n: int) -> np.ndarray:
     """Law of S_n over ker.heights from S_0 = 0 (of |S_n| if folded)."""
     v = np.zeros(len(ker.heights))
     v[ker.origin] = 1.0
-    out = np.empty_like(v)
-    for _ in range(n):
-        v, out = ker.step(v, out), v
-    return v
+    return band_steps(ker, v, n)
 
 
 def estimate_c_weights(walk: WalkSpec, k_max: int, n_probe: int) -> CWeights:

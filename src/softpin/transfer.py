@@ -84,13 +84,30 @@ _LOG_EVERY = 256
 _DEAD = 5e-324
 
 
-def _sweep(ker, step_weights, log_shift, record_at: np.ndarray):
+def _class_shift(top, shift):
+    """The log-scale shift of each step, given the all-site shift and the
+    largest log weight ``top`` over the heights of the step's parity, where
+    the walk sits after that step.
+
+    Where the all-site shift underflows every weight of that parity class
+    (a strong pinning reward at the origin, whose class is not the step's),
+    the state would die; there the class's own largest log weight sets the
+    shift.  Every other step keeps the all-site shift, bit for bit.
+    """
+    return np.where(np.exp(top - shift) == 0.0,
+                    np.maximum(top - LOG_WEIGHT_CAP, 0.0), shift)
+
+
+def _sweep(ker, step_weights, log_shift, log_origin, record_at: np.ndarray):
     """Forward sweep of independent chains started at the origin, one per
     row of the tiled kernel ``ker``.
 
     step_weights(n) gives the flat site weights of step n (1-based) divided
     by exp(log_shift[:, n - 1]), the shift that keeps them below
-    exp(LOG_WEIGHT_CAP); log_shift broadcasts against (rows, n_max).  A row
+    exp(LOG_WEIGHT_CAP); log_shift broadcasts against (rows, n_max).
+    log_origin(n) gives each row's undivided log weight of the origin at
+    step n: where that weight alone underflows, the constrained value is
+    taken from the mass that reached the origin and this log.  A row
     whose state dies (its maximum underflows to 0) is divided by _DEAD, not
     0, so its state stays zero instead of leaking NaN into its neighbours,
     and it reports NaN from then on.  Returns (log_z_free,
@@ -111,6 +128,8 @@ def _sweep(ker, step_weights, log_shift, record_at: np.ndarray):
     idx = 1 if pts[0] == 0 else 0
     for n in range(1, n_max + 1):
         ker.step(v, nxt)
+        if n == pts[idx]:
+            reached = nxt[origin::sites].copy()  # before the origin's weight
         nxt *= step_weights(n)
         by_row = nxt.reshape(r, sites)
         by_row /= by_row.max(axis=1, keepdims=True, out=maxima[:, k : k + 1],
@@ -118,13 +137,21 @@ def _sweep(ker, step_weights, log_shift, record_at: np.ndarray):
         v, nxt = nxt, v
         k += 1
         if k == _LOG_EVERY or n == pts[idx]:
+            # the log-scale that step n divided out
+            step_scale = np.log(maxima[:, k - 1]) + log_shift[:, n - 1]
             acc += np.log(maxima[:, :k]).sum(axis=-1)
             acc += log_shift[:, n - k : n].sum(axis=-1)
             acc[maxima[:, :k].min(axis=1) == _DEAD] = math.nan
             k = 0
         if n == pts[idx]:
             rec_free[:, idx] = acc + np.log(v.reshape(r, sites).sum(axis=-1))
-            rec_con[:, idx] = acc + np.log(v[origin::sites])
+            con = v[origin::sites]
+            with np.errstate(divide="ignore"):  # 0 where nothing returned
+                rec_con[:, idx] = acc + np.log(con)
+            lost = (con == 0.0) & (reached > 0.0)
+            if lost.any():
+                rec_con[lost, idx] = ((acc - step_scale + log_origin(n))[lost]
+                                      + np.log(reached[lost]))
             idx += 1
     return rec_free, rec_con
 
@@ -137,7 +164,13 @@ def annealed_sweep(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
     log_w = np.asarray(psi(charges, spec, beta, h, ker.heights), dtype=float)
     shift = max(float(log_w.max()) - LOG_WEIGHT_CAP, 0.0)
     w = np.exp(log_w - shift)
-    (free,), (con,) = _sweep(ker, lambda n: w, shift, pts)
+    on = [ker.heights % 2 == c for c in (0, 1)]
+    shifts = _class_shift(np.array([log_w[m].max() for m in on]), shift)
+    ws = [w if s == shift else np.exp(np.where(m, log_w - s, -math.inf))
+          for m, s in zip(on, shifts.tolist())]
+    log_shift = shifts[np.arange(1, int(pts[-1]) + 1) % 2]
+    (free,), (con,) = _sweep(ker, lambda n: ws[n % 2], log_shift,
+                             lambda n: log_w[ker.origin], pts)
     return PartitionSweep(n_values=pts, log_z_free=free, log_z_constrained=con)
 
 
@@ -149,19 +182,30 @@ def _quenched_rows(walk, spec, g: np.ndarray, pts: np.ndarray, l, folded):
     phi_ends = (phi_vec.min(), phi_vec.max())
     scaled = g.size > 0 and max(
         a * b for a in (g.min(), g.max()) for b in phi_ends) > LOG_WEIGHT_CAP
-    shift = 0.0
+    shift, on, dead = 0.0, [ker.heights % 2 == c for c in (0, 1)], []
     if scaled:  # per step, the largest g * phi over the sites
         shift = np.maximum(g * phi_ends[0], g * phi_ends[1]) - LOG_WEIGHT_CAP
         np.maximum(shift, 0.0, out=shift)
+        c = np.arange(1, g.shape[1] + 1) % 2  # the parity of step n
+        lo = np.array([phi_vec[m].min() for m in on])
+        hi = np.array([phi_vec[m].max() for m in on])
+        by_class = _class_shift(np.maximum(g * lo[c], g * hi[c]), shift)
+        # steps where some row takes its class shift: the other class,
+        # which carries no mass, could overflow, so its weights are zeroed
+        dead = (by_class != shift).any(axis=0).tolist()
+        shift = by_class
     log_w = np.empty((len(g), len(phi_vec)))  # one step's weights, by row
 
     def weights(n):
         np.multiply(g[:, n - 1, None], phi_vec, out=log_w)
         if scaled:
             np.subtract(log_w, shift[:, n - 1, None], out=log_w)
+            if dead[n - 1]:
+                log_w[:, ~on[n % 2]] = -math.inf
         return np.exp(log_w, out=log_w).reshape(-1)
 
-    return _sweep(ker.tiled(len(g)), weights, shift, pts)
+    return _sweep(ker.tiled(len(g)), weights, shift,
+                  lambda n: g[:, n - 1] * phi_vec[ker.origin], pts)
 
 
 def quenched_sweep(walk: WalkSpec, spec: PotentialSpec, beta: float, h: float,

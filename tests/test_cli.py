@@ -439,6 +439,20 @@ def test_strong_coupling_writes_no_non_finite_cell(tmp_path, capsys,
     assert all(math.isfinite(x) for x in numbers)
 
 
+def test_strong_pinning_free_energy_writes_half_the_origin_reward(tmp_path):
+    # beta = 60: psi(0) = 1800, and f_annealed = psi(0)/2 + log(p2)/2
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "c.yaml", {
+        "model": pinning_model(alpha=0.6),
+        "task": {"beta": 60.0, "h": 0.0, "n_max": 64},
+        "output": {"dir": str(out)},
+    })
+    assert main(["free-energy", "--config", cfg]) == 0
+    _, _, (row,) = read_csv(out / "free_energy_summary.csv")
+    assert float(row["f_annealed"]) == pytest.approx(
+        900.0 + 0.5 * math.log(0.55), rel=1e-12)
+
+
 _POTENTIALS = st.one_of(
     st.fixed_dictionaries(
         {"kind": st.sampled_from(["pinning", "copolymer"])}),

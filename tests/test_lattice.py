@@ -1,17 +1,22 @@
 """Tests for the killed first-passage recursion.
 
 Oracles: the same recursion one row at a time, and a plain per-step loop
-written out here that checks the state for overflow at every step.
+written out here that checks the state for overflow at every step.  Rows
+that cannot overflow take block steps, one banded product per 32 steps:
+their excursion weights agree with the per-step loop within 1e-12
+relative, with the same zeros, divergence flag and stopping step.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softpin.lattice import first_passage, layout
 from softpin.localization import DIVERGENCE_CAP
-from softpin.model import PotentialSpec, WalkSpec, phi_eval
+from softpin.model import ChargeModel, PotentialSpec, WalkSpec, phi_eval, psi
 
 WALK = WalkSpec(alpha=0.6)
 SPECS = {
@@ -37,6 +42,20 @@ def reference_first_passage(ker, w, w0, m_max, cap):
         if not (partial <= cap and v.max() <= 1e200):
             return a, True, n
     return a, False, m_max
+
+
+def assert_matches(got, want):
+    """a within 1e-12 relative and with the same zeros; the divergence flag
+    and the stopping step exactly."""
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0)
+    assert np.array_equal(got[0] == 0.0, want[0] == 0.0)
+    assert got[1:] == want[1:]
+
+
+def below_overflow_bound(w, m_max):
+    """Rows whose largest weight keeps max(w)^m_max below 1e200."""
+    return [top <= 1.0 or m_max * math.log(top) <= math.log(1e200)
+            for top in np.atleast_2d(w).max(axis=1).tolist()]
 
 
 def site_weights(spec, m_max, scales):
@@ -93,7 +112,7 @@ def test_overflow_check_skip_matches_a_per_step_check(cap, side):
     assert w.max() == pytest.approx(math.exp(psi_plus))
     got = first_passage(ker, w[0], 1.0, m_max, cap)
     want = reference_first_passage(ker, w[0], 1.0, m_max, cap)
-    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+    assert_matches(got, want)
 
 
 def test_small_positive_psi_matches_a_per_step_check():
@@ -108,4 +127,98 @@ def test_small_positive_psi_matches_a_per_step_check():
     got = first_passage(ker, w, math.exp(0.5), m_max, DIVERGENCE_CAP)
     want = reference_first_passage(ker, w, math.exp(0.5), m_max,
                                    DIVERGENCE_CAP)
-    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+    assert_matches(got, want)
+
+
+# ------------------------------------------------------------- block steps
+
+@pytest.mark.parametrize("lattice", ["folded", "signed"])
+@pytest.mark.parametrize("m_max", [256, 257, 255, 20])
+@pytest.mark.parametrize("scale", [-0.5, 0.05])
+def test_block_steps_match_a_per_step_loop(lattice, m_max, scale):
+    # m_max a multiple of the 32-step block, one off it either way, and
+    # shorter than one block (on a 19- or 37-site lattice)
+    ker, w = site_weights(SPECS[lattice], m_max, [scale])
+    assert below_overflow_bound(w, m_max) == [True]
+    for w0 in (1.0, 1.3):
+        assert_matches(first_passage(ker, w[0], w0, m_max, DIVERGENCE_CAP),
+                       reference_first_passage(ker, w[0], w0, m_max,
+                                               DIVERGENCE_CAP))
+
+
+@pytest.mark.parametrize("lattice", ["folded", "signed"])
+def test_block_steps_on_a_lattice_narrower_than_the_band(lattice):
+    # l = 5: 6 or 11 sites, fewer than the 65 diagonals of a 32-step block
+    m_max, spec = 300, SPECS[lattice]
+    ker = layout(WALK, spec, m_max, l=5)
+    w = np.exp(0.02 * phi_eval(spec, ker.heights))
+    w[ker.origin] = 0.0
+    assert len(w) < 65
+    assert_matches(first_passage(ker, w, 1.0, m_max, DIVERGENCE_CAP),
+                   reference_first_passage(ker, w, 1.0, m_max,
+                                           DIVERGENCE_CAP))
+
+
+def test_cap_crossing_inside_a_block():
+    # the cap sits halfway between the partial sums after steps 44 and 46,
+    # so the sum crosses it at step 46, in the middle of the second block
+    m_max = 256
+    ker, w = site_weights(SPECS["folded"], m_max, [0.05])
+    partial = np.cumsum(reference_first_passage(ker, w[0], 1.0, m_max,
+                                                math.inf)[0])
+    cap = 0.5 * (partial[44] + partial[46])
+    want = reference_first_passage(ker, w[0], 1.0, m_max, cap)
+    assert want[1:] == (True, 46)
+    assert_matches(first_passage(ker, w[0], 1.0, m_max, cap), want)
+
+
+@pytest.mark.parametrize("lattice", ["folded", "signed"])
+def test_overflowing_return_weight_stops_at_the_first_return(lattice):
+    # w0 = inf: the zero returns of step 1 add 0, not 0 * inf = NaN
+    ker, w = site_weights(SPECS[lattice], 256, [-0.5])
+    a, diverged, m_stop = first_passage(ker, w[0], math.inf, 256,
+                                        DIVERGENCE_CAP)
+    assert diverged and m_stop == 2
+    assert not np.isnan(a).any()
+    assert a[2] == math.inf and np.count_nonzero(a) == 1
+
+
+def test_mixed_batch_equals_one_row_calls_bit_for_bit():
+    # rows below the overflow bound take block steps, the others the
+    # per-step loop; each row takes the same path in a batch as alone
+    m_max, spec = 300, SPECS["signed"]
+    ker, w = site_weights(spec, m_max, [0.001, 5.0, -0.3, 3.0, 0.01])
+    w0 = [1.0, 1.0, 1.0, 1.0, math.inf]
+    bounded = below_overflow_bound(w, m_max)
+    assert bounded == [True, False, True, False, True]
+    a, diverged, m_stop = first_passage(ker, w, w0, m_max, DIVERGENCE_CAP)
+    for i in range(len(w0)):
+        one = first_passage(ker, w[i], w0[i], m_max, DIVERGENCE_CAP)
+        assert np.array_equal(a[i], one[0])
+        assert (diverged[i], m_stop[i]) == one[1:]
+        want = reference_first_passage(ker, w[i], w0[i], m_max,
+                                       DIVERGENCE_CAP)
+        if bounded[i]:
+            assert_matches(one, want)
+        else:  # the per-step loop keeps its bits
+            assert np.array_equal(one[0], want[0]) and one[1:] == want[1:]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.05, 0.95),
+       kind=st.sampled_from(["pinning", "copolymer", "power_tail"]),
+       law=st.sampled_from(["gaussian", "bernoulli_pm1"]),
+       beta=st.floats(0.0, 3.0), h=st.floats(-1.0, 1.0),
+       m_max=st.integers(4, 200))
+def test_block_steps_match_a_per_step_loop_anywhere(alpha, kind, law, beta,
+                                                    h, m_max):
+    walk = WalkSpec(alpha=alpha)
+    spec = (PotentialSpec(kind=kind, theta=3.0) if kind == "power_tail"
+            else PotentialSpec(kind=kind))
+    ker = layout(walk, spec, m_max)
+    psi_x = psi(ChargeModel(law), spec, beta, h, ker.heights)
+    w, w0 = np.exp(psi_x), math.exp(psi_x[ker.origin])
+    w[ker.origin] = 0.0
+    assert_matches(first_passage(ker, w, w0, m_max, DIVERGENCE_CAP),
+                   reference_first_passage(ker, w, w0, m_max,
+                                           DIVERGENCE_CAP))

@@ -16,6 +16,7 @@ from softpin.model import (
     WalkSpec,
     c_star,
     estimate_c_weights,
+    height_law,
     load_potential_table,
     phi_eval,
     psi,
@@ -45,6 +46,22 @@ def test_tiled_step_equals_row_by_row_steps(make):
     # against the dense transition matrix
     dense = np.diag(ker.p_up[:-1], 1) + np.diag(ker.p_down[1:], -1)
     np.testing.assert_allclose(want, v @ dense, rtol=1e-14)
+
+
+@pytest.mark.parametrize("make", [folded_kernel, signed_kernel])
+@pytest.mark.parametrize("l", [20, 200])
+@pytest.mark.parametrize("n", [0, 7, 64, 65, 1000])
+def test_height_law_matches_a_per_step_loop(make, l, n):
+    # block steps: 32 steps per banded product and the last n mod 32 in one;
+    # l = 20 folds to 21 sites, fewer than the band's 65 diagonals
+    ker = make(WalkSpec(alpha=0.6).drift, l)
+    want = np.zeros(len(ker.heights))
+    want[ker.origin] = 1.0
+    for _ in range(n):
+        want = ker.step(want)
+    got = height_law(ker, n)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert np.array_equal(got == 0.0, want == 0.0)
 
 
 # ---------------------------------------------------------------- potentials

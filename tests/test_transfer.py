@@ -260,12 +260,15 @@ def test_quenched_reproducible_and_seed_sensitive():
     np.testing.assert_array_equal(s1, s4)
 
 
-# the last case's rows 1, 2, 4 and 5 die (their maxima underflow to 0):
+# in the dead-rows case rows 1, 2 and 4 die (their maxima underflow to 0):
 # on the flat row lattice they must not leak NaN into their neighbours, and
-# the top rung's constrained log Z is frozen at its value from before rows
-# shared one lattice
-DEAD_ROWS_TOP = [-math.inf, math.nan, math.nan, 6567.38264966039, math.nan,
-                 math.nan]
+# the top rung's constrained log Z of rows 3 and 5 is frozen at its value
+# from before rows shared one lattice; row 0's origin weight alone
+# underflows at the top rung, so its value comes from the mass that reached
+# the origin.  The strong-pinning case is the one whose rows died under the
+# all-site shift.
+DEAD_ROWS_TOP = [15162.273437406051, math.nan, math.nan, 10170.950508900645,
+                 math.nan, 16415.036013179884]
 
 
 @pytest.mark.parametrize("spec,charges,n_samples,coupling,top", [
@@ -275,8 +278,10 @@ DEAD_ROWS_TOP = [-math.inf, math.nan, math.nan, 6567.38264966039, math.nan,
                  (0.8, 0.2, 256, 9), None, id="spec1-charges1-4"),  # signed
     pytest.param(PotentialSpec(kind="power_tail", theta=3.0), GAUSS, 1,
                  (0.8, 0.2, 256, 9), None, id="spec2-charges2-1"),
-    pytest.param(PIN, GAUSS, 6, (1000.0, 0.0, 64, 1), DEAD_ROWS_TOP,
-                 id="dead-rows"),
+    pytest.param(PotentialSpec(kind="copolymer"), GAUSS, 6,
+                 (1000.0, 0.0, 64, 1), DEAD_ROWS_TOP, id="dead-rows"),
+    pytest.param(PIN, GAUSS, 6, (1000.0, 0.0, 64, 1), None,
+                 id="strong-pinning"),
 ])
 def test_batched_samples_match_per_sample_sweeps(spec, charges, n_samples,
                                                  coupling, top):
@@ -296,6 +301,34 @@ def test_batched_samples_match_per_sample_sweeps(spec, charges, n_samples,
     if top is not None:
         got = [sw.log_z_constrained[-1] for sw in est.sample_sweeps]
         assert np.array_equal(got, top, equal_nan=True)
+
+
+def test_strong_pinning_annealed_free_energy_is_half_the_origin_reward():
+    # psi(0) = beta^2 / 2 = 1800: a shift by it underflowed every weight of
+    # the odd steps, where the walk sits off the origin, and f was NaN; each
+    # parity class now keeps its own largest weight
+    walk = WalkSpec(alpha=0.6)
+    p2 = 0.5 * (1.0 - float(walk.drift(1)))
+    for beta in (60.0, 1000.0):
+        est = annealed_free_energy(walk, PIN, GAUSS, beta, 0.0, n_max=64)
+        assert est.value == pytest.approx(0.25 * beta * beta
+                                          + 0.5 * math.log(p2), rel=1e-12)
+
+
+def test_strong_pinning_quenched_free_energy_is_finite():
+    # beta = 1000: four of six rows died under the all-site shift, and two
+    # rungs lost the origin's own underflowing weight; every sample's log Z
+    # is now finite, the constrained one below the free one
+    walk = WalkSpec(alpha=0.6)
+    est = quenched_free_energy(walk, PIN, GAUSS, 1000.0, 0.0, n_max=64,
+                               n_samples=6, seed=1)
+    assert math.isfinite(est.value) and math.isfinite(est.error)
+    for sw in est.sample_sweeps:
+        assert np.all(np.isfinite(sw.log_z_free))
+        assert np.all(sw.log_z_constrained <= sw.log_z_free)
+        assert np.all(np.isfinite(sw.log_z_constrained))
+    ann = annealed_free_energy(walk, PIN, GAUSS, 1000.0, 0.0, n_max=64)
+    assert est.value <= ann.value
 
 
 def test_strong_coupling_sweeps_stay_finite():
