@@ -53,7 +53,11 @@ reproduces every file byte for byte.  Recursions with fixed site weights
 take block steps (see ``softpin.lattice``): their excursion weights, return
 laws and height laws may differ from the one-step-at-a-time recursion of
 earlier versions by up to 1e-12 relative, so numbers written by those
-versions can differ in their last digits.  Job j of a run draws its seed as the first 64-bit word of
+versions can differ in their last digits.  A free-energy sweep whose site
+weights pass exp(+-700), or whose origin share underflows, runs in logs and
+is exact; its numbers can differ from the linear sweep of earlier versions
+by up to 1e-12 relative, and where that sweep gave NaN, -inf or wrong
+values they are now finite and right.  Job j of a run draws its seed as the first 64-bit word of
 ``numpy.random.SeedSequence(seed, spawn_key=(j,))``; jobs are numbered in
 task order (grid position first).  ``--threads`` is accepted and ignored:
 jobs run one after another in the calling thread, because the per-step

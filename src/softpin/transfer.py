@@ -4,9 +4,10 @@ Both endpoint conditions are carried in one sweep: after n steps the
 renormalized mass vector yields the free partition function (sum over
 heights) and the constrained one (mass at the origin, even n only).  The
 recursion is log-stabilized by factoring out the running maximum, so
-horizons of 2^20 steps stay in float64 range; site weights beyond
-exp(LOG_WEIGHT_CAP) are shifted into the same log-scale, so strong
-couplings stay finite.  Disorder samples run as rows of one sweep.
+horizons of 2^20 steps stay in float64 range.  A sweep whose site weights
+pass exp(+-LOG_WEIGHT_CAP), or whose origin share underflows, runs in logs
+(one logaddexp per step) and is exact at any coupling.  Disorder samples
+run as rows of one sweep, each row with the bits it gets alone.
 
 Free-energy estimates report the constrained value at the largest ladder
 rung (a rigorous lower bound on the limit by super-additivity) bracketed
@@ -74,50 +75,34 @@ def _check_record_points(record_at) -> np.ndarray:
     return pts
 
 
-# largest log site weight one step applies: exp(709.8) overflows, and a step
-# at most doubles the peak of a renormalized state
+# largest |log site weight| of a sweep row that steps linearly, rows past it
+# running in logs: exp(709.8) overflows, exp(-708.4) is no longer a normal
+# double, and a step keeps a renormalized row's peak within [1/4, 2]
 LOG_WEIGHT_CAP = 700.0
 # steps whose row maxima go into the running log-scale in one np.log call
 _LOG_EVERY = 256
-# the smallest positive double: a renormalized row whose maximum is not above
-# it is dead
-_DEAD = 5e-324
+# the smallest normal double: an origin value below it has lost digits
+_TINY = np.finfo(float).tiny
 
 
-def _class_shift(top, shift):
-    """The log-scale shift of each step, given the all-site shift and the
-    largest log weight ``top`` over the heights of the step's parity, where
-    the walk sits after that step.
-
-    Where the all-site shift underflows every weight of that parity class
-    (a strong pinning reward at the origin, whose class is not the step's),
-    the state would die; there the class's own largest log weight sets the
-    shift.  Every other step keeps the all-site shift, bit for bit.
-    """
-    return np.where(np.exp(top - shift) == 0.0,
-                    np.maximum(top - LOG_WEIGHT_CAP, 0.0), shift)
-
-
-def _sweep(ker, step_weights, log_shift, log_origin, record_at: np.ndarray):
+def _sweep(ker, step_weights, record_at: np.ndarray):
     """Forward sweep of independent chains started at the origin, one per
-    row of the tiled kernel ``ker``.
+    row of the tiled kernel ``ker``; step_weights(n) gives the flat site
+    weights of step n (1-based), each within exp(+-LOG_WEIGHT_CAP).
+    Returns (log_z_free, log_z_constrained), each of shape (rows,
+    len(record_at)), and a bool per row, True where the origin's value fell
+    below the smallest normal double at a record step, before or after the
+    division by the row maximum, so that the constrained value lost digits.
 
-    step_weights(n) gives the flat site weights of step n (1-based) divided
-    by exp(log_shift[:, n - 1]), the shift that keeps them below
-    exp(LOG_WEIGHT_CAP); log_shift broadcasts against (rows, n_max).
-    log_origin(n) gives each row's undivided log weight of the origin at
-    step n: where that weight alone underflows, the constrained value is
-    taken from the mass that reached the origin and this log.  A row
-    whose state dies (its maximum underflows to 0) is divided by _DEAD, not
-    0, so its state stays zero instead of leaking NaN into its neighbours,
-    and it reports NaN from then on.  Returns (log_z_free,
-    log_z_constrained), each of shape (rows, len(record_at)).
+    Each row is divided by its maximum after every step, and no row can
+    overflow or die: |d| < 1/2, so every site sends at least 1/4 of its
+    mass to a neighbour.  A row whose maximum was 1 thus has a site of at
+    least exp(-LOG_WEIGHT_CAP) / 4 after the next step and its weights, and
+    no site above 2 exp(LOG_WEIGHT_CAP), both inside float range.
     """
     pts = record_at.tolist()
-    n_max = pts[-1]
     sites, origin = len(ker.heights), ker.origin
     r = len(ker.p_up) // sites
-    log_shift = np.broadcast_to(log_shift, (r, n_max))
     v, nxt = np.zeros(r * sites), np.empty(r * sites)
     v[origin::sites] = 1.0
     acc = np.zeros(r)  # log-scale divided out of v so far
@@ -125,33 +110,53 @@ def _sweep(ker, step_weights, log_shift, log_origin, record_at: np.ndarray):
     k = 0
     rec_free = np.zeros((r, len(pts)))  # n = 0: Z = Z_constrained = 1
     rec_con = np.zeros_like(rec_free)
+    lost = np.zeros(r, dtype=bool)
     idx = 1 if pts[0] == 0 else 0
-    for n in range(1, n_max + 1):
+    for n in range(1, pts[-1] + 1):
         ker.step(v, nxt)
-        if n == pts[idx]:
-            reached = nxt[origin::sites].copy()  # before the origin's weight
         nxt *= step_weights(n)
+        if n == pts[idx]:  # the origin's value, before the division
+            lost |= nxt[origin::sites] < _TINY
         by_row = nxt.reshape(r, sites)
-        by_row /= by_row.max(axis=1, keepdims=True, out=maxima[:, k : k + 1],
-                             initial=_DEAD)
+        by_row /= by_row.max(axis=1, keepdims=True, out=maxima[:, k : k + 1])
         v, nxt = nxt, v
         k += 1
         if k == _LOG_EVERY or n == pts[idx]:
-            # the log-scale that step n divided out
-            step_scale = np.log(maxima[:, k - 1]) + log_shift[:, n - 1]
             acc += np.log(maxima[:, :k]).sum(axis=-1)
-            acc += log_shift[:, n - k : n].sum(axis=-1)
-            acc[maxima[:, :k].min(axis=1) == _DEAD] = math.nan
             k = 0
         if n == pts[idx]:
             rec_free[:, idx] = acc + np.log(v.reshape(r, sites).sum(axis=-1))
-            con = v[origin::sites]
-            with np.errstate(divide="ignore"):  # 0 where nothing returned
+            con = v[origin::sites]  # and after it
+            lost |= con < _TINY
+            with np.errstate(divide="ignore"):  # 0 only in a lost row
                 rec_con[:, idx] = acc + np.log(con)
-            lost = (con == 0.0) & (reached > 0.0)
-            if lost.any():
-                rec_con[lost, idx] = ((acc - step_scale + log_origin(n))[lost]
-                                      + np.log(reached[lost]))
+            idx += 1
+    return rec_free, rec_con, lost
+
+
+def _log_sweep(ker, step_log_weights, record_at: np.ndarray):
+    """``_sweep`` in logs, where step_log_weights(n) gives the flat log
+    site weights of step n: exact for any weights, as no row can overflow,
+    die or lose its origin's share."""
+    pts = record_at.tolist()
+    sites, origin = len(ker.heights), ker.origin
+    r = len(ker.p_up) // sites
+    with np.errstate(divide="ignore"):  # -inf where p is 0: rows never mix
+        log_up, log_down = np.log(ker.p_up[:-1]), np.log(ker.p_down[1:])
+    v, nxt = np.full(r * sites, -math.inf), np.empty(r * sites)
+    v[origin::sites] = 0.0
+    rec_free = np.zeros((r, len(pts)))
+    rec_con = np.zeros_like(rec_free)
+    idx = 1 if pts[0] == 0 else 0
+    for n in range(1, pts[-1] + 1):
+        np.add(v[:-1], log_up, out=nxt[1:])
+        nxt[0] = -math.inf
+        np.logaddexp(nxt[:-1], v[1:] + log_down, out=nxt[:-1])
+        nxt += step_log_weights(n)
+        v, nxt = nxt, v
+        if n == pts[idx]:
+            rec_free[:, idx] = special.logsumexp(v.reshape(r, sites), axis=1)
+            rec_con[:, idx] = v[origin::sites]
             idx += 1
     return rec_free, rec_con
 
@@ -162,50 +167,43 @@ def annealed_sweep(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
     pts = _check_record_points(record_at)
     ker = layout(walk, spec, int(pts[-1]), l, folded)
     log_w = np.asarray(psi(charges, spec, beta, h, ker.heights), dtype=float)
-    shift = max(float(log_w.max()) - LOG_WEIGHT_CAP, 0.0)
-    w = np.exp(log_w - shift)
-    on = [ker.heights % 2 == c for c in (0, 1)]
-    shifts = _class_shift(np.array([log_w[m].max() for m in on]), shift)
-    ws = [w if s == shift else np.exp(np.where(m, log_w - s, -math.inf))
-          for m, s in zip(on, shifts.tolist())]
-    log_shift = shifts[np.arange(1, int(pts[-1]) + 1) % 2]
-    (free,), (con,) = _sweep(ker, lambda n: ws[n % 2], log_shift,
-                             lambda n: log_w[ker.origin], pts)
+    in_logs = np.abs(log_w).max() > LOG_WEIGHT_CAP
+    if not in_logs:
+        w = np.exp(log_w)
+        (free,), (con,), (in_logs,) = _sweep(ker, lambda n: w, pts)
+    if in_logs:
+        (free,), (con,) = _log_sweep(ker, lambda n: log_w, pts)
     return PartitionSweep(n_values=pts, log_z_free=free, log_z_constrained=con)
 
 
 def _quenched_rows(walk, spec, g: np.ndarray, pts: np.ndarray, l, folded):
     """(log_z_free, log_z_constrained) along pts for each row of g, the
-    per-step couplings beta * omega - h in front of phi(S_n)."""
+    per-step couplings beta * omega - h in front of phi(S_n).  A row runs
+    linearly or in logs by its own weights, with the bits it gets alone."""
     ker = layout(walk, spec, int(pts[-1]), l, folded)
     phi_vec = np.asarray(phi_eval(spec, ker.heights), dtype=float)
-    phi_ends = (phi_vec.min(), phi_vec.max())
-    scaled = g.size > 0 and max(
-        a * b for a in (g.min(), g.max()) for b in phi_ends) > LOG_WEIGHT_CAP
-    shift, on, dead = 0.0, [ker.heights % 2 == c for c in (0, 1)], []
-    if scaled:  # per step, the largest g * phi over the sites
-        shift = np.maximum(g * phi_ends[0], g * phi_ends[1]) - LOG_WEIGHT_CAP
-        np.maximum(shift, 0.0, out=shift)
-        c = np.arange(1, g.shape[1] + 1) % 2  # the parity of step n
-        lo = np.array([phi_vec[m].min() for m in on])
-        hi = np.array([phi_vec[m].max() for m in on])
-        by_class = _class_shift(np.maximum(g * lo[c], g * hi[c]), shift)
-        # steps where some row takes its class shift: the other class,
-        # which carries no mass, could overflow, so its weights are zeroed
-        dead = (by_class != shift).any(axis=0).tolist()
-        shift = by_class
-    log_w = np.empty((len(g), len(phi_vec)))  # one step's weights, by row
 
-    def weights(n):
-        np.multiply(g[:, n - 1, None], phi_vec, out=log_w)
-        if scaled:
-            np.subtract(log_w, shift[:, n - 1, None], out=log_w)
-            if dead[n - 1]:
-                log_w[:, ~on[n % 2]] = -math.inf
-        return np.exp(log_w, out=log_w).reshape(-1)
+    def run(rows, linear):
+        g_rows = g[rows]
+        log_w = np.empty((len(g_rows), len(phi_vec)))  # one step's, by row
 
-    return _sweep(ker.tiled(len(g)), weights, shift,
-                  lambda n: g[:, n - 1] * phi_vec[ker.origin], pts)
+        def weights(n):
+            np.multiply(g_rows[:, n - 1, None], phi_vec, out=log_w)
+            return (np.exp(log_w, out=log_w) if linear else log_w).reshape(-1)
+
+        return (_sweep if linear else _log_sweep)(
+            ker.tiled(len(g_rows)), weights, pts)
+
+    in_logs = (np.abs(g).max(axis=1, initial=0.0) * np.abs(phi_vec).max()
+               > LOG_WEIGHT_CAP)
+    free, con = np.empty((2, len(g), len(pts)))
+    if not in_logs.all():
+        linear = np.flatnonzero(~in_logs)
+        free[linear], con[linear], lost = run(linear, True)
+        in_logs[linear[lost]] = True
+    if in_logs.any():
+        free[in_logs], con[in_logs] = run(in_logs, False)
+    return free, con
 
 
 def quenched_sweep(walk: WalkSpec, spec: PotentialSpec, beta: float, h: float,

@@ -6,6 +6,18 @@ import pytest
 from softpin.cli import RunContext, _emit
 from softpin.model import ChargeModel, PotentialSpec, WalkSpec
 
+TESTS = Path(__file__).parent
+
+
+def pytest_collection_modifyitems(config, items):
+    """A RuntimeWarning fails a test of this directory: an unguarded
+    overflow, 0 * inf or log of 0 is how a non-finite number slips out of
+    the library.  Tests elsewhere, such as the benchmark's, keep the default
+    filters."""
+    for item in items:
+        if item.path.is_relative_to(TESTS):
+            item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
+
 
 @pytest.fixture
 def gaussian():

@@ -453,6 +453,30 @@ def test_strong_pinning_free_energy_writes_half_the_origin_reward(tmp_path):
         900.0 + 0.5 * math.log(0.55), rel=1e-12)
 
 
+def test_strong_copolymer_quenched_ladder_is_written_finite(tmp_path):
+    # beta = 1000 on copolymer, Gaussian charges: the sample rows run in
+    # logs, so the quenched ladder is written with finite cells, and the
+    # exit code follows the convergence flags alone
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "c.yaml", {
+        "seed": 1,
+        "model": {"walk": {"alpha": 0.6}, "potential": {"kind": "copolymer"},
+                  "charges": {"law": "gaussian"}},
+        "task": {"beta": 1000.0, "h": 0.0, "n_max": 64,
+                 "quenched": {"n_samples": 6}},
+        "output": {"dir": str(out)},
+    })
+    code = main(["free-energy", "--config", cfg])
+    _, _, rows = read_csv(out / "free_energy_quenched.csv")
+    assert len(rows) == 6 * 3
+    assert all(math.isfinite(float(row[c])) for row in rows
+               for c in ("log_Z_free", "log_Z_constrained"))
+    _, _, (summary,) = read_csv(out / "free_energy_summary.csv")
+    converged = (summary["annealed_converged"] == "True"
+                 and summary["quenched_converged"] == "True")
+    assert code == (0 if converged else 3)
+
+
 _POTENTIALS = st.one_of(
     st.fixed_dictionaries(
         {"kind": st.sampled_from(["pinning", "copolymer"])}),

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softpin.cli import LADDER_COLUMNS, QUENCHED_COLUMNS, ladder_csv_rows
+from softpin.lattice import layout
 from softpin.model import ChargeModel, PotentialSpec, WalkSpec, phi_eval, psi, return_law
 from softpin.transfer import (
     annealed_free_energy,
     annealed_partition,
     annealed_sweep,
+    _quenched_rows,
     compare_free_constrained,
     default_ladder,
     quenched_free_energy,
@@ -50,6 +52,41 @@ def enumerate_partition(walk, spec, n, site_log_weight):
         if s == 0:
             z_con += prob * math.exp(w)
     return z_free, z_con
+
+
+def log_space_sweep(ker, log_weights, record_at):
+    """Oracle: the forward recursion of one chain from the origin in logs,
+    a logaddexp of the two neighbour moves of ``ker`` per step, then the
+    step's log site weights log_weights(n).  Exact at any coupling, as no
+    term leaves float range.  Returns (log_z_free, log_z_constrained)."""
+    with np.errstate(divide="ignore"):  # -inf where a move is impossible
+        log_up, log_down = np.log(ker.p_up), np.log(ker.p_down)
+    lv = np.full(len(ker.heights), -np.inf)
+    lv[ker.origin] = 0.0
+    free, con = [], []
+    for n in range(1, max(record_at) + 1):
+        from_below = np.concatenate(([-np.inf], lv[:-1] + log_up[:-1]))
+        from_above = np.concatenate((lv[1:] + log_down[1:], [-np.inf]))
+        lv = np.logaddexp(from_below, from_above) + log_weights(n)
+        if n in record_at:
+            top = lv.max()
+            free.append(top + math.log(np.exp(lv - top).sum()))
+            con.append(lv[ker.origin])
+    return np.array(free), np.array(con)
+
+
+def quenched_oracle(walk, spec, beta, h, omega, record_at, folded=None):
+    ker = layout(walk, spec, max(record_at), None, folded)
+    phi = np.asarray(phi_eval(spec, ker.heights), dtype=float)
+    return log_space_sweep(
+        ker, lambda n: (beta * omega[n - 1] - h) * phi, record_at)
+
+
+def assert_matches_oracle(sweep, oracle):
+    # 1e-12 relative, on a scale of at least 1 (log Z = 0 at zero coupling)
+    for got, want in zip((sweep.log_z_free, sweep.log_z_constrained), oracle):
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 # ----------------------------------------------------------------- partition
@@ -260,15 +297,12 @@ def test_quenched_reproducible_and_seed_sensitive():
     np.testing.assert_array_equal(s1, s4)
 
 
-# in the dead-rows case rows 1, 2 and 4 die (their maxima underflow to 0):
-# on the flat row lattice they must not leak NaN into their neighbours, and
-# the top rung's constrained log Z of rows 3 and 5 is frozen at its value
-# from before rows shared one lattice; row 0's origin weight alone
-# underflows at the top rung, so its value comes from the mass that reached
-# the origin.  The strong-pinning case is the one whose rows died under the
-# all-site shift.
-DEAD_ROWS_TOP = [15162.273437406051, math.nan, math.nan, 10170.950508900645,
-                 math.nan, 16415.036013179884]
+# the dead-rows case (copolymer, Gaussian, beta = 1000, seed 1) has site
+# weights up to exp(+-3000), so every row runs in logs; the top rung's
+# constrained log Z of each sample is the log-space oracle's.  The id names
+# the rows that a shifted linear sweep lost to underflow (NaN) here.
+DEAD_ROWS_TOP = [16491.48107744885, 28922.93795912498, 22224.39260571155,
+                 10266.535826306696, 11545.796543277698, 16888.44918311905]
 
 
 @pytest.mark.parametrize("spec,charges,n_samples,coupling,top", [
@@ -300,13 +334,12 @@ def test_batched_samples_match_per_sample_sweeps(spec, charges, n_samples,
                                    rtol=1e-12)
     if top is not None:
         got = [sw.log_z_constrained[-1] for sw in est.sample_sweeps]
-        assert np.array_equal(got, top, equal_nan=True)
+        np.testing.assert_allclose(got, top, rtol=1e-12)
 
 
 def test_strong_pinning_annealed_free_energy_is_half_the_origin_reward():
-    # psi(0) = beta^2 / 2 = 1800: a shift by it underflowed every weight of
-    # the odd steps, where the walk sits off the origin, and f was NaN; each
-    # parity class now keeps its own largest weight
+    # psi(0) = beta^2 / 2 = 1800 and more, while the odd steps, where the
+    # walk sits off the origin, have weight 1: f = psi(0)/2 + log(p2)/2
     walk = WalkSpec(alpha=0.6)
     p2 = 0.5 * (1.0 - float(walk.drift(1)))
     for beta in (60.0, 1000.0):
@@ -316,19 +349,87 @@ def test_strong_pinning_annealed_free_energy_is_half_the_origin_reward():
 
 
 def test_strong_pinning_quenched_free_energy_is_finite():
-    # beta = 1000: four of six rows died under the all-site shift, and two
-    # rungs lost the origin's own underflowing weight; every sample's log Z
-    # is now finite, the constrained one below the free one
+    # beta = 1000: the origin's weight reaches exp(+-3000), far past the
+    # cap; every sample's log Z must be finite and the log-space oracle's
     walk = WalkSpec(alpha=0.6)
     est = quenched_free_energy(walk, PIN, GAUSS, 1000.0, 0.0, n_max=64,
                                n_samples=6, seed=1)
     assert math.isfinite(est.value) and math.isfinite(est.error)
-    for sw in est.sample_sweeps:
-        assert np.all(np.isfinite(sw.log_z_free))
+    for i, sw in enumerate(est.sample_sweeps):
+        omega = GAUSS.sample(np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(1, spawn_key=(i,)))), 64)
+        assert_matches_oracle(sw, quenched_oracle(
+            walk, PIN, 1000.0, 0.0, omega, sw.n_values.tolist()))
         assert np.all(sw.log_z_constrained <= sw.log_z_free)
-        assert np.all(np.isfinite(sw.log_z_constrained))
     ann = annealed_free_energy(walk, PIN, GAUSS, 1000.0, 0.0, n_max=64)
     assert est.value <= ann.value
+
+
+def test_underflowing_origin_share_is_recomputed_in_logs():
+    # h = 650 repels the walk from the origin without passing the weight
+    # cap: the origin's share of the linear state underflows at every rung
+    # (log Z_constrained - log Z_free ~ -780), and the linear values would
+    # be -inf there; the sweep recomputes such a row in logs
+    walk, pw = WalkSpec(alpha=0.6), PotentialSpec(kind="power_tail", theta=3.0)
+    ladder = [16, 32, 64]
+    ann = annealed_sweep(walk, pw, GAUSS, 0.0, 650.0, ladder)
+    ker = layout(walk, pw, 64)
+    log_w = np.asarray(psi(GAUSS, pw, 0.0, 650.0, ker.heights), dtype=float)
+    assert_matches_oracle(ann, log_space_sweep(ker, lambda n: log_w, ladder))
+    np.testing.assert_allclose(ann.log_z_constrained,
+                               [-914.586, -926.791, -934.600], atol=1e-3)
+    omega = np.random.default_rng(3).standard_normal(64)
+    que = quenched_sweep(walk, pw, 0.0, 650.0, omega, ladder)
+    np.testing.assert_array_equal(que.log_z_constrained, ann.log_z_constrained)
+    np.testing.assert_array_equal(que.log_z_free, ann.log_z_free)
+
+
+@pytest.mark.parametrize("spec", [
+    PIN, PotentialSpec(kind="copolymer"),
+    PotentialSpec(kind="power_tail", theta=3.0)])
+def test_rows_on_both_paths_match_one_row_calls(spec):
+    # betas 1000, 800 and 5000 pass the cap and run in logs, the others
+    # linearly; h = 650 on power_tail recomputes a linear row in logs
+    walk, ladder = WalkSpec(alpha=0.6), np.array([16, 32, 64])
+    couplings = [(0.5, 0.0), (1000.0, 0.0), (2.0, 0.0), (800.0, 0.0),
+                 (0.1, 0.0), (5000.0, 0.0), (0.0, 650.0)]
+    rng = np.random.default_rng(11)
+    omegas = [rng.standard_normal(64) for _ in couplings]
+    g = np.array([b * om - h for (b, h), om in zip(couplings, omegas)])
+    free, con = _quenched_rows(walk, spec, g, ladder, None, None)
+    for i, ((beta, h), omega) in enumerate(zip(couplings, omegas)):
+        one = quenched_sweep(walk, spec, beta, h, omega, ladder)
+        np.testing.assert_array_equal(free[i], one.log_z_free)
+        np.testing.assert_array_equal(con[i], one.log_z_constrained)
+        assert_matches_oracle(one, quenched_oracle(walk, spec, beta, h, omega,
+                                                   ladder.tolist()))
+
+
+_SPECS = st.one_of(
+    st.sampled_from([PIN, PotentialSpec(kind="copolymer")]),
+    st.floats(0.1, 5.0).map(lambda t: PotentialSpec(kind="power_tail",
+                                                    theta=t)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.1, 0.9), spec=_SPECS,
+       charges=st.sampled_from([GAUSS, BERN]), beta=st.floats(0.0, 1000.0),
+       h=st.floats(-1500.0, 1500.0), folded=st.booleans(),
+       n_max=st.sampled_from([16, 32, 64]), seed=st.integers(0, 2 ** 32 - 1))
+def test_sweeps_match_a_log_space_recursion(alpha, spec, charges, beta, h,
+                                            folded, n_max, seed):
+    # every coupling, weak or strong: finite and the log-space oracle's
+    walk, folded = WalkSpec(alpha=alpha), folded and spec.symmetric
+    ladder = [n_max // 4, n_max // 2, n_max]
+    ker = layout(walk, spec, n_max, None, folded)
+    log_w = np.asarray(psi(charges, spec, beta, h, ker.heights), dtype=float)
+    assert_matches_oracle(
+        annealed_sweep(walk, spec, charges, beta, h, ladder, folded=folded),
+        log_space_sweep(ker, lambda n: log_w, ladder))
+    omega = charges.sample(np.random.default_rng(seed), n_max)
+    assert_matches_oracle(
+        quenched_sweep(walk, spec, beta, h, omega, ladder, folded=folded),
+        quenched_oracle(walk, spec, beta, h, omega, ladder, folded))
 
 
 def test_strong_coupling_sweeps_stay_finite():
