@@ -10,7 +10,8 @@ symmetric, since the drift is antisymmetric) or a *signed* one over
 rows end to end, and no mass crosses between them, as p_up is 0 on each
 row's top site and p_down on its bottom one.  ``first_passage``, the one
 killed first-passage recursion, runs the first-return law and the weighted
-excursion sums, the latter many phase points at a time as rows.
+excursion sums, the latter many phase points at a time as rows; it owns
+every stopping rule (cap, state blow-up, and reaching an ``inf`` weight).
 
 When the site weights do not change from step to step, recursions take
 block steps: the walk is nearest-neighbour, so BLOCK = 32 steps of the
@@ -282,34 +283,47 @@ def first_passage(ker, w: np.ndarray, w0, m_max: int, cap: float):
     mass on the origin, times w0, is a[n] and is removed, and the rest is
     multiplied by w.  Returns (a, diverged, m_stop) per row (a bool and an
     int for rows = ()).  A row stops, with diverged=True and a zero past
-    m_stop, once its partial sum of a passes cap or its state stops being
-    finite and below 1e200.
+    m_stop, once its partial sum of a passes cap, its state stops being
+    finite and below 1e200, or its walk can stand on a site x whose weight
+    is inf: that happens at step |x|, the first step a nearest-neighbour
+    walk can be there, and a site it cannot reach by m_max changes nothing.
+    The recursion runs only up to the first step at which every row has
+    met such a site, or m_max.
 
-    sum(v_n) <= max(w)^n, as the kernel is stochastic and killing only
-    removes mass, so a row with max(w)^m_max <= 1e200 cannot overflow: it
-    takes BLOCK steps per banded product, locating a cap crossing inside a
-    block from the running partial sums.  The other rows step one at a
-    time and check their state at every step.
+    sum(v_n) <= max(w)^n over the finite weights, as the kernel is
+    stochastic and killing only removes mass, so a row with max(w)^n <=
+    1e200 over the n steps run cannot overflow: it takes BLOCK steps per
+    banded product, locating a cap crossing inside a block from the running
+    partial sums.  The other rows step one at a time and check their state
+    at every step.
     """
     w = np.asarray(w, dtype=float)
     rows, sites = w.shape[:-1], w.shape[-1]
     w = w.reshape(-1, sites)
-    stepwise = [not (top <= 1.0 or m_max * math.log(top) <= math.log(1e200))
-                for top in w.max(axis=1).tolist()]
     w = np.where(np.arange(sites) == ker.origin, 0.0, w)  # kills returns
+    inf = w == math.inf
+    reach = np.where(inf, np.abs(ker.heights), m_max + 1).min(axis=1).tolist()
+    n = min(m_max, max(reach))
+    w[inf] = 0.0
+    stepwise = [not (top <= 1.0 or n * math.log(top) <= math.log(1e200))
+                for top in w.max(axis=1).tolist()]
     w0 = np.broadcast_to(np.asarray(w0, dtype=float), rows).ravel().tolist()
     a = np.zeros((len(w), m_max + 1))
     diverged, m_stop = [False] * len(w), [m_max] * len(w)
     for i in range(len(w)):
         if not stepwise[i]:
-            a[i], diverged[i], m_stop[i] = _block_passage(ker, w[i], w0[i],
-                                                          m_max, cap)
+            a[i, : n + 1], diverged[i], m_stop[i] = _block_passage(
+                ker, w[i], w0[i], n, cap)
     slow = [i for i in range(len(w)) if stepwise[i]]
     if slow:
-        a[slow], d, m = _stepwise_passage(ker, w[slow], [w0[i] for i in slow],
-                                          m_max, cap)
+        a[slow, : n + 1], d, m = _stepwise_passage(
+            ker, w[slow], [w0[i] for i in slow], n, cap)
         for i, d_i, m_i in zip(slow, d, m):
             diverged[i], m_stop[i] = d_i, m_i
+    for i, r in enumerate(reach):  # the walk stands on an infinite weight
+        if r <= m_max and not (diverged[i] and m_stop[i] <= r):
+            diverged[i], m_stop[i] = True, r
+            a[i, r + 1 :] = 0.0
     if not rows:
         return a[0], diverged[0], m_stop[0]
     return (a.reshape(rows + (-1,)), np.reshape(diverged, rows),

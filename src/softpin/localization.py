@@ -6,12 +6,10 @@ excursion sum
     N = sum_m E[ exp(sum_{n=1}^{m} psi(S_n)) ; first return to 0 at m ]
 
 exceeds 1.  The sum is evaluated by a weighted first-passage recursion;
-truncation at m_max leaves a tail which is handled three ways:
+truncation at m_max leaves a tail which is handled two ways:
 
-- rigorous bound, available whenever psi <= 0 away from the origin (the
-  excursion interior never collects positive weight);
-- conservative heuristic bound otherwise (sup of psi^+ off the origin,
-  decayed at the diffusive-escape rate), which may be infinite;
+- rigorous bound whenever psi <= 0 away from the origin (the excursion
+  interior never collects positive weight), and no finite bound otherwise;
 - fitted power-law point estimate (for root finding, not certification).
 
 Verdicts use the bounds; bisections for critical curves use the point
@@ -54,8 +52,6 @@ __all__ = [
 ]
 
 DIVERGENCE_CAP = 1e12
-# largest log site weight whose exponential is finite
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,7 @@ class ExcursionWeights:
     psi0: float
     psi_plus_off_origin: float
     alpha: float
-    decay_rate: float  # min(theta/2, 1-alpha); 0 disables the heuristic tail
+    decay_rate: float  # escape rate min(theta/2, 1-alpha); no bound reads it
     diverged: bool
     m_stop: int
 
@@ -103,7 +99,7 @@ def excursion_weights(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
 def _return_weight(psi0: float) -> float:
     try:
         return math.exp(psi0)
-    except OverflowError:  # the first return alone passes the cap
+    except OverflowError:  # past the largest float
         return math.inf
 
 
@@ -121,17 +117,10 @@ def _excursion_rows(walk, spec, charges, beta, h, m_max: int, kappa=1.0,
     psi_x = psi(charges, spec, bt[:, None], ht[:, None], ker.heights)
     psi0 = psi_x[:, ker.origin].tolist()
     psi_x[:, ker.origin] = -math.inf  # killed at the origin: weight never used
-    over = psi_x > _LOG_FLOAT_MAX
-    reach = np.where(over, np.abs(ker.heights), m_max + 1).min(axis=1)
-    n = min(m_max, int(reach.max()))
+    with np.errstate(over="ignore"):  # inf: diverges once the walk is there
+        w = np.exp(psi_x)
     a, diverged, m_stop = first_passage(
-        ker, np.exp(np.where(over, -math.inf, psi_x)),
-        [_return_weight(p) for p in psi0], n, DIVERGENCE_CAP)
-    # a row that reaches an overflowing site diverges there
-    late = (reach <= m_max) & ~(diverged & (m_stop <= reach))
-    diverged, m_stop = diverged | late, np.where(late, reach, m_stop)
-    a[np.arange(n + 1) > np.where(late, reach, n)[:, None]] = 0.0
-    a = np.pad(a, ((0, 0), (0, m_max - n)))
+        ker, w, [_return_weight(p) for p in psi0], m_max, DIVERGENCE_CAP)
     m_values, rate = np.arange(m_max + 1), _decay_rate(spec, walk.alpha)
     return [ExcursionWeights(m_values, a[i], psi0[i],
                              max(0.0, float(psi_x[i].max())), walk.alpha,
@@ -173,35 +162,17 @@ TAIL_MASS_SLACK = 1e-6
 
 
 def _tail_bound(ew: ExcursionWeights, k_partial: float) -> float:
+    """Rigorous bound on the sum past m_max when psi <= 0 off the origin:
+    each longer excursion weighs at most exp(psi0^+), times the missing
+    return mass.  Otherwise inf.  A sum over an extrapolated tail is no
+    substitute: it is finite only once its last term is below 1e-12 of the
+    total, which needs m_max > ~3e7, and weights that underflow make it
+    certify "no" where the exact sum is e^25208.
+    """
+    if ew.psi_plus_off_origin > 0.0:
+        return math.inf
     k_tail = max(0.0, 1.0 - k_partial) + TAIL_MASS_SLACK
-    base = math.exp(max(0.0, ew.psi0))
-    if ew.psi_plus_off_origin <= 0.0:
-        return base * k_tail
-    r = ew.decay_rate
-    if r <= 0.0:
-        return math.inf
-    m_max = ew.m_max
-    # anchor the return-law tail on the last computed octave
-    window = ew.a[m_max // 2 :]
-    ms = np.arange(m_max // 2, m_max + 1, dtype=float)
-    pos = window > 0
-    if not np.any(pos):
-        return base * k_tail
-    c_anchor = float(np.max(window[pos] * ms[pos] ** (1.0 + ew.alpha)))
-    b1 = ew.psi_plus_off_origin
-    grid = np.arange(m_max + 1, 33 * m_max, dtype=float)
-    log_terms = (
-        math.log(c_anchor)
-        - (1.0 + ew.alpha) * np.log(grid)
-        + b1 * grid ** (1.0 - r)
-    )
-    peak = float(log_terms.max())
-    if peak > 40.0 or log_terms[-1] > log_terms[-2]:
-        return math.inf  # heuristic sum does not converge in range
-    total = float(np.exp(log_terms).sum())
-    if math.exp(log_terms[-1]) > 1e-12 * max(total, 1e-300):
-        return math.inf
-    return base * k_tail if b1 == 0.0 else total + base * k_tail
+    return _return_weight(max(0.0, ew.psi0)) * k_tail
 
 
 def _estimate(ew: ExcursionWeights) -> float:

@@ -12,11 +12,15 @@ TESTS = Path(__file__).parent
 def pytest_collection_modifyitems(config, items):
     """A RuntimeWarning fails a test of this directory: an unguarded
     overflow, 0 * inf or log of 0 is how a non-finite number slips out of
-    the library.  Tests elsewhere, such as the benchmark's, keep the default
-    filters."""
+    the library.  So does a UserWarning issued from softpin code (a module
+    under ``softpin``, the caller by the warning's stacklevel): the library
+    warns only when a result is outside its documented accuracy.  Tests
+    that expect one catch it with ``pytest.warns``.  Tests elsewhere, such
+    as the benchmark's, keep the default filters."""
     for item in items:
         if item.path.is_relative_to(TESTS):
-            item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
+            for rule in ("error::RuntimeWarning", "error::UserWarning:softpin"):
+                item.add_marker(pytest.mark.filterwarnings(rule))
 
 
 @pytest.fixture

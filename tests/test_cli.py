@@ -400,21 +400,32 @@ def test_diverged_scaling_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_localize_without_a_tail_bound_writes_an_empty_cell(tmp_path):
-    # copolymer, beta = 1: the heuristic tail sum does not converge, yet the
-    # partial sum alone certifies the verdict
+@pytest.mark.parametrize("potential,task,verdict", [
+    # copolymer, beta = 1: psi > 0 off the origin leaves no finite tail
+    # bound, yet the partial sum alone certifies the verdict
+    ({"kind": "copolymer"}, {"beta": 1.0, "h": 0.499}, "yes"),
+    # psi(0) = 1000 overflows the rigorous bound, and psi(+-1) = -800
+    # leaves no return to certify anything
+    ({"kind": "table", "table": {0: 100.0, 1: 40.0, -1: 40.0}},
+     {"beta": 1.0, "h": 40.0}, "undetermined"),
+], ids=["copolymer", "overflowing-return-weight"])
+def test_localize_without_a_tail_bound_writes_an_empty_cell(
+        tmp_path, potential, task, verdict):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, "c.yaml", {
-        "model": {"walk": {"alpha": 0.6}, "potential": {"kind": "copolymer"},
+        "model": {"walk": {"alpha": 0.6}, "potential": potential,
                   "charges": {"law": "gaussian"}},
-        "task": {"beta": 1.0, "h": 0.499},
+        "task": task,
         "output": {"dir": str(out)},
     })
     assert main(["localize", "--config", cfg]) == 0
     _, _, (row,) = read_csv(out / "localize.csv")
     assert row["tail_bound"] == ""
-    assert row["localized"] == "yes" and row["diverged"] == "False"
-    assert 1.0 < float(row["partial_sum"]) < float(row["estimate"])
+    assert row["localized"] == verdict and row["diverged"] == "False"
+    if verdict == "yes":
+        assert 1.0 < float(row["partial_sum"]) < float(row["estimate"])
+    else:
+        assert float(row["partial_sum"]) == float(row["estimate"]) == 0.0
 
 
 @pytest.mark.parametrize("subcommand,task,code", [

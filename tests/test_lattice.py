@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softpin.lattice import first_passage, layout
+from softpin.lattice import _block_passage, first_passage, layout
 from softpin.localization import DIVERGENCE_CAP
 from softpin.model import ChargeModel, PotentialSpec, WalkSpec, phi_eval, psi
 
@@ -202,6 +202,87 @@ def test_mixed_batch_equals_one_row_calls_bit_for_bit():
             assert_matches(one, want)
         else:  # the per-step loop keeps its bits
             assert np.array_equal(one[0], want[0]) and one[1:] == want[1:]
+
+
+# ------------------------------------------------------------ infinite weights
+
+def with_inf(w, ker, height):
+    """A copy of the rows w with the weight at ``height`` set to inf."""
+    w = np.array(w, dtype=float)
+    w[..., ker.heights == height] = math.inf
+    return w
+
+
+@pytest.mark.parametrize("lattice", ["folded", "signed"])
+def test_infinite_weight_diverges_when_the_walk_can_stand_there(lattice):
+    # the walk can first be at height 3 at step 3: the zero state there
+    # before then must not turn 0 * inf into NaN at step 1
+    m_max = 64
+    ker, w = site_weights(SPECS[lattice], m_max, [-0.5])
+    a, diverged, m_stop = first_passage(ker, with_inf(w[0], ker, 3), 1.0,
+                                        m_max, DIVERGENCE_CAP)
+    assert diverged and m_stop == 3
+    zeroed = np.where(ker.heights == 3, 0.0, w[0])
+    want = reference_first_passage(ker, zeroed, 1.0, m_max, DIVERGENCE_CAP)
+    np.testing.assert_allclose(a[:4], want[0][:4], rtol=1e-12, atol=0)
+    assert a[2] > 0.0 and not np.any(a[4:])
+
+
+@pytest.mark.parametrize("lattice", ["folded", "signed"])
+def test_infinite_weight_beyond_reach_changes_nothing(lattice):
+    # l = 80 > m_max: a site at height 70 cannot be reached in 64 steps
+    m_max, spec = 64, SPECS[lattice]
+    ker = layout(WALK, spec, m_max, l=80)
+    w = np.exp(0.05 * phi_eval(spec, ker.heights))
+    w[ker.origin] = 0.0
+    got = first_passage(ker, with_inf(w, ker, 70), 1.3, m_max, DIVERGENCE_CAP)
+    want = first_passage(ker, w, 1.3, m_max, DIVERGENCE_CAP)
+    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+    assert got[1:] == (False, m_max)
+
+
+def test_rows_run_only_up_to_the_last_step_an_inf_site_is_reached(
+        monkeypatch):
+    # 30 steps of max(w) = e^10 stay below 1e200, 64 would not: a row that
+    # meets its inf site at step 30 runs 30 steps, by block steps
+    m_max, spec = 64, SPECS["folded"]
+    ker = layout(WALK, spec, m_max, l=80)
+    w = np.exp(80.0 * phi_eval(spec, ker.heights))
+    w[ker.origin] = 0.0
+    steps_run = []
+
+    def spy(ker, w, w0, n, cap):
+        steps_run.append(n)
+        return _block_passage(ker, w, w0, n, cap)
+
+    monkeypatch.setattr("softpin.lattice._block_passage", spy)
+    a, diverged, m_stop = first_passage(ker, with_inf(w, ker, 30), 1e-300,
+                                        m_max, DIVERGENCE_CAP)
+    assert steps_run == [30] and (diverged, m_stop) == (True, 30)
+    assert a.shape == (m_max + 1,)
+
+
+def test_batch_with_infinite_weights_equals_one_row_calls_bit_for_bit():
+    # an inf site reached at step 3; one at step 50 on a row that steps one
+    # at a time both alone and in the batch (50 * log max(w) > log 1e200);
+    # one beyond m_max; an overflowing return weight that stops its row at
+    # step 2, before its inf site at height 6; and a row without inf
+    m_max, spec = 64, SPECS["folded"]
+    ker = layout(WALK, spec, m_max, l=80)
+    phi = phi_eval(spec, ker.heights)
+    w = np.exp(np.outer([-0.5, 80.0, 0.05, -0.3, 0.01], phi))
+    w[:, ker.origin] = 0.0
+    for i, height in [(0, 3), (1, 50), (2, 70), (3, 6)]:
+        w[i] = with_inf(w[i], ker, height)
+    w0 = [1.0, 1e-300, 1.3, math.inf, 1.0]
+    a, diverged, m_stop = first_passage(ker, w, w0, m_max, DIVERGENCE_CAP)
+    assert diverged.tolist() == [True, True, False, True, False]
+    assert m_stop.tolist() == [3, 50, m_max, 2, m_max]
+    assert not np.isnan(a).any()
+    for i in range(len(w0)):
+        one = first_passage(ker, w[i], w0[i], m_max, DIVERGENCE_CAP)
+        assert np.array_equal(a[i], one[0])
+        assert (diverged[i], m_stop[i]) == one[1:]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

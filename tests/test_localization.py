@@ -31,6 +31,7 @@ from softpin.localization import (
     criterion_start_invariance,
     excursion_sum,
     excursion_weights,
+    quenched_critical_h,
     rescaled_lower_bound,
     transient_criterion,
 )
@@ -211,10 +212,26 @@ class TestExcursionSum:
         assert math.isinf(cv.estimate)
 
     def test_heuristic_tail_engages_off_single_site_support(self, srw, gaussian):
-        # tiny h leaves psi > 0 at height 1, so the rigorous branch is out
+        # tiny h leaves psi > 0 at height 1: no finite tail bound, so only
+        # the partial sum can certify, as it does here
         spec = PotentialSpec(kind="power_tail", theta=3.0)
         cv = excursion_sum(srw, spec, gaussian, 0.4, 1e-4, m_max=1024)
         assert cv.verdict == "yes"  # well inside the localized phase
+
+    @pytest.mark.parametrize("table,m_max", [
+        # psi(1) = -800 underflows, so every computed weight is 0, while
+        # psi(2) = 212.5 > 0 makes the exact sum e^25208 at m_max = 256
+        ({1: 40.0, -1: 40.0, 2: 85.0, -2: 85.0}, 256),
+        # psi(0) = 1000 overflows exp(), and psi(+-1) = -800 leaves no return
+        ({0: 100.0, 1: 40.0, -1: 40.0}, 64),
+    ], ids=["underflowing-weights", "overflowing-return-weight"])
+    def test_no_finite_tail_bound_leaves_the_verdict_open(self, gaussian,
+                                                          table, m_max):
+        spec = PotentialSpec(kind="table", table=table)
+        cv = excursion_sum(WalkSpec(alpha=0.6), spec, gaussian, 1.0, 40.0,
+                           m_max=m_max)
+        assert cv.value == 0.0 and cv.tail_bound == math.inf
+        assert cv.verdict == "undetermined" and not cv.diverged
 
 
 class TestTransientCriterion:
@@ -330,6 +347,16 @@ def test_annealed_brackets_are_ordered_along_the_beta_grid(
             m_max=m_max)
     for low, high in itertools.combinations(brackets, 2):
         assert low.lo <= high.hi
+
+
+@pytest.mark.parametrize("spec", [PotentialSpec(kind="pinning"),
+                                  PotentialSpec(kind="power_tail", theta=3.0)])
+def test_quenched_band_at_zero_coupling_is_empty(spec, gaussian):
+    # beta = 0, h = 0: the free energy is 0 with no spread, so the sample
+    # mean never clears zero and no band is claimed
+    br = quenched_critical_h(WalkSpec(alpha=0.6), spec, gaussian, 0.0,
+                             n_max=64, n_samples=2)
+    assert (br.lo, br.hi, br.confidence) == (0.0, 0.0, 0.0)
 
 
 class TestMbgLower:

@@ -310,6 +310,12 @@ def test_c_weights_parity_probes_cover_all_k(srw):
     assert np.all(cw.values > 0)  # both parities filled in
 
 
+def test_c_weights_warn_outside_the_local_limit_window():
+    # k_max = 10 > sqrt(16): heights past 4 lie outside the diffusive window
+    with pytest.warns(UserWarning, match="outside the local-limit window"):
+        estimate_c_weights(WalkSpec(alpha=0.6), k_max=10, n_probe=16)
+
+
 # ------------------------------------------------------------------- c_star
 
 def test_c_star_single_site_identities(srw):
