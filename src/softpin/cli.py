@@ -57,7 +57,9 @@ versions can differ in their last digits.  A free-energy sweep whose site
 weights pass exp(+-700), or whose origin share underflows, runs in logs and
 is exact; its numbers can differ from the linear sweep of earlier versions
 by up to 1e-12 relative, and where that sweep gave NaN, -inf or wrong
-values they are now finite and right.  Job j of a run draws its seed as the first 64-bit word of
+values they are now finite and right.  So is an excursion sum whose weights
+could overflow; its last bits and its ``m_stop`` may differ from those
+versions.  Job j of a run draws its seed as the first 64-bit word of
 ``numpy.random.SeedSequence(seed, spawn_key=(j,))``; jobs are numbered in
 task order (grid position first).  ``--threads`` is accepted and ignored:
 jobs run one after another in the calling thread, because the per-step
@@ -415,6 +417,11 @@ def job_seed(root: int, j: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _present(block: dict, *keys) -> dict:
+    """The entries of block named in keys; absent ones keep their default."""
+    return {k: block[k] for k in keys if k in block}
+
+
 def _build_model(config: dict):
     m = config["model"]
     walk = WalkSpec(**m["walk"])
@@ -584,7 +591,7 @@ def _run_critical_curve(config, ctx: RunContext) -> int:
             q = quenched_critical_h(
                 walk, spec, charges, beta, n_max=que["n_max"],
                 n_samples=que["n_samples"], seed=job_seed(ctx.seed, j),
-                tol=que.get("tol", 5e-3), detect=que.get("detect", 3.0),
+                **_present(que, "tol", "detect"),
             )
             row.update(hc_que_lo=q.lo, hc_que_hi=q.hi,
                        confidence=q.confidence)
@@ -599,8 +606,8 @@ def _run_localize(config, ctx: RunContext) -> int:
     num = ctx.numerics
     cv = transient_criterion(
         walk, spec, charges, task["beta"], task["h"],
-        task.get("return_mass", 1.0), m_max=num["m_max"],
-        kappa=task.get("kappa", 1.0), l=num["l"],
+        task.get("return_mass", 1.0), m_max=num["m_max"], l=num["l"],
+        **_present(task, "kappa"),
     )
     row = {
         "beta": task["beta"], "h": task["h"], "kappa": cv.kappa,
@@ -623,8 +630,7 @@ def _half_line_integral(alpha: float, t: float, x: float) -> float:
 
 def _run_bessel_check(config, ctx: RunContext) -> int:
     task = config["task"]
-    walk = WalkSpec(alpha=task["alpha"],
-                    epsilon_corr=task.get("epsilon_corr", 0.0))
+    walk = WalkSpec(alpha=task["alpha"], **_present(task, "epsilon_corr"))
     n = task["n"]
     ks = task.get("ks", [0, 1, 2, 3, 4])
     rows = []
@@ -670,13 +676,11 @@ def _run_scaling(config, ctx: RunContext) -> int:
         params=params, beta_hat=task["beta_hat"], h_hat=task["h_hat"],
         n_ladder=tuple(task["n_ladder"]),
     )
-    kwargs = dict(
-        cstar_phi=task.get("cstar_phi"), cstar_phi2=task.get("cstar_phi2"),
-        k_weights=task.get("k_weights", 64), n_probe=task.get("n_probe", 4096),
-    )
+    kwargs = _present(task, "cstar_phi", "cstar_phi2", "k_weights",
+                      "n_probe")
     points = scaled_free_energy(
-        schedule, walk, charges, spec, m_mult=task.get("m_mult", 48),
-        l=ctx.numerics["l"], **kwargs,
+        schedule, walk, charges, spec, l=ctx.numerics["l"],
+        **_present(task, "m_mult"), **kwargs,
     )
     _emit(ctx, "scaling_ladder", SCALED_COLUMNS, [
         {
@@ -688,10 +692,9 @@ def _run_scaling(config, ctx: RunContext) -> int:
         for p in points
     ])
     if "series" in task:
-        series = task["series"]
         rows = compare_to_continuum(
-            schedule, walk, charges, spec, T=series.get("T", 1.0),
-            k=series.get("k", 1), l=ctx.numerics["l"], **kwargs,
+            schedule, walk, charges, spec, l=ctx.numerics["l"],
+            **_present(task["series"], "T", "k"), **kwargs,
         )
         _emit(ctx, "scaling_series", SERIES_COLUMNS, [
             {
@@ -708,7 +711,7 @@ def _run_scaling(config, ctx: RunContext) -> int:
 def _run_continuum(config, ctx: RunContext) -> int:
     task = config["task"]
     params = ContinuumParams(alpha=task["alpha"], theta=task["theta"],
-                             c_tail=task.get("c_tail", 1.0))
+                             **_present(task, "c_tail"))
     cp = ContinuumPhasePoint(task["beta_hat"], task["h_hat"])
     rows = [
         {"name": "regime", "value": params.regime},
@@ -742,9 +745,9 @@ def _run_continuum(config, ctx: RunContext) -> int:
     if "mc" in task:
         mc = task["mc"]
         est = continuum_free_energy_mc(
-            params, cp, T=mc["T"], dt=mc.get("dt"), n_paths=mc["n_paths"],
-            seed=job_seed(ctx.seed, 0), eps=mc.get("eps"),
-            n_bootstrap=mc.get("n_bootstrap", 200),
+            params, cp, T=mc["T"], n_paths=mc["n_paths"],
+            seed=job_seed(ctx.seed, 0),
+            **_present(mc, "dt", "eps", "n_bootstrap"),
         )
         row = {
             "alpha": params.alpha, "theta": params.theta,

@@ -6,12 +6,13 @@ boundary folded back onto the inward one so the kernel stays stochastic.
 One kernel class carries its sites' ``heights`` and ``origin`` index, on a
 *folded* lattice over ``|x| in {0..L}`` (valid whenever the site weights are
 symmetric, since the drift is antisymmetric) or a *signed* one over
-``x in {-L..L}``.  ``step`` moves one flat state; ``tiled`` lays independent
-rows end to end, and no mass crosses between them, as p_up is 0 on each
-row's top site and p_down on its bottom one.  ``first_passage``, the one
-killed first-passage recursion, runs the first-return law and the weighted
-excursion sums, the latter many phase points at a time as rows; it owns
-every stopping rule (cap, state blow-up, and reaching an ``inf`` weight).
+``x in {-L..L}``.  ``step`` moves one flat state and ``log_step`` one held
+in logs; ``tiled`` lays independent rows end to end, and no mass crosses
+between them, as p_up is 0 on each row's top site and p_down on its bottom
+one.  ``first_passage``, the one killed first-passage recursion, runs the
+first-return law and the weighted excursion sums, the latter many phase
+points at a time as rows.  It takes log weights, and a row stops for one
+reason only: its partial sum passes the cap or overflows.
 
 When the site weights do not change from step to step, recursions take
 block steps: the walk is nearest-neighbour, so BLOCK = 32 steps of the
@@ -19,17 +20,20 @@ weighted kernel M = diag(w) T form one band matrix M^32 of half-width 32,
 and one banded product advances the state by a block.  ``band_steps`` (the
 height law, w = 1) and every row of ``first_passage`` whose weights keep
 its state below 1e200 run this way; the returns inside a block come from
-one small matrix on the 65 sites around the origin.  Only a row that can
-overflow steps one at a time, checking its state at every step.  The band
-product is numpy's own and single-threaded, so results do not depend on a
-BLAS thread count; they agree with the one-step recursion within 1e-12
-relative, with the same zeros, divergence flags and stopping steps.
+one small matrix on the 65 sites around the origin.  The band product is
+numpy's own and single-threaded, so results do not depend on a BLAS thread
+count; they agree with the one-step recursion within 1e-12 relative, with
+the same zeros, divergence flags and stopping steps.  Every other row runs
+one exact recursion in logs, one ``log_step`` per step, the step the
+partition sweeps of ``softpin.transfer`` also take in logs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +83,23 @@ class _Kernel:
         np.multiply(v[:-1], self.p_up[:-1], out=out[1:])
         out[0] = 0.0
         out[:-1] += v[1:] * self.p_down[1:]
+        return out
+
+    @cached_property
+    def _log_p(self) -> tuple[np.ndarray, np.ndarray]:
+        with np.errstate(divide="ignore"):  # -inf where p is 0: rows never mix
+            return np.log(self.p_up[:-1]), np.log(self.p_down[1:])
+
+    def log_step(self, v: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """``step`` of a state held in logs, one logaddexp per site; it
+        cannot overflow or underflow."""
+        log_up, log_down = self._log_p
+        if out is None:
+            out = np.empty_like(v)
+        np.add(v[:-1], log_up, out=out[1:])
+        out[0] = -math.inf
+        np.logaddexp(out[:-1], v[1:] + log_down, out=out[:-1])
         return out
 
 
@@ -213,8 +234,9 @@ def _return_rows(ker, w, k: int) -> np.ndarray:
 
 
 def _block_passage(ker, w, w0: float, m_max: int, cap: float):
-    """One row of ``first_passage`` whose state cannot overflow, BLOCK
-    steps per banded product; w is killed at the origin."""
+    """a of one row of ``first_passage`` whose state cannot overflow, BLOCK
+    steps per banded product, up to the block in which its partial sum
+    passes cap; w is killed at the origin."""
     o, n_blocks = ker.origin, -(-m_max // BLOCK)
     ret_rows = _return_rows(ker, w, min(BLOCK, m_max))
     band = _band_powers(ker, w, [BLOCK])[0] if n_blocks > 1 else None
@@ -232,99 +254,79 @@ def _block_passage(ker, w, w0: float, m_max: int, cap: float):
         run[1 : h + 1] = x
         np.cumsum(run[: h + 1], out=run[: h + 1])
         if not run[h] <= cap:  # partial sums only grow: the block crossed
-            n = n0 + int(np.argmin(run[1 : h + 1] <= cap)) + 1
-            a[n + 1 :] = 0.0
-            return a, True, n
+            break
         run[0] = run[h]
         if b + 1 < n_blocks:
             np.einsum("ij,ij->i", band, win[i], out=pads[1 - i, BLOCK:-BLOCK])
-    return a, False, m_max
+    return a
 
 
-def _stepwise_passage(ker, w, w0: list, m_max: int, cap: float):
-    """The rows of ``first_passage`` whose state may overflow, one step at a
-    time on the tiled lattice; w, (rows, sites), is killed at the origin.
-    A row also stops once its state stops being finite and below 1e200 (an
-    overflowed weight turns 0 * inf into NaN); its state and weights are
-    zeroed, and the loop ends with the last row."""
-    r, sites = w.shape
-    origin, ker = ker.origin, ker.tiled(r)
-    w = w.ravel()
-    seg = [slice(i * sites, (i + 1) * sites) for i in range(r)]
-    at = slice(origin, None, sites)
-    v, nxt = np.zeros(r * sites), np.zeros(r * sites)
-    v[at] = 1.0
+def _log_passage(ker, log_w, log_w0, m_max: int, cap: float):
+    """a of the rows of ``first_passage`` whose state may overflow, one step
+    at a time in logs on the tiled lattice, up to the step at which the
+    last one's partial sum passes cap; log_w, (rows, sites), is -inf at
+    the origin.  No row can overflow, underflow or leak into another."""
+    r, sites = log_w.shape
+    at = slice(ker.origin, None, sites)
+    ker, log_w = ker.tiled(r), log_w.ravel()
+    v, nxt = np.full(r * sites, -math.inf), np.empty(r * sites)
+    v[at] = 0.0
     a = np.zeros((r, m_max + 1))
-    partial, m_stop, live = [0.0] * r, [m_max] * r, list(range(r))
+    partial = np.zeros(r)
     for n in range(1, m_max + 1):
-        nxt = ker.step(v, nxt)
-        ret = nxt[at].tolist()
-        np.multiply(nxt, w, out=nxt)
+        ker.log_step(v, nxt)
+        with np.errstate(over="ignore"):  # inf: the partial sum overflows
+            np.exp(nxt[at] + log_w0, out=a[:, n])
+        nxt += log_w
         v, nxt = nxt, v
-        blown = not v.max() <= 1e200
-        for i in list(live):
-            if ret[i]:  # 0 * inf would poison the sum when w0 overflows
-                a[i, n] = x = ret[i] * w0[i]
-                partial[i] += x
-            if not partial[i] <= cap or blown and not v[seg[i]].max() <= 1e200:
-                live.remove(i)
-                m_stop[i] = n
-                v[seg[i]] = w[seg[i]] = 0.0
-        if not live:
+        partial += a[:, n]
+        if not (partial <= cap).any():
             break
-    return a, [i not in live for i in range(r)], m_stop
+    return a
 
 
-def first_passage(ker, w: np.ndarray, w0, m_max: int, cap: float):
+def first_passage(ker, log_w: np.ndarray, log_w0, m_max: int, cap: float):
     """Killed first-passage recursions of walks started at ``ker.origin``.
 
-    Each row of the site weights w, rows + (sites,), and return weights w0,
-    rows, is an independent walk.  Each step moves the state by ``ker``; the
-    mass on the origin, times w0, is a[n] and is removed, and the rest is
-    multiplied by w.  Returns (a, diverged, m_stop) per row (a bool and an
-    int for rows = ()).  A row stops, with diverged=True and a zero past
-    m_stop, once its partial sum of a passes cap, its state stops being
-    finite and below 1e200, or its walk can stand on a site x whose weight
-    is inf: that happens at step |x|, the first step a nearest-neighbour
-    walk can be there, and a site it cannot reach by m_max changes nothing.
-    The recursion runs only up to the first step at which every row has
-    met such a site, or m_max.
+    Each row of the log site weights log_w, rows + (sites,), and log return
+    weights log_w0, rows, is an independent walk.  Each step moves the
+    state by ``ker``; the mass on the origin, times e^log_w0, is a[n] and
+    is removed, and the rest is multiplied by e^log_w.  Returns (a,
+    diverged, m_stop) per row (a bool and an int for rows = ()).  A row
+    stops for one reason only: its partial sum of a passes cap or
+    overflows.  It then has diverged=True, a zero past m_stop, and a[m_stop]
+    may be inf.
 
-    sum(v_n) <= max(w)^n over the finite weights, as the kernel is
-    stochastic and killing only removes mass, so a row with max(w)^n <=
-    1e200 over the n steps run cannot overflow: it takes BLOCK steps per
-    banded product, locating a cap crossing inside a block from the running
-    partial sums.  The other rows step one at a time and check their state
-    at every step.
+    sum(v_n) <= max(w)^n, as the kernel is stochastic and killing only
+    removes mass, so a row with max(w)^m_max <= 1e200 cannot overflow: it
+    takes BLOCK steps per banded product on e^log_w.  Every other row runs
+    one exact recursion in logs, a ``log_step`` per step.  Either way a
+    row's bits do not depend on the rows next to it.
     """
-    w = np.asarray(w, dtype=float)
-    rows, sites = w.shape[:-1], w.shape[-1]
-    w = w.reshape(-1, sites)
-    w = np.where(np.arange(sites) == ker.origin, 0.0, w)  # kills returns
-    inf = w == math.inf
-    reach = np.where(inf, np.abs(ker.heights), m_max + 1).min(axis=1).tolist()
-    n = min(m_max, max(reach))
-    w[inf] = 0.0
-    stepwise = [not (top <= 1.0 or n * math.log(top) <= math.log(1e200))
-                for top in w.max(axis=1).tolist()]
-    w0 = np.broadcast_to(np.asarray(w0, dtype=float), rows).ravel().tolist()
+    log_w = np.asarray(log_w, dtype=float)
+    rows, sites = log_w.shape[:-1], log_w.shape[-1]
+    log_w = log_w.reshape(-1, sites).copy()
+    log_w[:, ker.origin] = -math.inf  # kills returns
+    log_w0 = np.broadcast_to(np.asarray(log_w0, dtype=float), rows).ravel()
+    cap = min(cap, sys.float_info.max)  # an overflowed partial sum passes it
+    in_logs = m_max * log_w.max(axis=1) > math.log(1e200)
+    with np.errstate(over="ignore"):  # inf only on rows that run in logs
+        w = np.exp(log_w)
     a = np.zeros((len(w), m_max + 1))
-    diverged, m_stop = [False] * len(w), [m_max] * len(w)
-    for i in range(len(w)):
-        if not stepwise[i]:
-            a[i, : n + 1], diverged[i], m_stop[i] = _block_passage(
-                ker, w[i], w0[i], n, cap)
-    slow = [i for i in range(len(w)) if stepwise[i]]
-    if slow:
-        a[slow, : n + 1], d, m = _stepwise_passage(
-            ker, w[slow], [w0[i] for i in slow], n, cap)
-        for i, d_i, m_i in zip(slow, d, m):
-            diverged[i], m_stop[i] = d_i, m_i
-    for i, r in enumerate(reach):  # the walk stands on an infinite weight
-        if r <= m_max and not (diverged[i] and m_stop[i] <= r):
-            diverged[i], m_stop[i] = True, r
-            a[i, r + 1 :] = 0.0
+    for i in np.flatnonzero(~in_logs).tolist():
+        try:
+            w0 = math.exp(log_w0[i])
+        except OverflowError:  # the block steps skip zero returns
+            w0 = math.inf
+        a[i] = _block_passage(ker, w[i], w0, m_max, cap)
+    if in_logs.any():
+        a[in_logs] = _log_passage(ker, log_w[in_logs], log_w0[in_logs],
+                                  m_max, cap)
+    past = ~(np.cumsum(a, axis=1) <= cap)  # the stopping rule; sums only grow
+    diverged = past.any(axis=1)
+    m_stop = np.where(diverged, past.argmax(axis=1), m_max)
+    a[np.arange(m_max + 1) > m_stop[:, None]] = 0.0
     if not rows:
-        return a[0], diverged[0], m_stop[0]
-    return (a.reshape(rows + (-1,)), np.reshape(diverged, rows),
-            np.reshape(m_stop, rows))
+        return a[0], bool(diverged[0]), int(m_stop[0])
+    return (a.reshape(rows + (-1,)), diverged.reshape(rows),
+            m_stop.reshape(rows))

@@ -88,19 +88,11 @@ def excursion_weights(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
     A_m multiplies the first-return probability by the exponential weight
     collected at the tempered phase point (kappa*beta, kappa*h); interior
     sites never include the origin, whose weight enters once at the return
-    step.  Aborts (diverged=True) once the partial sum passes the cap, the
-    recursion stops being finite, or the walk reaches a site whose weight
-    overflows (at step |x|, the first step a nearest-neighbour walk can be
-    there; an unreached one contributes nothing).
+    step.  Where the weights could overflow, the recursion runs in logs and
+    is exact at any coupling.  It stops (diverged=True) once the partial sum
+    passes the cap or overflows; a[m_stop] may then be inf.
     """
     return _excursion_rows(walk, spec, charges, [beta], [h], m_max, kappa, l)[0]
-
-
-def _return_weight(psi0: float) -> float:
-    try:
-        return math.exp(psi0)
-    except OverflowError:  # past the largest float
-        return math.inf
 
 
 def _excursion_rows(walk, spec, charges, beta, h, m_max: int, kappa=1.0,
@@ -117,10 +109,8 @@ def _excursion_rows(walk, spec, charges, beta, h, m_max: int, kappa=1.0,
     psi_x = psi(charges, spec, bt[:, None], ht[:, None], ker.heights)
     psi0 = psi_x[:, ker.origin].tolist()
     psi_x[:, ker.origin] = -math.inf  # killed at the origin: weight never used
-    with np.errstate(over="ignore"):  # inf: diverges once the walk is there
-        w = np.exp(psi_x)
-    a, diverged, m_stop = first_passage(
-        ker, w, [_return_weight(p) for p in psi0], m_max, DIVERGENCE_CAP)
+    a, diverged, m_stop = first_passage(ker, psi_x, psi0, m_max,
+                                        DIVERGENCE_CAP)
     m_values, rate = np.arange(m_max + 1), _decay_rate(spec, walk.alpha)
     return [ExcursionWeights(m_values, a[i], psi0[i],
                              max(0.0, float(psi_x[i].max())), walk.alpha,
@@ -172,7 +162,10 @@ def _tail_bound(ew: ExcursionWeights, k_partial: float) -> float:
     if ew.psi_plus_off_origin > 0.0:
         return math.inf
     k_tail = max(0.0, 1.0 - k_partial) + TAIL_MASS_SLACK
-    return _return_weight(max(0.0, ew.psi0)) * k_tail
+    try:
+        return math.exp(max(0.0, ew.psi0)) * k_tail
+    except OverflowError:  # past the largest float
+        return math.inf
 
 
 def _estimate(ew: ExcursionWeights) -> float:

@@ -256,7 +256,7 @@ def return_law(walk: WalkSpec, n_max: int) -> np.ndarray:
         raise ValueError("n_max must be >= 2")
     l = walk.resolve_l(n_max)
     k_arr, _, _ = first_passage(
-        folded_kernel(walk.drift, l), np.ones(l + 1), 1.0, n_max, math.inf)
+        folded_kernel(walk.drift, l), np.zeros(l + 1), 0.0, n_max, math.inf)
     missing = 1.0 - k_arr.sum()
     if missing > 10.0 * n_max ** (-walk.alpha):
         warnings.warn(

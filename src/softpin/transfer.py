@@ -141,17 +141,13 @@ def _log_sweep(ker, step_log_weights, record_at: np.ndarray):
     pts = record_at.tolist()
     sites, origin = len(ker.heights), ker.origin
     r = len(ker.p_up) // sites
-    with np.errstate(divide="ignore"):  # -inf where p is 0: rows never mix
-        log_up, log_down = np.log(ker.p_up[:-1]), np.log(ker.p_down[1:])
     v, nxt = np.full(r * sites, -math.inf), np.empty(r * sites)
     v[origin::sites] = 0.0
     rec_free = np.zeros((r, len(pts)))
     rec_con = np.zeros_like(rec_free)
     idx = 1 if pts[0] == 0 else 0
     for n in range(1, pts[-1] + 1):
-        np.add(v[:-1], log_up, out=nxt[1:])
-        nxt[0] = -math.inf
-        np.logaddexp(nxt[:-1], v[1:] + log_down, out=nxt[:-1])
+        ker.log_step(v, nxt)
         nxt += step_log_weights(n)
         v, nxt = nxt, v
         if n == pts[idx]:

@@ -1,20 +1,23 @@
 """Tests for the killed first-passage recursion.
 
-Oracles: the same recursion one row at a time, and a plain per-step loop
-written out here that checks the state for overflow at every step.  Rows
-that cannot overflow take block steps, one banded product per 32 steps:
-their excursion weights agree with the per-step loop within 1e-12
-relative, with the same zeros, divergence flag and stopping step.
+Oracles: the same recursion one row at a time, and two per-step loops
+written out here.  Rows that cannot overflow take block steps, one banded
+product per 32 steps: their excursion weights agree with a plain linear
+loop within 1e-12 relative, with the same zeros, divergence flag and
+stopping step.  Every other row runs in logs and agrees, in the same way,
+with a per-site log recursion.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softpin.lattice import _block_passage, first_passage, layout
+import softpin.lattice
+from softpin.lattice import first_passage, layout
 from softpin.localization import DIVERGENCE_CAP
 from softpin.model import ChargeModel, PotentialSpec, WalkSpec, phi_eval, psi
 
@@ -25,9 +28,19 @@ SPECS = {
 }
 
 
-def reference_first_passage(ker, w, w0, m_max, cap):
-    """One walk, the overflow check on every step."""
+def crossed(partial, cap):
+    """The one stopping rule: the partial sum passes cap or overflows."""
+    return not partial <= min(cap, sys.float_info.max)
+
+
+def reference_first_passage(ker, log_w, log_w0, m_max, cap):
+    """One walk in linear weights, one step at a time."""
     origin = ker.origin
+    w = np.exp(np.where(np.arange(len(log_w)) == origin, -math.inf, log_w))
+    try:
+        w0 = math.exp(log_w0)
+    except OverflowError:
+        w0 = math.inf
     a = np.zeros(m_max + 1)
     v = np.zeros(len(w))
     v[origin] = 1.0
@@ -39,7 +52,43 @@ def reference_first_passage(ker, w, w0, m_max, cap):
         v[origin] = 0.0
         v = v * w
         partial += a[n]
-        if not (partial <= cap and v.max() <= 1e200):
+        if crossed(partial, cap):
+            return a, True, n
+    return a, False, m_max
+
+
+def log_add(x, y):
+    """log(e^x + e^y)."""
+    if x < y:
+        x, y = y, x
+    return x if y == -math.inf else x + math.log1p(math.exp(y - x))
+
+
+def reference_log_passage(ker, log_w, log_w0, m_max, cap):
+    """One walk in logs, one site at a time: exact at any weights."""
+    sites, origin = len(log_w), ker.origin
+    ninf = -math.inf
+    log_up = [math.log(p) if p > 0.0 else ninf for p in ker.p_up]
+    log_down = [math.log(p) if p > 0.0 else ninf for p in ker.p_down]
+    a = np.zeros(m_max + 1)
+    v = [ninf] * sites
+    v[origin] = 0.0
+    partial = 0.0
+    for n in range(1, m_max + 1):
+        nxt = [ninf] * sites
+        for i in range(sites):
+            if i > 0:
+                nxt[i] = v[i - 1] + log_up[i - 1]
+            if i + 1 < sites:
+                nxt[i] = log_add(nxt[i], v[i + 1] + log_down[i + 1])
+        try:
+            a[n] = math.exp(nxt[origin] + log_w0)
+        except OverflowError:
+            a[n] = math.inf
+        nxt[origin] = ninf
+        v = [x + y for x, y in zip(nxt, log_w)]
+        partial += a[n]
+        if crossed(partial, cap):
             return a, True, n
     return a, False, m_max
 
@@ -52,50 +101,60 @@ def assert_matches(got, want):
     assert got[1:] == want[1:]
 
 
-def below_overflow_bound(w, m_max):
-    """Rows whose largest weight keeps max(w)^m_max below 1e200."""
-    return [top <= 1.0 or m_max * math.log(top) <= math.log(1e200)
-            for top in np.atleast_2d(w).max(axis=1).tolist()]
+def in_logs(ker, log_w, m_max):
+    """Rows whose largest weight off the origin lets max(w)^m_max pass
+    1e200: those run in logs."""
+    top = np.delete(np.atleast_2d(log_w), ker.origin, axis=1).max(axis=1)
+    return [not (t <= 0.0 or m_max * t <= math.log(1e200))
+            for t in top.tolist()]
 
 
-def site_weights(spec, m_max, scales):
-    """exp(c * phi(x)) rows, one per scale c, and the lattice they live on."""
+def reference(ker, log_w, log_w0, m_max, cap):
+    """The oracle of the row's own path."""
+    slow = in_logs(ker, log_w, m_max)[0]
+    return (reference_log_passage if slow else reference_first_passage)(
+        ker, log_w, log_w0, m_max, cap)
+
+
+def log_site_weights(spec, m_max, scales):
+    """c * phi(x) rows, one per scale c, and the lattice they live on."""
     ker = layout(WALK, spec, m_max)
-    w = np.exp(np.outer(scales, phi_eval(spec, ker.heights)))
-    w[:, ker.origin] = 0.0
-    return ker, w
+    return ker, np.outer(scales, phi_eval(spec, ker.heights))
 
 
 @pytest.mark.parametrize("lattice", ["folded", "signed"])
 def test_rows_equal_one_row_at_a_time(lattice):
     m_max = 256
-    # a row whose state passes 1e200 next to a decaying one (rows share one
-    # lattice, so a stopped row must not leak into the next), a slowly
-    # growing one, one whose return weight passes the cap and one whose
-    # return weight overflows
+    # a row run in logs whose sum passes the cap next to a decaying one
+    # (rows share one lattice, so a stopped row must not leak into the
+    # next), a slowly growing one, one whose return weight passes the cap
+    # and one whose return weight overflows
     scales = [30.0, -0.5, 0.01, 0.3, 0.2]
-    w0 = [1.0, 1.0, 1.2, 1e13, math.inf]
-    ker, w = site_weights(SPECS[lattice], m_max, scales)
-    a, diverged, m_stop = first_passage(ker, w, w0, m_max, DIVERGENCE_CAP)
+    log_w0 = [0.0, 0.0, math.log(1.2), math.log(1e13), 800.0]
+    ker, log_w = log_site_weights(SPECS[lattice], m_max, scales)
+    assert in_logs(ker, log_w, m_max) == [True] + [False] * 4
+    a, diverged, m_stop = first_passage(ker, log_w, log_w0, m_max,
+                                        DIVERGENCE_CAP)
     assert a.shape == (5, m_max + 1)
     assert diverged.tolist() == [True, False, False, True, True]
     assert m_stop[3] == m_stop[4] == 2
-    for i in range(len(w0)):
-        a_i, diverged_i, m_stop_i = first_passage(ker, w[i], w0[i], m_max,
-                                                  DIVERGENCE_CAP)
-        assert np.array_equal(a[i], a_i)
-        assert diverged[i] == diverged_i and m_stop[i] == m_stop_i
-        assert type(diverged_i) is bool and type(m_stop_i) is int
+    for i in range(len(log_w0)):
+        one = first_passage(ker, log_w[i], log_w0[i], m_max, DIVERGENCE_CAP)
+        assert np.array_equal(a[i], one[0])
+        assert diverged[i] == one[1] and m_stop[i] == one[2]
+        assert type(one[1]) is bool and type(one[2]) is int
+        assert_matches(one, reference(ker, log_w[i], log_w0[i], m_max,
+                                      DIVERGENCE_CAP))
 
 
 def test_row_shape_is_kept():
-    ker, w = site_weights(SPECS["folded"], 16, [-0.5, 0.1, 0.2, 0.3])
-    a, diverged, m_stop = first_passage(ker, w.reshape(2, 2, -1),
-                                        np.ones((2, 2)), 16, DIVERGENCE_CAP)
+    ker, log_w = log_site_weights(SPECS["folded"], 16, [-0.5, 0.1, 0.2, 40.0])
+    a, diverged, m_stop = first_passage(ker, log_w.reshape(2, 2, -1),
+                                        np.zeros((2, 2)), 16, DIVERGENCE_CAP)
     assert a.shape == (2, 2, 17)
     assert diverged.shape == m_stop.shape == (2, 2)
     assert np.array_equal(a.reshape(4, -1)[3], first_passage(
-        ker, w[3], 1.0, 16, DIVERGENCE_CAP)[0])
+        ker, log_w[3], 0.0, 16, DIVERGENCE_CAP)[0])
 
 
 @pytest.mark.parametrize("cap", [DIVERGENCE_CAP, math.inf])
@@ -103,16 +162,18 @@ def test_row_shape_is_kept():
 def test_overflow_check_skip_matches_a_per_step_check(cap, side):
     # largest site weight exp(psi+) at height 1, with m_max * psi+ just
     # below or just above log(1e200): the bound sum(v_n) <= max(w)^n then
-    # just holds or just fails; at three times the bound and no cap the
-    # state passes 1e200
+    # just holds, and the row takes block steps, or just fails, and it runs
+    # in logs; at three times the bound and no cap the sum overflows
     m_max = 64
     spec = SPECS["folded"]
     psi_plus = math.log(1e200) / m_max * (1.0 + side)
-    ker, w = site_weights(spec, m_max, [psi_plus / phi_eval(spec, 1)])
-    assert w.max() == pytest.approx(math.exp(psi_plus))
-    got = first_passage(ker, w[0], 1.0, m_max, cap)
-    want = reference_first_passage(ker, w[0], 1.0, m_max, cap)
-    assert_matches(got, want)
+    ker, log_w = log_site_weights(spec, m_max, [psi_plus / phi_eval(spec, 1)])
+    assert np.delete(log_w, ker.origin).max() == pytest.approx(psi_plus)
+    assert in_logs(ker, log_w, m_max) == [side > 0]
+    got = first_passage(ker, log_w[0], 0.0, m_max, cap)
+    assert_matches(got, reference(ker, log_w[0], 0.0, m_max, cap))
+    if side == 2.0:
+        assert got[1] and (cap == math.inf) == (got[0][got[2]] == math.inf)
 
 
 def test_small_positive_psi_matches_a_per_step_check():
@@ -122,11 +183,9 @@ def test_small_positive_psi_matches_a_per_step_check():
     spec = SPECS["folded"]
     ker = layout(WALK, spec, m_max)
     phi = phi_eval(spec, ker.heights)
-    w = np.exp(0.5 * phi * phi)
-    w[ker.origin] = 0.0
-    got = first_passage(ker, w, math.exp(0.5), m_max, DIVERGENCE_CAP)
-    want = reference_first_passage(ker, w, math.exp(0.5), m_max,
-                                   DIVERGENCE_CAP)
+    log_w = 0.5 * phi * phi
+    got = first_passage(ker, log_w, 0.5, m_max, DIVERGENCE_CAP)
+    want = reference_first_passage(ker, log_w, 0.5, m_max, DIVERGENCE_CAP)
     assert_matches(got, want)
 
 
@@ -138,12 +197,13 @@ def test_small_positive_psi_matches_a_per_step_check():
 def test_block_steps_match_a_per_step_loop(lattice, m_max, scale):
     # m_max a multiple of the 32-step block, one off it either way, and
     # shorter than one block (on a 19- or 37-site lattice)
-    ker, w = site_weights(SPECS[lattice], m_max, [scale])
-    assert below_overflow_bound(w, m_max) == [True]
-    for w0 in (1.0, 1.3):
-        assert_matches(first_passage(ker, w[0], w0, m_max, DIVERGENCE_CAP),
-                       reference_first_passage(ker, w[0], w0, m_max,
-                                               DIVERGENCE_CAP))
+    ker, log_w = log_site_weights(SPECS[lattice], m_max, [scale])
+    assert in_logs(ker, log_w, m_max) == [False]
+    for log_w0 in (0.0, math.log(1.3)):
+        assert_matches(
+            first_passage(ker, log_w[0], log_w0, m_max, DIVERGENCE_CAP),
+            reference_first_passage(ker, log_w[0], log_w0, m_max,
+                                    DIVERGENCE_CAP))
 
 
 @pytest.mark.parametrize("lattice", ["folded", "signed"])
@@ -151,11 +211,10 @@ def test_block_steps_on_a_lattice_narrower_than_the_band(lattice):
     # l = 5: 6 or 11 sites, fewer than the 65 diagonals of a 32-step block
     m_max, spec = 300, SPECS[lattice]
     ker = layout(WALK, spec, m_max, l=5)
-    w = np.exp(0.02 * phi_eval(spec, ker.heights))
-    w[ker.origin] = 0.0
-    assert len(w) < 65
-    assert_matches(first_passage(ker, w, 1.0, m_max, DIVERGENCE_CAP),
-                   reference_first_passage(ker, w, 1.0, m_max,
+    log_w = 0.02 * phi_eval(spec, ker.heights)
+    assert len(log_w) < 65
+    assert_matches(first_passage(ker, log_w, 0.0, m_max, DIVERGENCE_CAP),
+                   reference_first_passage(ker, log_w, 0.0, m_max,
                                            DIVERGENCE_CAP))
 
 
@@ -163,20 +222,20 @@ def test_cap_crossing_inside_a_block():
     # the cap sits halfway between the partial sums after steps 44 and 46,
     # so the sum crosses it at step 46, in the middle of the second block
     m_max = 256
-    ker, w = site_weights(SPECS["folded"], m_max, [0.05])
-    partial = np.cumsum(reference_first_passage(ker, w[0], 1.0, m_max,
+    ker, log_w = log_site_weights(SPECS["folded"], m_max, [0.05])
+    partial = np.cumsum(reference_first_passage(ker, log_w[0], 0.0, m_max,
                                                 math.inf)[0])
     cap = 0.5 * (partial[44] + partial[46])
-    want = reference_first_passage(ker, w[0], 1.0, m_max, cap)
+    want = reference_first_passage(ker, log_w[0], 0.0, m_max, cap)
     assert want[1:] == (True, 46)
-    assert_matches(first_passage(ker, w[0], 1.0, m_max, cap), want)
+    assert_matches(first_passage(ker, log_w[0], 0.0, m_max, cap), want)
 
 
 @pytest.mark.parametrize("lattice", ["folded", "signed"])
 def test_overflowing_return_weight_stops_at_the_first_return(lattice):
-    # w0 = inf: the zero returns of step 1 add 0, not 0 * inf = NaN
-    ker, w = site_weights(SPECS[lattice], 256, [-0.5])
-    a, diverged, m_stop = first_passage(ker, w[0], math.inf, 256,
+    # e^1000 overflows: the zero returns of step 1 add 0, not 0 * inf = NaN
+    ker, log_w = log_site_weights(SPECS[lattice], 256, [-0.5])
+    a, diverged, m_stop = first_passage(ker, log_w[0], 1000.0, 256,
                                         DIVERGENCE_CAP)
     assert diverged and m_stop == 2
     assert not np.isnan(a).any()
@@ -184,105 +243,112 @@ def test_overflowing_return_weight_stops_at_the_first_return(lattice):
 
 
 def test_mixed_batch_equals_one_row_calls_bit_for_bit():
-    # rows below the overflow bound take block steps, the others the
-    # per-step loop; each row takes the same path in a batch as alone
+    # rows below the overflow bound take block steps, the others run in
+    # logs; each row takes the same path in a batch as alone
     m_max, spec = 300, SPECS["signed"]
-    ker, w = site_weights(spec, m_max, [0.001, 5.0, -0.3, 3.0, 0.01])
-    w0 = [1.0, 1.0, 1.0, 1.0, math.inf]
-    bounded = below_overflow_bound(w, m_max)
-    assert bounded == [True, False, True, False, True]
-    a, diverged, m_stop = first_passage(ker, w, w0, m_max, DIVERGENCE_CAP)
-    for i in range(len(w0)):
-        one = first_passage(ker, w[i], w0[i], m_max, DIVERGENCE_CAP)
+    ker, log_w = log_site_weights(spec, m_max, [0.001, 5.0, -0.3, 3.0, 0.01])
+    log_w0 = [0.0, 0.0, 0.0, 0.0, 1000.0]
+    assert in_logs(ker, log_w, m_max) == [False, True, False, True, False]
+    a, diverged, m_stop = first_passage(ker, log_w, log_w0, m_max,
+                                        DIVERGENCE_CAP)
+    for i in range(len(log_w0)):
+        one = first_passage(ker, log_w[i], log_w0[i], m_max, DIVERGENCE_CAP)
         assert np.array_equal(a[i], one[0])
         assert (diverged[i], m_stop[i]) == one[1:]
-        want = reference_first_passage(ker, w[i], w0[i], m_max,
-                                       DIVERGENCE_CAP)
-        if bounded[i]:
-            assert_matches(one, want)
-        else:  # the per-step loop keeps its bits
-            assert np.array_equal(one[0], want[0]) and one[1:] == want[1:]
+        assert_matches(one, reference(ker, log_w[i], log_w0[i], m_max,
+                                      DIVERGENCE_CAP))
 
 
-# ------------------------------------------------------------ infinite weights
+def test_each_row_takes_its_own_path_for_m_max_steps(monkeypatch):
+    # a row's path and run length depend on its own weights alone: the
+    # block row runs m_max steps next to a row in logs that stops early
+    m_max, spec = 64, SPECS["folded"]
+    ker, log_w = log_site_weights(spec, m_max, [-0.5, 80.0])
+    calls = []
 
-def with_inf(w, ker, height):
-    """A copy of the rows w with the weight at ``height`` set to inf."""
-    w = np.array(w, dtype=float)
-    w[..., ker.heights == height] = math.inf
-    return w
+    def spy(name):
+        real = getattr(softpin.lattice, name)
+
+        def wrapped(ker, w, w0, n, cap):
+            calls.append((name, np.shape(w)[:-1], n))
+            return real(ker, w, w0, n, cap)
+        return wrapped
+
+    for name in ("_block_passage", "_log_passage"):
+        monkeypatch.setattr(softpin.lattice, name, spy(name))
+    a, diverged, m_stop = first_passage(ker, log_w, [0.0, -300.0], m_max,
+                                        DIVERGENCE_CAP)
+    assert calls == [("_block_passage", (), m_max),
+                     ("_log_passage", (1,), m_max)]
+    assert diverged.tolist() == [False, True] and m_stop[1] < m_max
+
+
+# ---------------------------------------------------- overflowing weights
+
+def with_log_weight(log_w, ker, height, value=800.0):
+    """A copy of the rows log_w with e^value, which overflows a float, at
+    ``height``."""
+    log_w = np.array(log_w, dtype=float)
+    log_w[..., ker.heights == height] = value
+    return log_w
 
 
 @pytest.mark.parametrize("lattice", ["folded", "signed"])
 def test_infinite_weight_diverges_when_the_walk_can_stand_there(lattice):
-    # the walk can first be at height 3 at step 3: the zero state there
-    # before then must not turn 0 * inf into NaN at step 1
+    # e^800 at height 3, where the walk can first be at step 3: its sum is
+    # exact in logs, finite up to the first return past that site, at step
+    # 6, and inf there
     m_max = 64
-    ker, w = site_weights(SPECS[lattice], m_max, [-0.5])
-    a, diverged, m_stop = first_passage(ker, with_inf(w[0], ker, 3), 1.0,
-                                        m_max, DIVERGENCE_CAP)
-    assert diverged and m_stop == 3
-    zeroed = np.where(ker.heights == 3, 0.0, w[0])
-    want = reference_first_passage(ker, zeroed, 1.0, m_max, DIVERGENCE_CAP)
-    np.testing.assert_allclose(a[:4], want[0][:4], rtol=1e-12, atol=0)
-    assert a[2] > 0.0 and not np.any(a[4:])
+    ker, log_w = log_site_weights(SPECS[lattice], m_max, [-0.5])
+    log_w = with_log_weight(log_w[0], ker, 3)
+    a, diverged, m_stop = first_passage(ker, log_w, 0.0, m_max,
+                                        DIVERGENCE_CAP)
+    assert diverged and m_stop == 6
+    assert np.all(np.isfinite(a[:6])) and a[6] == math.inf
+    assert a[2] > 0.0 and not np.any(a[7:])
+    assert_matches((a, diverged, m_stop),
+                   reference_log_passage(ker, log_w, 0.0, m_max,
+                                         DIVERGENCE_CAP))
 
 
 @pytest.mark.parametrize("lattice", ["folded", "signed"])
 def test_infinite_weight_beyond_reach_changes_nothing(lattice):
-    # l = 80 > m_max: a site at height 70 cannot be reached in 64 steps
+    # l = 80 > m_max: a site at height 70 cannot be reached in 64 steps; its
+    # e^800 sends the row into logs, which moves only the last bits
     m_max, spec = 64, SPECS[lattice]
     ker = layout(WALK, spec, m_max, l=80)
-    w = np.exp(0.05 * phi_eval(spec, ker.heights))
-    w[ker.origin] = 0.0
-    got = first_passage(ker, with_inf(w, ker, 70), 1.3, m_max, DIVERGENCE_CAP)
-    want = first_passage(ker, w, 1.3, m_max, DIVERGENCE_CAP)
-    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+    log_w = 0.05 * phi_eval(spec, ker.heights)
+    got = first_passage(ker, with_log_weight(log_w, ker, 70), math.log(1.3),
+                        m_max, DIVERGENCE_CAP)
+    want = first_passage(ker, log_w, math.log(1.3), m_max, DIVERGENCE_CAP)
+    assert_matches(got, want)
     assert got[1:] == (False, m_max)
 
 
-def test_rows_run_only_up_to_the_last_step_an_inf_site_is_reached(
-        monkeypatch):
-    # 30 steps of max(w) = e^10 stay below 1e200, 64 would not: a row that
-    # meets its inf site at step 30 runs 30 steps, by block steps
-    m_max, spec = 64, SPECS["folded"]
-    ker = layout(WALK, spec, m_max, l=80)
-    w = np.exp(80.0 * phi_eval(spec, ker.heights))
-    w[ker.origin] = 0.0
-    steps_run = []
-
-    def spy(ker, w, w0, n, cap):
-        steps_run.append(n)
-        return _block_passage(ker, w, w0, n, cap)
-
-    monkeypatch.setattr("softpin.lattice._block_passage", spy)
-    a, diverged, m_stop = first_passage(ker, with_inf(w, ker, 30), 1e-300,
-                                        m_max, DIVERGENCE_CAP)
-    assert steps_run == [30] and (diverged, m_stop) == (True, 30)
-    assert a.shape == (m_max + 1,)
-
-
 def test_batch_with_infinite_weights_equals_one_row_calls_bit_for_bit():
-    # an inf site reached at step 3; one at step 50 on a row that steps one
-    # at a time both alone and in the batch (50 * log max(w) > log 1e200);
-    # one beyond m_max; an overflowing return weight that stops its row at
-    # step 2, before its inf site at height 6; and a row without inf
+    # e^800 sites at heights 3, 50 and 70 and 6, on rows that all run in
+    # logs: the first stops at the first return past its site; no return
+    # within m_max can follow the second's or the third's; the fourth's
+    # overflowing return weight stops it at step 2; the last row takes
+    # block steps
     m_max, spec = 64, SPECS["folded"]
     ker = layout(WALK, spec, m_max, l=80)
-    phi = phi_eval(spec, ker.heights)
-    w = np.exp(np.outer([-0.5, 80.0, 0.05, -0.3, 0.01], phi))
-    w[:, ker.origin] = 0.0
+    log_w = np.outer([-0.5, 80.0, 0.05, -0.3, 0.01],
+                     phi_eval(spec, ker.heights))
     for i, height in [(0, 3), (1, 50), (2, 70), (3, 6)]:
-        w[i] = with_inf(w[i], ker, height)
-    w0 = [1.0, 1e-300, 1.3, math.inf, 1.0]
-    a, diverged, m_stop = first_passage(ker, w, w0, m_max, DIVERGENCE_CAP)
-    assert diverged.tolist() == [True, True, False, True, False]
-    assert m_stop.tolist() == [3, 50, m_max, 2, m_max]
+        log_w[i] = with_log_weight(log_w[i], ker, height)
+    log_w0 = [0.0, -690.0, math.log(1.3), 1000.0, 0.0]
+    a, diverged, m_stop = first_passage(ker, log_w, log_w0, m_max,
+                                        DIVERGENCE_CAP)
+    assert diverged.tolist() == [True, False, False, True, False]
+    assert m_stop.tolist() == [6, m_max, m_max, 2, m_max]
     assert not np.isnan(a).any()
-    for i in range(len(w0)):
-        one = first_passage(ker, w[i], w0[i], m_max, DIVERGENCE_CAP)
+    for i in range(len(log_w0)):
+        one = first_passage(ker, log_w[i], log_w0[i], m_max, DIVERGENCE_CAP)
         assert np.array_equal(a[i], one[0])
         assert (diverged[i], m_stop[i]) == one[1:]
+        assert_matches(one, reference(ker, log_w[i], log_w0[i], m_max,
+                                      DIVERGENCE_CAP))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -297,9 +363,53 @@ def test_block_steps_match_a_per_step_loop_anywhere(alpha, kind, law, beta,
     spec = (PotentialSpec(kind=kind, theta=3.0) if kind == "power_tail"
             else PotentialSpec(kind=kind))
     ker = layout(walk, spec, m_max)
-    psi_x = psi(ChargeModel(law), spec, beta, h, ker.heights)
-    w, w0 = np.exp(psi_x), math.exp(psi_x[ker.origin])
-    w[ker.origin] = 0.0
-    assert_matches(first_passage(ker, w, w0, m_max, DIVERGENCE_CAP),
-                   reference_first_passage(ker, w, w0, m_max,
+    log_w = psi(ChargeModel(law), spec, beta, h, ker.heights)
+    log_w0 = float(log_w[ker.origin])
+    assert_matches(first_passage(ker, log_w, log_w0, m_max, DIVERGENCE_CAP),
+                   reference_first_passage(ker, log_w, log_w0, m_max,
                                            DIVERGENCE_CAP))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lattice=st.sampled_from(["folded", "signed"]),
+       alpha=st.floats(0.05, 0.95),
+       law=st.sampled_from(["gaussian", "bernoulli_pm1"]),
+       points=st.lists(st.tuples(st.floats(0.0, 1000.0),
+                                 st.floats(-1500.0, 1500.0),
+                                 st.floats(0.0, 1.0), st.booleans()),
+                       min_size=1, max_size=4),
+       m_max=st.integers(4, 96))
+def test_strong_coupling_rows_match_a_per_site_log_recursion(
+        lattice, alpha, law, points, m_max):
+    # each row runs in logs or by block steps by its own weights, with the
+    # bits it gets alone; a row in logs agrees with the per-site oracle.
+    # Far from psi = 0 a step scales the state by up to e^(+-1e5), so a is
+    # 0 up to a jump past the cap.  A "near" point instead puts psi(-1),
+    # the largest log weight off the origin, at h / 30 in [-50, 50]; for
+    # Gaussian charges its beta is scaled into [0, 55] or [0, 155], where
+    # that keeps |h| <= 1500, and h is clipped to it.  A return weight
+    # e^psi(0) would stop most rows at step 2, so it is e^(-d m_max psi+)
+    # instead, with psi+ = max(psi(-1), 0): the crossing moves out with d
+    walk, spec = WalkSpec(alpha=alpha), SPECS[lattice]
+    charges = ChargeModel(law)
+    ker = layout(walk, spec, m_max)
+    beta, h, delay, near = map(np.array, zip(*points))
+    phi_1 = float(phi_eval(spec, -1))
+    if law == "gaussian":  # cumulant(beta phi_1) / phi_1 <= 1500
+        beta = np.where(near, beta * min(1.0, math.sqrt(3000.0 / phi_1)
+                                         / 1000.0), beta)
+    h = np.where(near, np.clip(
+        (charges.cumulant(beta * phi_1) - h / 30.0) / phi_1, -1500.0, 1500.0),
+        h)
+    log_w = psi(charges, spec, beta[:, None], h[:, None], ker.heights)
+    psi_plus = np.delete(log_w, ker.origin, axis=1).max(axis=1)
+    log_w0 = -delay * m_max * np.maximum(psi_plus, 0.0)
+    a, diverged, m_stop = first_passage(ker, log_w, log_w0, m_max,
+                                        DIVERGENCE_CAP)
+    for i in range(len(points)):
+        one = first_passage(ker, log_w[i], log_w0[i], m_max, DIVERGENCE_CAP)
+        assert np.array_equal(a[i], one[0])
+        assert (diverged[i], m_stop[i]) == one[1:]
+        if in_logs(ker, log_w[i], m_max)[0]:
+            assert_matches(one, reference_log_passage(
+                ker, log_w[i], log_w0[i], m_max, DIVERGENCE_CAP))

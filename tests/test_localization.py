@@ -26,6 +26,7 @@ from softpin.cli import CURVE_COLUMNS
 from softpin.lattice import folded_kernel
 from softpin.model import ChargeModel, PotentialSpec, WalkSpec, return_law
 from softpin.localization import (
+    DIVERGENCE_CAP,
     annealed_critical_curve,
     annealed_critical_h,
     criterion_start_invariance,
@@ -76,12 +77,15 @@ class TestExcursionWeights:
         assert cv.diverged and cv.verdict == "yes"
 
     def test_overflowing_off_origin_weight_flags_divergence(self, gaussian):
-        # psi(3) = 800: 0 * inf = NaN at sites the walk has not reached yet
+        # psi(3) = 800: e^800 overflows, but the sum runs in logs and is
+        # exact; it passes the cap at the first return past height 3, at
+        # step 6, where its term overflows and the row is flagged
         spec = PotentialSpec(kind="table", table={0: 0.0, 3: 1.0})
         walk = WalkSpec(alpha=0.6)
         ew = excursion_weights(walk, spec, gaussian, 40.0, 0.0, m_max=64)
-        assert ew.diverged
-        assert np.all(np.isfinite(ew.a))
+        assert ew.diverged and ew.m_stop == 6
+        assert np.all(np.isfinite(ew.a[:6])) and ew.a[6] == math.inf
+        assert not np.any(ew.a[7:])
         cv = excursion_sum(walk, spec, gaussian, 40.0, 0.0, m_max=64)
         assert cv.diverged and cv.verdict == "yes"
 
@@ -92,19 +96,21 @@ class TestExcursionWeights:
         assert not ew.diverged and ew.m_stop == 4
         assert ew.a[2] == pytest.approx(0.541643, rel=1e-5)
         assert ew.a[4] == pytest.approx(0.135411, rel=1e-5)
-        # the walk first reaches height 6 at step 6
+        # the walk first reaches height 6 at step 6 and is back at the
+        # origin at step 12, where e^800 passes the cap
         ew = excursion_weights(srw, spec, gaussian, 40.0, 0.0, m_max=64)
-        assert ew.diverged and ew.m_stop == 6
+        assert ew.diverged and ew.m_stop == 12
 
     def test_overflowing_site_behind_an_underflowing_one_diverges(
             self, srw, gaussian):
-        # psi(1) = -1201 underflows and psi(2) = 10000 overflows; every path
-        # to height 2 passes height 1, yet the 2-3 bounce gains e^psi(2)/4
+        # psi(1) = -1200 underflows and psi(2) = 10000 overflows; every path
+        # to height 2 passes height 1, yet the excursion 0-1-2-1-0 gains
+        # e^7600, so the sum passes the cap at step 4
         spec = PotentialSpec(kind="table", table={1: 40.0, 2: 200.0})
         cv = excursion_sum(srw, spec, gaussian, 1.0, 50.0, m_max=64)
         assert cv.diverged and cv.verdict == "yes"
         ew = excursion_weights(srw, spec, gaussian, 1.0, 50.0, m_max=64)
-        assert ew.m_stop == 2
+        assert ew.m_stop == 4
 
     @pytest.mark.parametrize("spec,law,points,m_max", [
         # folded lattice: decaying, slowly growing, overflowing return weight
@@ -219,12 +225,10 @@ class TestExcursionSum:
         assert cv.verdict == "yes"  # well inside the localized phase
 
     @pytest.mark.parametrize("table,m_max", [
-        # psi(1) = -800 underflows, so every computed weight is 0, while
-        # psi(2) = 212.5 > 0 makes the exact sum e^25208 at m_max = 256
-        ({1: 40.0, -1: 40.0, 2: 85.0, -2: 85.0}, 256),
-        # psi(0) = 1000 overflows exp(), and psi(+-1) = -800 leaves no return
+        # psi(0) = 1000 overflows exp(), and psi(+-1) = -800 underflows on
+        # the block steps, which see no return (the exact A_2 is ~e^200)
         ({0: 100.0, 1: 40.0, -1: 40.0}, 64),
-    ], ids=["underflowing-weights", "overflowing-return-weight"])
+    ], ids=["overflowing-return-weight"])
     def test_no_finite_tail_bound_leaves_the_verdict_open(self, gaussian,
                                                           table, m_max):
         spec = PotentialSpec(kind="table", table=table)
@@ -232,6 +236,18 @@ class TestExcursionSum:
                            m_max=m_max)
         assert cv.value == 0.0 and cv.tail_bound == math.inf
         assert cv.verdict == "undetermined" and not cv.diverged
+
+    def test_underflowing_weights_cannot_hide_a_divergent_sum(self, gaussian):
+        # psi(+-1) = -800 underflows and psi(+-2) = 212.5: the sum runs in
+        # logs, where a walk crossing height 1 keeps its weight, and passes
+        # the cap at step 18 (the exact sum is e^25208 at m_max = 256)
+        spec = PotentialSpec(kind="table",
+                             table={1: 40.0, -1: 40.0, 2: 85.0, -2: 85.0})
+        walk = WalkSpec(alpha=0.6)
+        cv = excursion_sum(walk, spec, gaussian, 1.0, 40.0, m_max=256)
+        assert cv.verdict == "yes" and cv.diverged
+        ew = excursion_weights(walk, spec, gaussian, 1.0, 40.0, m_max=256)
+        assert ew.m_stop == 18 and cv.value == ew.a.sum() > DIVERGENCE_CAP
 
 
 class TestTransientCriterion:
