@@ -16,16 +16,17 @@ reason only: its partial sum passes the cap or overflows.
 
 When the site weights do not change from step to step, recursions take
 block steps: the walk is nearest-neighbour, so BLOCK = 32 steps of the
-weighted kernel M = diag(w) T form one band matrix M^32 of half-width 32,
-and one banded product advances the state by a block.  ``band_steps`` (the
-height law, w = 1) and every row of ``first_passage`` whose weights keep
-its state below 1e200 run this way; the returns inside a block come from
-one small matrix on the 65 sites around the origin.  The band product is
-numpy's own and single-threaded, so results do not depend on a BLAS thread
-count; they agree with the one-step recursion within 1e-12 relative, with
-the same zeros, divergence flags and stopping steps.  Every other row runs
-one exact recursion in logs, one ``log_step`` per step, the step the
-partition sweeps of ``softpin.transfer`` also take in logs.
+weighted kernel M = diag(w) T form one band matrix M^32 of half-width 32
+(0 on odd diagonals), and one banded product advances the state by a
+block.  ``band_steps`` (the height law, w = 1) and every ``first_passage``
+row whose state stays below 1e200 and whose return weight is finite run
+this way, all rows of a call in one product; each row's returns inside a
+block come from one small matrix on the 65 sites around the origin.  The
+band product is numpy's own and single-threaded, so results do not depend
+on a BLAS thread count; they agree with the one-step recursion within
+1e-12 relative, with the same zeros, divergence flags and stopping steps.
+Every other row runs one exact recursion in logs, one ``log_step`` per
+step, the step the partition sweeps of ``softpin.transfer`` also take.
 """
 
 from __future__ import annotations
@@ -156,10 +157,10 @@ def layout(walk, spec, n: int, l: int | None = None,
     return make(walk.drift, l if l is not None else walk.resolve_l(n))
 
 
-# steps per banded product of a recursion whose site weights do not change.
-# Single-row first passage, one core: 32 was fastest at 257 and 445 sites
-# and within 4% of 48 or 64 at 1,256; at 64, 257 sites took 50% longer, as
-# the band precompute (O(BLOCK^2 sites)) outweighs the blocks it saves
+# steps per banded product of fixed site weights; every output's bits are
+# pinned to it.  One core: long single rows are fastest at 32 (`scaling` op
+# 0.47/0.33/0.34 s at 16/32/48); batched ones, each with its O(BLOCK^2 sites)
+# band precompute, at 16 (`critical-curve` op 0.18 s against 0.25 at 32)
 BLOCK = 32
 
 
@@ -170,8 +171,9 @@ def _band_powers(ker, w, powers) -> list[np.ndarray]:
 
     Built by left products with the tridiagonal M, (M B)[i, i + d] =
     M[i, i - 1] B[i - 1, (i - 1) + (d + 1)] + M[i, i + 1] B[i + 1, (i + 1) +
-    (d - 1)], on the diagonals ``bt[BLOCK + d]`` that M^h can reach:
-    O(BLOCK^2 sites) in all.
+    (d - 1)], on the diagonals ``bt[BLOCK + d]`` that M^h can reach and
+    whose offset d has the parity of h: the walk is nearest-neighbour, so
+    every other diagonal is exactly 0.  O(BLOCK^2 sites / 2) in all.
     """
     sites, k = len(w), BLOCK
     up, down = np.zeros(sites), np.zeros(sites)  # M[i, i - 1], M[i, i + 1]
@@ -181,12 +183,13 @@ def _band_powers(ker, w, powers) -> list[np.ndarray]:
     bt[k] = 1.0
     out = []
     for h in range(1, max(powers, default=0) + 1):
-        # M^h lives on the diagonals lo..hi, M^(h-1) in bt on the inner
-        # ones, and M^(h-2), left in nxt, further in still
+        # M^h lives on the diagonals lo, lo + 2, .., hi, M^(h-1) in bt on
+        # the ones between, and M^(h-2), left in nxt, further in still
         lo, hi = k - h, k + h
-        np.multiply(up[1:], bt[lo + 1 : hi, :-1], out=nxt[lo : hi - 1, 1:])
-        nxt[lo : hi - 1, 0] = 0.0
-        nxt[lo + 2 : hi + 1, :-1] += down[:-1] * bt[lo + 1 : hi, 1:]
+        np.multiply(up[1:], bt[lo + 1 : hi : 2, :-1],
+                    out=nxt[lo : hi - 1 : 2, 1:])
+        nxt[lo : hi - 1 : 2, 0] = 0.0
+        nxt[lo + 2 : hi + 1 : 2, :-1] += down[:-1] * bt[lo + 1 : hi : 2, 1:]
         bt, nxt = nxt, bt
         if h in powers:
             out.append(np.ascontiguousarray(bt[lo : hi + 1].T))
@@ -233,32 +236,34 @@ def _return_rows(ker, w, k: int) -> np.ndarray:
     return rows[:, o : o + 2 * BLOCK + 1].copy()
 
 
-def _block_passage(ker, w, w0: float, m_max: int, cap: float):
-    """a of one row of ``first_passage`` whose state cannot overflow, BLOCK
-    steps per banded product, up to the block in which its partial sum
-    passes cap; w is killed at the origin."""
-    o, n_blocks = ker.origin, -(-m_max // BLOCK)
-    ret_rows = _return_rows(ker, w, min(BLOCK, m_max))
-    band = _band_powers(ker, w, [BLOCK])[0] if n_blocks > 1 else None
-    pads = np.zeros((2, len(w) + 2 * BLOCK))  # BLOCK zeros on either side
-    pads[0, BLOCK + o] = 1.0
+def _block_passage(ker, w, w0, m_max: int, cap: float):
+    """a of the rows of ``first_passage`` that cannot overflow, BLOCK steps
+    per banded product on the rows laid end to end, until every row's
+    partial sum has passed cap; w, (rows, sites), is killed at the origin.
+    A band is 0 past its row and states are finite: rows cannot mix bits."""
+    (r, sites), o, n_blocks = w.shape, ker.origin, -(-m_max // BLOCK)
+    ret_rows = np.stack([_return_rows(ker, x, min(BLOCK, m_max)) for x in w])
+    band = np.empty((r * sites, 2 * BLOCK + 1))
+    for j, x in enumerate(w if n_blocks > 1 else ()):
+        band[j * sites : (j + 1) * sites] = _band_powers(ker, x, [BLOCK])[0]
+    pads = np.zeros((2, r * sites + 2 * BLOCK))  # BLOCK zeros on either end
+    pads[0, BLOCK + o :: sites] = 1.0
     win = _windows(pads, BLOCK)
-    a = np.zeros(m_max + 1)
-    run = np.zeros(BLOCK + 1)  # the partial sum, then its values in a block
+    at = [x[o::sites, :, None] for x in win]  # the sites around each origin
+    a = np.zeros((m_max + 1, r))  # a block of every row is one slice
+    run = np.zeros((BLOCK + 1, r))  # partial sums, then a block's values
     for b in range(n_blocks):
         n0, h, i = b * BLOCK, min(BLOCK, m_max - b * BLOCK), b % 2
-        ret = ret_rows[:h] @ pads[i, o : o + 2 * BLOCK + 1]
         x = a[n0 + 1 : n0 + h + 1]
-        # 0 * inf would poison the sum when w0 overflows
-        np.multiply(ret, w0, out=x, where=ret != 0.0)
+        np.multiply(np.matmul(ret_rows[:, :h], at[i])[:, :, 0].T, w0, out=x)
         run[1 : h + 1] = x
-        np.cumsum(run[: h + 1], out=run[: h + 1])
-        if not run[h] <= cap:  # partial sums only grow: the block crossed
+        np.add.accumulate(run[: h + 1], out=run[: h + 1])
+        if cap < min(run[h].tolist()):  # partial sums only grow
             break
         run[0] = run[h]
         if b + 1 < n_blocks:
             np.einsum("ij,ij->i", band, win[i], out=pads[1 - i, BLOCK:-BLOCK])
-    return a
+    return a.T
 
 
 def _log_passage(ker, log_w, log_w0, m_max: int, cap: float):
@@ -275,8 +280,7 @@ def _log_passage(ker, log_w, log_w0, m_max: int, cap: float):
     partial = np.zeros(r)
     for n in range(1, m_max + 1):
         ker.log_step(v, nxt)
-        with np.errstate(over="ignore"):  # inf: the partial sum overflows
-            np.exp(nxt[at] + log_w0, out=a[:, n])
+        np.exp(nxt[at] + log_w0, out=a[:, n])
         nxt += log_w
         v, nxt = nxt, v
         partial += a[:, n]
@@ -285,6 +289,7 @@ def _log_passage(ker, log_w, log_w0, m_max: int, cap: float):
     return a
 
 
+@np.errstate(over="ignore")  # an overflowing partial sum stops its row
 def first_passage(ker, log_w: np.ndarray, log_w0, m_max: int, cap: float):
     """Killed first-passage recursions of walks started at ``ker.origin``.
 
@@ -298,10 +303,11 @@ def first_passage(ker, log_w: np.ndarray, log_w0, m_max: int, cap: float):
     may be inf.
 
     sum(v_n) <= max(w)^n, as the kernel is stochastic and killing only
-    removes mass, so a row with max(w)^m_max <= 1e200 cannot overflow: it
-    takes BLOCK steps per banded product on e^log_w.  Every other row runs
-    one exact recursion in logs, a ``log_step`` per step.  Either way a
-    row's bits do not depend on the rows next to it.
+    removes mass, so a row with max(w)^m_max <= 1e200 and a finite e^log_w0
+    cannot overflow: all such rows take BLOCK steps per banded product on
+    e^log_w, together.  Every other row runs one exact recursion in logs, a
+    ``log_step`` per step.  Either way a row's bits do not depend on the
+    rows next to it.
     """
     log_w = np.asarray(log_w, dtype=float)
     rows, sites = log_w.shape[:-1], log_w.shape[-1]
@@ -309,16 +315,12 @@ def first_passage(ker, log_w: np.ndarray, log_w0, m_max: int, cap: float):
     log_w[:, ker.origin] = -math.inf  # kills returns
     log_w0 = np.broadcast_to(np.asarray(log_w0, dtype=float), rows).ravel()
     cap = min(cap, sys.float_info.max)  # an overflowed partial sum passes it
-    in_logs = m_max * log_w.max(axis=1) > math.log(1e200)
-    with np.errstate(over="ignore"):  # inf only on rows that run in logs
-        w = np.exp(log_w)
-    a = np.zeros((len(w), m_max + 1))
-    for i in np.flatnonzero(~in_logs).tolist():
-        try:
-            w0 = math.exp(log_w0[i])
-        except OverflowError:  # the block steps skip zero returns
-            w0 = math.inf
-        a[i] = _block_passage(ker, w[i], w0, m_max, cap)
+    in_logs = ((m_max * log_w.max(axis=1) > math.log(1e200))
+               | (log_w0 > math.log(sys.float_info.max)))
+    a, block = np.zeros((len(log_w), m_max + 1)), ~in_logs
+    if block.any():  # math.exp, whose bits np.exp does not always have
+        w0 = np.array([math.exp(x) for x in log_w0[block].tolist()])
+        a[block] = _block_passage(ker, np.exp(log_w[block]), w0, m_max, cap)
     if in_logs.any():
         a[in_logs] = _log_passage(ker, log_w[in_logs], log_w0[in_logs],
                                   m_max, cap)

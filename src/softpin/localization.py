@@ -446,22 +446,18 @@ def criterion_start_invariance(transition: np.ndarray, psi_values: np.ndarray,
     w = np.exp(np.asarray(psi_values, dtype=float))
     if len(w) != p.shape[0]:
         raise ValueError("psi_values length mismatch")
-    n = p.shape[0]
-    values = np.empty(n)
-    for x in range(n):
-        v = p[x, :] * w  # one step out of x, weight collected at the new site
-        total = float(v[x])
-        v[x] = 0.0
-        for _ in range(2, m_max + 1):
+    # each start state is a row; a row is inf once its partial sum passes
+    # the cap or overflows (first_passage's rule), and may overflow past it
+    v, diag = p * w, np.diag_indices(len(w))  # one step out of each state
+    values = np.zeros(len(w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(m_max):
+            values += v[diag]
+            v[diag] = 0.0
+            if not (values <= DIVERGENCE_CAP).any():
+                break
             v = (v @ p) * w
-            total += float(v[x])
-            v[x] = 0.0
-            if total > DIVERGENCE_CAP or v.max() > 1e200:
-                total = math.inf
-                break
-            if v.max() < 1e-300:
-                break
-        values[x] = total
+    values[~(values <= DIVERGENCE_CAP)] = math.inf
     above = values > 1.0
     return StartInvarianceResult(
         values=values, above=above, consistent=bool(above.all() or not above.any())

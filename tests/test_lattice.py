@@ -1,11 +1,13 @@
 """Tests for the killed first-passage recursion.
 
-Oracles: the same recursion one row at a time, and two per-step loops
-written out here.  Rows that cannot overflow take block steps, one banded
-product per 32 steps: their excursion weights agree with a plain linear
-loop within 1e-12 relative, with the same zeros, divergence flag and
-stopping step.  Every other row runs in logs and agrees, in the same way,
-with a per-site log recursion.
+Oracles: the same recursion one row at a time, two per-step loops and
+the block loop of one row written out here, and dense matrix powers.  Rows
+that cannot overflow take block steps, all of a call's rows in one banded
+product per 32 steps: each has the bits of the one-row block loop, and
+their excursion weights agree with a plain linear loop within 1e-12
+relative, with the same zeros, divergence flag and stopping step.  Every
+other row runs in logs and agrees, in the same way, with a per-site log
+recursion.
 """
 
 import math
@@ -278,9 +280,105 @@ def test_each_row_takes_its_own_path_for_m_max_steps(monkeypatch):
         monkeypatch.setattr(softpin.lattice, name, spy(name))
     a, diverged, m_stop = first_passage(ker, log_w, [0.0, -300.0], m_max,
                                         DIVERGENCE_CAP)
-    assert calls == [("_block_passage", (), m_max),
+    assert calls == [("_block_passage", (1,), m_max),
                      ("_log_passage", (1,), m_max)]
     assert diverged.tolist() == [False, True] and m_stop[1] < m_max
+
+
+# ------------------------------------------------ block rows in one product
+
+def one_row_block_loop(ker, log_w, log_w0, m_max, cap):
+    """One row by the block recursion written out for it alone: per block,
+    the returns R @ v on the 65 sites around the origin times
+    math.exp(log_w0), then v -> M^32 v by one einsum on the padded state."""
+    k, o = softpin.lattice.BLOCK, ker.origin
+    w = np.exp(np.where(np.arange(len(log_w)) == o, -math.inf, log_w))
+    ret_rows = softpin.lattice._return_rows(ker, w, min(k, m_max))
+    band = softpin.lattice._band_powers(ker, w, [k])[0]
+    v = np.zeros(len(w) + 2 * k)
+    v[k + o] = 1.0
+    a = np.zeros(m_max + 1)
+    for n0 in range(0, m_max, k):
+        h = min(k, m_max - n0)
+        a[n0 + 1 : n0 + h + 1] = (ret_rows[:h] @ v[o : o + 2 * k + 1]
+                                  * math.exp(log_w0))
+        v = np.pad(np.einsum("ij,ij->i", band, np.lib.stride_tricks
+                             .sliding_window_view(v, 2 * k + 1)), k)
+    past = ~(np.cumsum(a) <= min(cap, sys.float_info.max))
+    m_stop = int(past.argmax()) if past.any() else m_max
+    a[m_stop + 1 :] = 0.0
+    return a, bool(past.any()), m_stop
+
+
+@pytest.mark.parametrize("lattice", ["folded", "signed"])
+@pytest.mark.parametrize("m_max,l", [(5, None), (32, None), (33, None),
+                                     (100, None), (100, 5)])
+def test_block_rows_in_one_product_keep_their_one_row_bits(lattice, m_max,
+                                                           l):
+    # one growing row, its return weight set so that its partial sum passes
+    # the cap at step 2, 32, 34, 66 or 98 (in the first to the fourth
+    # block, or at a block's end), next to a decaying row that never does,
+    # a row with w0 = 0 and a row in logs; l = 5 is narrower than the band
+    spec = SPECS[lattice]
+    ker = layout(WALK, spec, m_max, l=l)
+    grow = 0.05 * phi_eval(spec, ker.heights)
+    partial = np.cumsum(one_row_block_loop(ker, grow, 0.0, m_max,
+                                           math.inf)[0])
+    crossings = [n for n in (2, 32, 34, 66, 98) if n <= m_max]
+    log_w0 = [math.log(DIVERGENCE_CAP / partial[n]) + 1e-6
+              for n in crossings] + [0.0, -math.inf, 0.0]
+    log_w = np.array([grow] * len(crossings) + [
+        -0.5 * phi_eval(spec, ker.heights), grow,
+        1000.0 * phi_eval(spec, ker.heights)])
+    assert in_logs(ker, log_w, m_max) == [False] * (len(log_w) - 1) + [True]
+    a, diverged, m_stop = first_passage(ker, log_w, log_w0, m_max,
+                                        DIVERGENCE_CAP)
+    assert m_stop[: len(crossings)].tolist() == crossings
+    assert diverged.tolist()[len(crossings) : -1] == [False, False]
+    assert not a[-2].any()
+    for i in range(len(log_w0)):
+        one = first_passage(ker, log_w[i], log_w0[i], m_max, DIVERGENCE_CAP)
+        assert np.array_equal(a[i], one[0])
+        assert (diverged[i], m_stop[i]) == one[1:]
+        if i < len(log_w0) - 1:
+            want = one_row_block_loop(ker, log_w[i], log_w0[i], m_max,
+                                      DIVERGENCE_CAP)
+            assert np.array_equal(one[0], want[0]) and one[1:] == want[1:]
+
+
+def test_return_weight_multiplies_each_return_once():
+    # a[n] is the return times math.exp(log_w0), bit for bit, on every row
+    # of one product: the same returns times 64 return weights
+    m_max, spec = 100, SPECS["signed"]
+    ker, log_w = log_site_weights(spec, m_max, [-0.2] * 64)
+    log_w0 = np.random.default_rng(5).uniform(-5.0, 5.0, 64)
+    ret = first_passage(ker, log_w[0], 0.0, m_max, DIVERGENCE_CAP)[0]
+    a, diverged, _ = first_passage(ker, log_w, log_w0, m_max, DIVERGENCE_CAP)
+    assert not diverged.any()
+    for row, x in zip(a, log_w0.tolist()):
+        assert np.array_equal(row, ret * math.exp(x))
+
+
+@pytest.mark.parametrize("lattice,l", [("folded", 40), ("signed", 40),
+                                       ("signed", 5)])
+def test_band_powers_are_the_dense_matrix_powers(lattice, l):
+    # M = diag(w) P^T, with P the kernel's transition matrix, so that
+    # (M v)[i] is the mass stepping onto site i, times w[i]; M^h[i, i + d]
+    # is 0 for d + h odd, as a nearest-neighbour walk changes parity
+    ker = layout(WALK, SPECS[lattice], 64, l=l)
+    sites = len(ker.heights)
+    w = np.random.default_rng(3).uniform(0.5, 1.5, sites)
+    w[ker.origin] = 0.0
+    p = np.diag(ker.p_up[:-1], 1) + np.diag(ker.p_down[1:], -1)
+    m = np.diag(w) @ p.T
+    powers, i = [1, 2, 7, 31, 32], np.arange(sites)[:, None]
+    for h, band in zip(powers, softpin.lattice._band_powers(ker, w, powers)):
+        dense = np.linalg.matrix_power(m, h)
+        j = i + np.arange(-h, h + 1)  # band[i, h + d] is M^h[i, i + d]
+        want = np.where((j >= 0) & (j < sites),
+                        dense[i, np.clip(j, 0, sites - 1)], 0.0)
+        np.testing.assert_allclose(band, want, rtol=1e-13, atol=0)
+        assert not band[:, 1::2].any()  # the diagonals with d + h odd
 
 
 # ---------------------------------------------------- overflowing weights

@@ -225,17 +225,21 @@ class TestExcursionSum:
         assert cv.verdict == "yes"  # well inside the localized phase
 
     @pytest.mark.parametrize("table,m_max", [
-        # psi(0) = 1000 overflows exp(), and psi(+-1) = -800 underflows on
-        # the block steps, which see no return (the exact A_2 is ~e^200)
+        # psi(0) = 1000 overflows exp() and psi(+-1) = -800 underflows, so
+        # the row runs in logs: no finite tail bound, but the exact A_2 =
+        # e^199.4 passes the cap at the first return and decides the verdict
         ({0: 100.0, 1: 40.0, -1: 40.0}, 64),
     ], ids=["overflowing-return-weight"])
     def test_no_finite_tail_bound_leaves_the_verdict_open(self, gaussian,
                                                           table, m_max):
         spec = PotentialSpec(kind="table", table=table)
-        cv = excursion_sum(WalkSpec(alpha=0.6), spec, gaussian, 1.0, 40.0,
-                           m_max=m_max)
-        assert cv.value == 0.0 and cv.tail_bound == math.inf
-        assert cv.verdict == "undetermined" and not cv.diverged
+        walk = WalkSpec(alpha=0.6)
+        cv = excursion_sum(walk, spec, gaussian, 1.0, 40.0, m_max=m_max)
+        assert cv.tail_bound == math.inf
+        assert cv.verdict == "yes" and cv.diverged
+        ew = excursion_weights(walk, spec, gaussian, 1.0, 40.0, m_max=m_max)
+        assert ew.m_stop == 2 and cv.value == ew.a[2]
+        assert math.log(ew.a[2]) == pytest.approx(199.4022, abs=1e-4)
 
     def test_underflowing_weights_cannot_hide_a_divergent_sum(self, gaussian):
         # psi(+-1) = -800 underflows and psi(+-2) = 212.5: the sum runs in
