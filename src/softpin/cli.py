@@ -21,12 +21,15 @@ One YAML document per run (``--config PATH``)::
     model:                       # lattice subcommands only
       walk: {alpha: 0.5, epsilon_corr: 0.0, l_max: null}
       potential: {kind: pinning, amplitude: 1.0}
-        # kinds: pinning | copolymer | power_tail (needs theta)
+        # kinds: pinning | copolymer | power_tail (needs 0 < theta < inf)
         #        | table (mapping height -> value)
-      charges: {law: gaussian}   # gaussian | bernoulli_pm1 (default gaussian)
+      charges: {law: gaussian}   # gaussian | bernoulli_pm1 (optional)
     task: {...}                  # subcommand parameters, see below
-    numerics: {m_max: 4096, l: null, tol: 0.001, n_points: 6}  # optional
-    output: {dir: ".", format: csv, prefix: null}              # optional
+    numerics: {m_max, l, tol, n_points}            # optional, each key too
+    output: {dir: ".", format: csv, prefix: null}  # optional
+
+A key left out of ``model`` or ``numerics`` takes the default of the
+library function or class it is passed to.
 
 Task blocks::
 
@@ -49,26 +52,17 @@ Reproducibility
 ---------------
 Outputs depend only on the effective config (the YAML after flag
 overrides): re-running the same code with the same config and seed
-reproduces every file byte for byte.  Recursions with fixed site weights
-take block steps (see ``softpin.lattice``): their excursion weights, return
-laws and height laws may differ from the one-step-at-a-time recursion of
-earlier versions by up to 1e-12 relative, so numbers written by those
-versions can differ in their last digits.  A free-energy sweep whose site
-weights pass exp(+-700), or whose origin share underflows, runs in logs and
-is exact; its numbers can differ from the linear sweep of earlier versions
-by up to 1e-12 relative, and where that sweep gave NaN, -inf or wrong
-values they are now finite and right.  So is an excursion sum whose weights
-could overflow; its last bits and its ``m_stop`` may differ from those
-versions.  Job j of a run draws its seed as the first 64-bit word of
-``numpy.random.SeedSequence(seed, spawn_key=(j,))``; jobs are numbered in
-task order (grid position first).  ``--threads`` is accepted and ignored:
-jobs run one after another in the calling thread, because the per-step
-loops hold the interpreter lock and a thread pool only slowed runs down.
-CSV files open with comment lines carrying the SHA-256 of the numeric
-config blocks (seed, model, task, numerics) and the toolkit version; JSON
-files carry the same fields in a leading ``_meta`` object.
+reproduces every file byte for byte.  Job j of a run draws its seed as the
+first 64-bit word of ``numpy.random.SeedSequence(seed, spawn_key=(j,))``;
+jobs are numbered in task order (grid position first).  ``--threads`` is
+accepted and ignored: jobs run one after another in the calling thread,
+because the per-step loops hold the interpreter lock and a thread pool only
+slowed runs down.  CSV files open with comment lines carrying the SHA-256
+of the numeric config blocks (seed, model, task, numerics) and the toolkit
+version; JSON files carry the same fields in a leading ``_meta`` object.
 
-Exit codes: 0 success; 2 invalid config, unknown subcommand, or unwritable
+Exit codes: 0 success; 2 invalid config (a non-finite number or a
+non-integer table height among them), unknown subcommand, or unwritable
 output; 3 numeric non-convergence (divergence flags, failed brackets,
 flagged Monte Carlo estimates, arithmetic failures, and non-finite results:
 a file that would hold a non-finite number is not written).
@@ -82,7 +76,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -357,9 +351,22 @@ _BASE = {
 }
 
 
+def _nonfinite(obj, path: str = ""):
+    """Paths of the non-finite numbers in obj: YAML's .inf and .nan pass
+    the schema's number type."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        yield path
+    elif isinstance(obj, (dict, list)):
+        for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _nonfinite(v, path + (f".{k}" if isinstance(k, str)
+                                             else f"[{k!r}]"))
+
+
 def _validate(config: dict, subcommand: str) -> None:
     if not isinstance(config, dict):
         raise ConfigError("config must be a mapping")
+    for path in _nonfinite(config):
+        raise ConfigError(f"config{path}: not a finite number")
     for err in Draft202012Validator(_BASE).iter_errors(config):
         raise ConfigError(f"config{_err_path(err)}: {err.message}")
     if subcommand not in MODEL_FREE and "model" not in config:
@@ -422,15 +429,27 @@ def _present(block: dict, *keys) -> dict:
     return {k: block[k] for k in keys if k in block}
 
 
+def _height(key) -> int:
+    """A table key as an integer height: an int, or a string spelling one."""
+    try:
+        if isinstance(key, str) or (isinstance(key, int)
+                                    and not isinstance(key, bool)):
+            return int(key)
+    except ValueError:
+        pass
+    raise ConfigError(
+        f"config model.potential.table: height {key!r} is not an integer")
+
+
 def _build_model(config: dict):
     m = config["model"]
     walk = WalkSpec(**m["walk"])
     pot = dict(m["potential"])
     if pot.get("table") is not None:
-        pot["table"] = {int(k): float(v) for k, v in pot["table"].items()}
+        pot["table"] = {_height(k): float(v) for k, v in pot["table"].items()}
     kwargs = {k: v for k, v in pot.items() if v is not None}
     spec = PotentialSpec(**kwargs)
-    charges = ChargeModel(m.get("charges", {}).get("law", "gaussian"))
+    charges = ChargeModel(**m.get("charges", {}))
     return walk, spec, charges
 
 
@@ -441,7 +460,6 @@ class RunContext:
     fmt: str
     prefix: str
     meta: dict
-    numerics: dict = field(default_factory=dict)
 
     @property
     def header_lines(self) -> tuple[str, ...]:
@@ -538,11 +556,9 @@ def ladder_csv_rows(estimate: FreeEnergyEstimate) -> list[dict]:
 def _run_free_energy(config, ctx: RunContext) -> int:
     walk, spec, charges = _build_model(config)
     task = config["task"]
-    num = ctx.numerics
+    num = _present(config.get("numerics", {}), "n_points", "l")
     ann = annealed_free_energy(
-        walk, spec, charges, task["beta"], task["h"], task["n_max"],
-        n_points=num["n_points"], l=num["l"],
-    )
+        walk, spec, charges, task["beta"], task["h"], task["n_max"], **num)
     _emit(ctx, "free_energy_ladder", LADDER_COLUMNS, ladder_csv_rows(ann))
     summary = {
         "beta": task["beta"], "h": task["h"], "n_max": task["n_max"],
@@ -556,7 +572,7 @@ def _run_free_energy(config, ctx: RunContext) -> int:
         que = quenched_free_energy(
             walk, spec, charges, task["beta"], task["h"], task["n_max"],
             n_samples=task["quenched"]["n_samples"],
-            seed=job_seed(ctx.seed, 0), n_points=num["n_points"], l=num["l"],
+            seed=job_seed(ctx.seed, 0), **num,
         )
         _emit(ctx, "free_energy_quenched", QUENCHED_COLUMNS,
               ladder_csv_rows(que))
@@ -573,13 +589,12 @@ def _run_free_energy(config, ctx: RunContext) -> int:
 def _run_critical_curve(config, ctx: RunContext) -> int:
     walk, spec, charges = _build_model(config)
     task = config["task"]
-    num = ctx.numerics
     que = task.get("quenched")
 
     grid = task["beta_grid"]
     brackets, bounds = annealed_critical_curve(
         walk, spec, charges, grid, grid if task.get("lower_bound") else (),
-        tol=num["tol"], m_max=num["m_max"], l=num["l"])
+        **_present(config.get("numerics", {}), "tol", "m_max", "l"))
     rows = []
     for j, (beta, ann) in enumerate(zip(grid, brackets)):
         row = {
@@ -603,11 +618,10 @@ def _run_critical_curve(config, ctx: RunContext) -> int:
 def _run_localize(config, ctx: RunContext) -> int:
     walk, spec, charges = _build_model(config)
     task = config["task"]
-    num = ctx.numerics
     cv = transient_criterion(
         walk, spec, charges, task["beta"], task["h"],
-        task.get("return_mass", 1.0), m_max=num["m_max"], l=num["l"],
-        **_present(task, "kappa"),
+        task.get("return_mass", 1.0), **_present(task, "kappa"),
+        **_present(config.get("numerics", {}), "m_max", "l"),
     )
     row = {
         "beta": task["beta"], "h": task["h"], "kappa": cv.kappa,
@@ -662,10 +676,7 @@ def _run_bessel_check(config, ctx: RunContext) -> int:
 
     _emit(ctx, "bessel_check", ("check", "param", "value", "target", "ratio"),
           rows)
-    finite = all(
-        r["ratio"] is None or math.isfinite(r["ratio"]) for r in rows
-    )
-    return EXIT_OK if finite else EXIT_NUMERIC
+    return EXIT_OK
 
 
 def _run_scaling(config, ctx: RunContext) -> int:
@@ -676,11 +687,11 @@ def _run_scaling(config, ctx: RunContext) -> int:
         params=params, beta_hat=task["beta_hat"], h_hat=task["h_hat"],
         n_ladder=tuple(task["n_ladder"]),
     )
-    kwargs = _present(task, "cstar_phi", "cstar_phi2", "k_weights",
-                      "n_probe")
+    kwargs = {**_present(task, "cstar_phi", "cstar_phi2", "k_weights",
+                         "n_probe"),
+              **_present(config.get("numerics", {}), "l")}
     points = scaled_free_energy(
-        schedule, walk, charges, spec, l=ctx.numerics["l"],
-        **_present(task, "m_mult"), **kwargs,
+        schedule, walk, charges, spec, **_present(task, "m_mult"), **kwargs,
     )
     _emit(ctx, "scaling_ladder", SCALED_COLUMNS, [
         {
@@ -693,7 +704,7 @@ def _run_scaling(config, ctx: RunContext) -> int:
     ])
     if "series" in task:
         rows = compare_to_continuum(
-            schedule, walk, charges, spec, l=ctx.numerics["l"],
+            schedule, walk, charges, spec,
             **_present(task["series"], "T", "k"), **kwargs,
         )
         _emit(ctx, "scaling_series", SERIES_COLUMNS, [
@@ -705,7 +716,7 @@ def _run_scaling(config, ctx: RunContext) -> int:
             }
             for r in rows
         ])
-    return EXIT_NUMERIC if any(p.diverged for p in points) else EXIT_OK
+    return EXIT_OK
 
 
 def _run_continuum(config, ctx: RunContext) -> int:
@@ -748,6 +759,7 @@ def _run_continuum(config, ctx: RunContext) -> int:
             params, cp, T=mc["T"], n_paths=mc["n_paths"],
             seed=job_seed(ctx.seed, 0),
             **_present(mc, "dt", "eps", "n_bootstrap"),
+            **({} if cs2 is None else {"cstar_phi2": cs2}),
         )
         row = {
             "alpha": params.alpha, "theta": params.theta,
@@ -816,10 +828,6 @@ def run(subcommand: str, config: dict, *, seed: int | None = None,
         prefix = output.get("prefix") or ""
         if prefix and not prefix.endswith("_"):
             prefix += "_"
-        numerics = {
-            "m_max": 4096, "l": None, "tol": 1e-3, "n_points": 6,
-            **config.get("numerics", {}),
-        }
         ctx = RunContext(
             seed=eff_seed, out_dir=out_dir, fmt=eff_fmt, prefix=prefix,
             meta={
@@ -827,7 +835,6 @@ def run(subcommand: str, config: dict, *, seed: int | None = None,
                 "version": __version__,
                 "subcommand": subcommand,
             },
-            numerics=numerics,
         )
         try:
             os.makedirs(out_dir, exist_ok=True)

@@ -92,21 +92,21 @@ def excursion_weights(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
     is exact at any coupling.  It stops (diverged=True) once the partial sum
     passes the cap or overflows; a[m_stop] may then be inf.
     """
-    return _excursion_rows(walk, spec, charges, [beta], [h], m_max, kappa, l)[0]
+    if kappa <= 0.0:
+        raise ValueError("kappa must be positive")
+    return _excursion_rows(walk, spec, charges, [kappa * beta], [kappa * h],
+                           m_max, l)[0]
 
 
-def _excursion_rows(walk, spec, charges, beta, h, m_max: int, kappa=1.0,
+def _excursion_rows(walk, spec, charges, beta, h, m_max: int,
                     l: int | None = None) -> list[ExcursionWeights]:
-    """``excursion_weights`` at each phase point (beta[i], h[i]), tempered
-    by kappa (one or one per point), as rows of one recursion."""
+    """``excursion_weights`` at each phase point (beta[i], h[i]), as rows
+    of one recursion."""
     if m_max < 4:
         raise ValueError("m_max must be >= 4")
-    kappa = np.broadcast_to(np.asarray(kappa, dtype=float), np.shape(beta))
-    if np.any(kappa <= 0.0):
-        raise ValueError("kappa must be positive")
-    bt, ht = kappa * np.asarray(beta), kappa * np.asarray(h)
     ker = layout(walk, spec, m_max, l)
-    psi_x = psi(charges, spec, bt[:, None], ht[:, None], ker.heights)
+    psi_x = psi(charges, spec, np.asarray(beta, dtype=float)[:, None],
+                np.asarray(h, dtype=float)[:, None], ker.heights)
     psi0 = psi_x[:, ker.origin].tolist()
     psi_x[:, ker.origin] = -math.inf  # killed at the origin: weight never used
     a, diverged, m_stop = first_passage(ker, psi_x, psi0, m_max,
@@ -261,18 +261,20 @@ class CriticalBracket:
         return 0.5 * (self.lo + self.hi)
 
 
-def _upper_start(charges: ChargeModel, spec: PotentialSpec, beta: float,
-                 kappa: float) -> float:
-    """Smallest h with tempered psi <= 0 everywhere: a sure 'no'."""
+def _upper_start(charges: ChargeModel, spec: PotentialSpec,
+                 beta: float) -> float:
+    """Smallest h with psi <= 0 everywhere: a sure 'no'."""
     phi_max = spec.phi_max()
     if beta == 0.0:
         return 0.25
-    return float(charges.cumulant(kappa * beta * phi_max) / (kappa * phi_max)) + 0.05
+    return float(charges.cumulant(beta * phi_max) / phi_max) + 0.05
 
 
 def _bisect(lo: float, hi: float, tol: float):
     """Search halving [lo, hi] to width tol (or to adjacent floats): yields
     each midpoint, is sent whether the predicate holds there (moving lo)."""
+    if not tol > 0:  # a NaN tol would end the search at [lo, hi]
+        raise ValueError("tol must be positive")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -284,10 +286,10 @@ def _bisect(lo: float, hi: float, tol: float):
     return lo, hi
 
 
-def _annealed_search(charges, spec, beta: float, kappa: float, tol: float):
+def _annealed_search(charges, spec, beta: float, tol: float):
     """Search for the critical height at beta: yields heights, is sent
-    whether the tempered sum is localized at each, returns (lo, hi)."""
-    hi = _upper_start(charges, spec, beta, kappa)
+    whether the sum is localized at each, returns (lo, hi)."""
+    hi = _upper_start(charges, spec, beta)
     if (yield hi):  # should not happen; widen defensively
         for _ in range(60):
             hi *= 2.0
@@ -322,7 +324,7 @@ def _lockstep(searches, verdicts) -> list:
 
 def annealed_critical_curve(walk, spec, charges, betas, bound_betas=(),
                             tol: float = 1e-3, m_max: int = 4096,
-                            kappa: float = 1.0, l: int | None = None):
+                            l: int | None = None):
     """Annealed critical-height brackets at each of betas and rescaled
     lower bounds (1+alpha) * h_c^ann(beta/(1+alpha)) at each of
     bound_betas, in grid order.
@@ -332,21 +334,18 @@ def annealed_critical_curve(walk, spec, charges, betas, bound_betas=(),
     verdicts blur into an ``undetermined`` band of width ~m_max^(-alpha)).
     A round evaluates one height per open search, as rows of one recursion.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     s = 1.0 + walk.alpha
-    # (beta, kappa, tol) of each search; the lower bounds come last
-    jobs = [(b, kappa, tol) for b in betas]
-    jobs += [(b / s, 1.0, tol / s) for b in bound_betas]
+    # (beta, tol) of each search; the lower bounds come last
+    jobs = [(b, tol) for b in betas] + [(b / s, tol / s) for b in bound_betas]
 
     def localized(pending):
-        beta, kap = zip(*(jobs[i][:2] for i, _ in pending))
         return [_estimate(ew) > 1.0 for ew in _excursion_rows(
-            walk, spec, charges, beta, [h for _, h in pending], m_max, kap, l)]
+            walk, spec, charges, [jobs[i][0] for i, _ in pending],
+            [h for _, h in pending], m_max, l)]
 
     found = _lockstep([_annealed_search(charges, spec, *job) for job in jobs],
                       localized)
-    brackets = [CriticalBracket(beta=b, lo=lo, hi=hi, kappa=kappa)
+    brackets = [CriticalBracket(beta=b, lo=lo, hi=hi)
                 for b, (lo, hi) in zip(betas, found)]
     bounds = [CriticalBracket(beta=b, lo=s * lo, hi=s * hi)
               for b, (lo, hi) in zip(bound_betas, found[len(betas):])]
@@ -354,12 +353,12 @@ def annealed_critical_curve(walk, spec, charges, betas, bound_betas=(),
 
 
 def annealed_critical_h(walk, spec, charges, beta: float, tol: float = 1e-3,
-                        m_max: int = 4096, kappa: float = 1.0,
+                        m_max: int = 4096,
                         l: int | None = None) -> CriticalBracket:
-    """Bracket the critical height of the (tempered) excursion criterion
-    at one beta; see ``annealed_critical_curve``."""
+    """Bracket the critical height of the excursion criterion at one beta;
+    see ``annealed_critical_curve``."""
     return annealed_critical_curve(walk, spec, charges, [beta], tol=tol,
-                                   m_max=m_max, kappa=kappa, l=l)[0][0]
+                                   m_max=m_max, l=l)[0][0]
 
 
 def rescaled_lower_bound(walk, spec, charges, beta: float, tol: float = 1e-3,
@@ -405,7 +404,7 @@ def quenched_critical_h(walk, spec, charges, beta: float, n_max: int = 4096,
 
     if not surely_localized(0.0):
         return CriticalBracket(beta=beta, lo=0.0, hi=0.0, confidence=0.0)
-    top = _upper_start(charges, spec, beta, 1.0)
+    top = _upper_start(charges, spec, beta)
     for _ in range(60):
         if surely_delocalized(top):
             break

@@ -85,8 +85,8 @@ class PotentialSpec:
         else:
             if not self.amplitude > 0:
                 raise ValueError("amplitude must be positive")
-            if self.kind == "power_tail" and not self.theta > 0:
-                raise ValueError("power_tail needs theta > 0")
+            if self.kind == "power_tail" and not 0.0 < self.theta < math.inf:
+                raise ValueError("power_tail needs a finite theta > 0")
 
     @property
     def symmetric(self) -> bool:

@@ -227,6 +227,29 @@ def test_continuum_mc_record_columns(tmp_path):
     assert row["flagged"] == str(est.flagged)
 
 
+def _continuum_mc_estimate(tmp_path, name, mc=(), **task):
+    out = tmp_path / name
+    cfg = write_cfg(tmp_path, f"{name}.yaml", {
+        "task": {"alpha": 0.6, "theta": 0.6, "beta_hat": 1.0, "h_hat": 0.5,
+                 "mc": {"T": 1.0, "n_paths": 50, **dict(mc)}, **task},
+        "output": {"dir": str(out)},
+    })
+    assert main(["continuum", "--config", cfg]) == 0
+    return read_csv(out / "continuum_mc.csv")[2][0]["estimate"]
+
+
+def test_continuum_mc_reads_cstar_phi2(tmp_path):
+    # the intermediate regime's local-time term carries cstar_phi2
+    coarse = {"dt": 1e-3}
+    small, one, large = (
+        _continuum_mc_estimate(tmp_path, f"c{c}", coarse, cstar_phi2=c)
+        for c in (0.25, 1.0, 4.0))
+    assert float(small) < float(one) < float(large)
+    # left out, it takes the library's default of 1
+    assert _continuum_mc_estimate(tmp_path, "absent", coarse) == one
+    assert _continuum_mc_estimate(tmp_path, "default") == "-1.358770880004844"
+
+
 # ------------------------------------------------------------- reproducibility
 
 def test_same_config_and_seed_byte_identical(tmp_path):
@@ -365,6 +388,60 @@ def test_invalid_model_values_exit_2(tmp_path, capsys):
     })
     assert main(["localize", "--config", cfg]) == 2
     assert "softpin:" in capsys.readouterr().err
+
+
+def _table_model(table):
+    return {"walk": {"alpha": 0.5},
+            "potential": {"kind": "table", "table": table}}
+
+
+@pytest.mark.parametrize("subcommand,mangle,key", [
+    # YAML's .nan and .inf pass the schema's number type
+    ("critical-curve", lambda c: c["numerics"].update(tol=math.nan),
+     "config.numerics.tol"),
+    ("critical-curve", lambda c: c["numerics"].update(tol=math.inf),
+     "config.numerics.tol"),
+    ("localize", lambda c: c["task"].update(beta=math.inf), "config.task.beta"),
+    # a table height must be an integer, not a float or a boolean
+    ("localize", lambda c: c.update(model=_table_model({math.inf: 1.0})),
+     "model.potential.table: height inf"),
+    ("localize", lambda c: c.update(model=_table_model({1.5: 1.0})),
+     "model.potential.table: height 1.5"),
+    ("localize", lambda c: c.update(model=_table_model({True: 1.0})),
+     "model.potential.table: height True"),
+], ids=["tol-nan", "tol-inf", "beta-inf", "height-inf", "height-1.5",
+        "height-true"])
+def test_non_finite_numbers_and_non_integer_heights_exit_2(
+        tmp_path, capsys, subcommand, mangle, key):
+    cfg = {
+        "model": pinning_model(),
+        "task": ({"beta_grid": [0.5]} if subcommand == "critical-curve"
+                 else {"beta": 0.5, "h": 0.1}),
+        "numerics": {"m_max": 64},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    mangle(cfg)
+    path = write_cfg(tmp_path, "c.yaml", cfg)
+    assert main([subcommand, "--config", path]) == 2
+    assert key in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("potential", [
+    {"kind": "power_tail"},
+    {"kind": "power_tail", "theta": None},
+    {"kind": "power_tail", "theta": math.inf},
+], ids=["absent", "null", "inf"])
+def test_power_tail_without_a_finite_theta_exits_2(tmp_path, capsys,
+                                                   potential):
+    # it would otherwise run as the pinning potential
+    cfg = write_cfg(tmp_path, "c.yaml", {
+        "model": {"walk": {"alpha": 0.6}, "potential": potential},
+        "task": {"beta": 0.5, "h": 0.1},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["localize", "--config", cfg]) == 2
+    assert "theta" in capsys.readouterr().err
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):

@@ -323,6 +323,17 @@ class TestAnnealedCriticalH:
         br = annealed_critical_h(srw, spec, gaussian, 0.0, tol=1e-3, m_max=16)
         assert br.lo > 1e12 and br.hi == np.nextafter(br.lo, math.inf)
 
+    @pytest.mark.parametrize("tol", [0.0, math.nan])
+    def test_tol_must_be_positive(self, pinning, gaussian, tol):
+        # a NaN tol would stop either bisection at its starting bracket,
+        # here [0, 2.05] for the quenched band
+        walk = WalkSpec(alpha=0.6)
+        with pytest.raises(ValueError, match="tol"):
+            annealed_critical_h(walk, pinning, gaussian, 1.0, tol=tol, m_max=16)
+        with pytest.raises(ValueError, match="tol"):
+            quenched_critical_h(walk, pinning, gaussian, 2.0, n_max=256,
+                                n_samples=8, tol=tol, detect=1.0)
+
     def test_alpha_dependence_through_return_law_only(self, pinning, gaussian):
         # single-site potential: the crossing is at psi(0) = 0 whatever alpha.
         # Slowly decaying corrections to the return law bias the fitted tail
@@ -390,6 +401,22 @@ class TestMbgLower:
         mb = rescaled_lower_bound(srw, pinning, gaussian, 1.0, tol=1e-3, m_max=4096)
         an = annealed_critical_h(srw, pinning, gaussian, 1.0, tol=1e-3, m_max=4096)
         assert mb.hi < an.lo
+
+    @pytest.mark.parametrize("alpha,spec,beta", [
+        (0.5, PotentialSpec(kind="pinning"), 1.0),
+        (0.6, PotentialSpec(kind="power_tail", theta=3.0), 0.5),
+        (0.3, PotentialSpec(kind="copolymer"), 0.8),
+    ], ids=["pinning", "power_tail", "copolymer"])
+    def test_brackets_the_sign_change_of_the_tempered_criterion(
+            self, gaussian, alpha, spec, beta):
+        # the bound is where the sum tempered by kappa = 1/(1+alpha) at
+        # (beta, h) crosses 1
+        walk = WalkSpec(alpha=alpha)
+        br = rescaled_lower_bound(walk, spec, gaussian, beta, m_max=1024)
+        kappa = 1.0 / (1.0 + alpha)
+        lo, hi = (excursion_sum(walk, spec, gaussian, beta, h, m_max=1024,
+                                kappa=kappa).estimate for h in (br.lo, br.hi))
+        assert lo > 1.0 >= hi
 
 
 # ---------------------------------------------------- start invariance

@@ -88,6 +88,12 @@ def test_potential_validation():
         PotentialSpec(kind="nope")
     with pytest.raises(ValueError):
         PotentialSpec(kind="power_tail", theta=-1.0)
+    # an infinite theta would be the pinning potential under another name
+    for theta in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite theta"):
+            PotentialSpec(kind="power_tail", theta=theta)
+    with pytest.raises(ValueError, match="finite theta"):
+        PotentialSpec(kind="power_tail")
     with pytest.raises(ValueError):
         PotentialSpec(kind="pinning", amplitude=0.0)
     with pytest.raises(ValueError):
