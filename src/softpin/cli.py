@@ -61,11 +61,12 @@ slowed runs down.  CSV files open with comment lines carrying the SHA-256
 of the numeric config blocks (seed, model, task, numerics) and the toolkit
 version; JSON files carry the same fields in a leading ``_meta`` object.
 
-Exit codes: 0 success; 2 invalid config (a non-finite number or a
-non-integer table height among them), unknown subcommand, or unwritable
-output; 3 numeric non-convergence (divergence flags, failed brackets,
-flagged Monte Carlo estimates, arithmetic failures, and non-finite results:
-a file that would hold a non-finite number is not written).
+Exit codes: 0 success; 2 invalid config (a non-finite number, a
+non-integer table height or a non-number table value among them),
+unknown subcommand, or unwritable output; 3 numeric non-convergence
+(divergence flags, failed brackets, flagged Monte Carlo estimates,
+arithmetic failures, and non-finite results: a file that would hold a
+non-finite number is not written).
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ _POTENTIAL = {
         "kind": {"enum": ["pinning", "copolymer", "power_tail", "table"]},
         "amplitude": _num(exclusive=0.0),
         "theta": {"type": ["number", "null"]},
-        "table": {"type": "object"},
+        "table": {"type": "object", "additionalProperties": {"type": "number"}},
     },
     "required": ["kind"],
     "additionalProperties": False,

@@ -9,9 +9,12 @@ the origin its marginal density has the closed form
 and away from the origin it involves the modified Bessel function I of
 (negative, fractional) order -alpha — modified, not ordinary: only the
 all-positive-terms kernel is a probability density (at alpha = 1/2 it
-reduces to the cosh of the reflected-Brownian kernel).  The weak-coupling
-limits of the lattice free energy are expressed through three functionals
-of this process:
+reduces to the cosh of the reflected-Brownian kernel).  I_{-alpha} comes
+from scipy.special: ``iv`` for the function, and the exponentially scaled
+``ive`` for its logarithm, which stays finite where I itself overflows.
+
+The weak-coupling limits of the lattice free energy are expressed through
+three functionals of this process:
 
 - heavy potential tails: (1/2) bhat^2 c^2 Int X^(-2 theta)
                           - hhat c Int X^(-theta);
@@ -45,13 +48,14 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
-from scipy.special import gammainc, gammaln, logsumexp
+from scipy.special import gammainc, gammaln, iv, ive, logsumexp
 
 __all__ = [
     "REGIMES",
     "ContinuumParams",
     "ContinuumPhasePoint",
     "classify_regime",
+    "scaling_exponents",
     "bessel_i",
     "log_bessel_i",
     "bessel_density",
@@ -72,12 +76,6 @@ __all__ = [
 ]
 
 REGIMES = ("long_range", "intermediate", "short_range")
-
-# below this argument the power series for I_{-alpha} (all terms positive,
-# no cancellation) is used; beyond it the large-argument expansion is both
-# faster and safe from overflow in intermediate terms
-SERIES_ARG_LIMIT = 30.0
-_SERIES_RTOL = 1e-14
 
 
 def classify_regime(alpha: float, theta: float) -> str:
@@ -118,6 +116,23 @@ class ContinuumParams:
         return classify_regime(self.alpha, self.theta)
 
 
+def scaling_exponents(params: ContinuumParams) -> tuple[float, float]:
+    """Decay-exponent pair (A, B) of the coupling schedule
+    beta_N = beta_hat N^-A, h_N = h_hat N^-B for this regime:
+
+        long_range     (A, B) = ((1-theta)/2, (2-theta)/2)
+        intermediate   (A, B) = (alpha/2,     (2-theta)/2)
+        short_range    (A, B) = (alpha/2,     alpha)
+    """
+    alpha, theta = params.alpha, params.theta
+    regime = params.regime
+    if regime == "long_range":
+        return (1.0 - theta) / 2.0, (2.0 - theta) / 2.0
+    if regime == "intermediate":
+        return alpha / 2.0, (2.0 - theta) / 2.0
+    return alpha / 2.0, alpha
+
+
 @dataclass(frozen=True)
 class ContinuumPhasePoint:
     beta_hat: float
@@ -130,44 +145,18 @@ class ContinuumPhasePoint:
 
 # ------------------------------------------------------------ Bessel I
 
-def _bessel_i_series(alpha: float, z: float) -> float:
-    """Power series sum_m 1 / (m! Gamma(m+1-alpha)) (z/2)^(2m-alpha)."""
-    half = 0.5 * z
-    term = half ** (-alpha) / math.gamma(1.0 - alpha)
-    acc = term
-    for m in range(1, 400):
-        term *= (half * half) / (m * (m - alpha))
-        acc += term
-        if term <= _SERIES_RTOL * acc:
-            break
-    return acc
-
-
-def _log_bessel_i_asymptotic(alpha: float, z: float) -> float:
-    """log of the large-argument expansion of I_nu for nu = -alpha:
-    I_nu(z) ~ e^z / sqrt(2 pi z) * sum_m (-1)^m a_m / z^m."""
-    mu = 4.0 * alpha * alpha
-    acc = 1.0
-    a = 1.0
-    prev = math.inf
-    for m in range(1, 12):
-        a *= (mu - (2 * m - 1) ** 2) / (m * 8.0 * z)
-        if abs(a) >= prev:
-            break  # asymptotic terms started growing: stop at the optimum
-        prev = abs(a)
-        acc += -a if m % 2 else a
-    return z - 0.5 * math.log(2.0 * math.pi * z) + math.log(acc)
-
-
-def log_bessel_i(alpha: float, z: float) -> float:
-    """log I_{-alpha}(z) for 0 < alpha < 1, z > 0; overflow-safe."""
+def _check_bessel_args(alpha: float, z: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if z <= 0.0:
         raise ValueError("argument must be positive (the z -> 0 limit diverges)")
-    if z <= SERIES_ARG_LIMIT:
-        return math.log(_bessel_i_series(alpha, z))
-    return _log_bessel_i_asymptotic(alpha, z)
+
+
+def log_bessel_i(alpha: float, z: float) -> float:
+    """log I_{-alpha}(z) for 0 < alpha < 1, z > 0; overflow-safe."""
+    _check_bessel_args(alpha, z)
+    # ive is the e^-z-scaled I, finite where I itself overflows
+    return math.log(ive(-alpha, z)) + z
 
 
 def bessel_i(alpha: float, z: float) -> float:
@@ -177,17 +166,11 @@ def bessel_i(alpha: float, z: float) -> float:
     series has all-positive terms (no cancellation) and shares the
     z -> 0 asymptote (2/z)^alpha / Gamma(1-alpha) with the ordinary
     Bessel function; at alpha = 1/2 it reduces to sqrt(2/(pi z)) cosh z,
-    which is what the reflected-Brownian kernel requires.  Power series
-    up to z = 30 (relative 1e-14 stopping), large-argument expansion
-    beyond; overflows for z above ~700 — use log_bessel_i there.
+    which is what the reflected-Brownian kernel requires.  Evaluated by
+    scipy's ``iv``; overflows for z above ~700 — use log_bessel_i there.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if z <= 0.0:
-        raise ValueError("argument must be positive (the z -> 0 limit diverges)")
-    if z <= SERIES_ARG_LIMIT:
-        return _bessel_i_series(alpha, z)
-    return math.exp(_log_bessel_i_asymptotic(alpha, z))
+    _check_bessel_args(alpha, z)
+    return float(iv(-alpha, z))
 
 
 # ------------------------------------------------------------- densities
@@ -350,13 +333,10 @@ def continuum_free_energy_short(params: ContinuumParams, cp: ContinuumPhasePoint
 
 
 def critical_exponent(alpha: float, theta: float) -> float:
-    """Power E in the continuum critical curve hhat_c = C bhat^E."""
-    regime = classify_regime(alpha, theta)
-    if regime == "long_range":
-        return (2.0 - theta) / (1.0 - theta)
-    if regime == "intermediate":
-        return (2.0 - theta) / alpha
-    return 2.0
+    """Power E = B / A in the continuum critical curve hhat_c = C bhat^E,
+    with (A, B) the regime's coupling-schedule exponents."""
+    a, b = scaling_exponents(ContinuumParams(alpha, theta))
+    return b / a
 
 
 def continuum_critical_curve(params: ContinuumParams, cstar_phi: float,
@@ -406,19 +386,32 @@ def _mc_critical_prefactor(params: ContinuumParams, cstar_phi2: float, T: float,
 
 # ---------------------------------------------------------- series growth
 
+# at and beyond this y = (mu Gamma(alpha))^(1/alpha) T the moment series is
+# its asymptote to double precision (their gap is ~e^-y); the term-by-term
+# sum would need ~y / alpha terms there
+ZTILDE_ASYMPTOTE_Y = 40.0
+
+
 def ztilde_log(mu: float, alpha: float, T: float) -> float:
     """log of the local-time moment series
     1 + sum_k (mu T^alpha Gamma(alpha))^k / Gamma(alpha k + 1).
 
-    Terms peak near k ~ (mu Gamma(alpha))^(1/alpha) T / alpha and then
-    decay super-exponentially; summation stops 60 nats past the peak.
+    This is the Mittag-Leffler function E_alpha(x) at x = mu T^alpha
+    Gamma(alpha), whose log approaches y - log(alpha) with
+    y = x^(1/alpha) = (mu Gamma(alpha))^(1/alpha) T; the gap is of order
+    e^-y.  From y = ZTILDE_ASYMPTOTE_Y on that asymptote is returned.
+    Below it the terms peak near k ~ y / alpha and then decay
+    super-exponentially; summation stops 60 nats past the peak.
     """
     if mu <= 0.0 or T <= 0.0:
         raise ValueError("mu and T must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     log_x = math.log(mu) + alpha * math.log(T) + gammaln(alpha)
-    k_peak = max(8, int(math.ceil((mu * math.gamma(alpha)) ** (1.0 / alpha) * T / alpha)))
+    y = math.exp(log_x / alpha)
+    if y >= ZTILDE_ASYMPTOTE_Y:
+        return y - math.log(alpha)
+    k_peak = max(8, int(math.ceil(y / alpha)))
     terms = [0.0]  # k = 0
     k = 1
     best = 0.0

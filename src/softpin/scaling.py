@@ -7,11 +7,8 @@ exponents (A, B) in
 
     beta_N = beta_hat * N^(-A),    h_N = h_hat * N^(-B)
 
-depend on which of the potential tail and the walk's return exponent wins:
-
-    long_range     (A, B) = ((1-theta)/2, (2-theta)/2)
-    intermediate   (A, B) = (alpha/2,     (2-theta)/2)
-    short_range    (A, B) = (alpha/2,     alpha)
+depend on which of the potential tail and the walk's return exponent wins
+(``continuum.scaling_exponents`` holds the table).
 
 This module builds those schedules, evaluates N * F_ann(beta_N, h_N) along
 a ladder of system sizes (free energy by the renewal-root method on the
@@ -38,6 +35,7 @@ from .continuum import (
     ContinuumPhasePoint,
     coefficient_candidates,
     continuum_free_energy_short,
+    scaling_exponents,
 )
 from .lattice import layout
 from .localization import excursion_weights
@@ -62,17 +60,6 @@ DEFAULT_M_MULT = 48
 # defaults for estimating the c(k) weights entering the continuum constants
 DEFAULT_K_WEIGHTS = 64
 DEFAULT_N_PROBE = 4096
-
-
-def scaling_exponents(params: ContinuumParams) -> tuple[float, float]:
-    """Decay-exponent pair (A, B) of the coupling schedule for this regime."""
-    alpha, theta = params.alpha, params.theta
-    regime = params.regime
-    if regime == "long_range":
-        return (1.0 - theta) / 2.0, (2.0 - theta) / 2.0
-    if regime == "intermediate":
-        return alpha / 2.0, (2.0 - theta) / 2.0
-    return alpha / 2.0, alpha
 
 
 @dataclass(frozen=True)

@@ -409,8 +409,12 @@ def _table_model(table):
      "model.potential.table: height 1.5"),
     ("localize", lambda c: c.update(model=_table_model({True: 1.0})),
      "model.potential.table: height True"),
+    # a table value must be a number, not anything float() would take
+    *[("localize", lambda c, v=v: c.update(model=_table_model({0: 1.0, 1: v})),
+       "model.potential.table[1]: ") for v in (True, None, "0.5", [0.5])],
 ], ids=["tol-nan", "tol-inf", "beta-inf", "height-inf", "height-1.5",
-        "height-true"])
+        "height-true", "value-true", "value-null", "value-string",
+        "value-list"])
 def test_non_finite_numbers_and_non_integer_heights_exit_2(
         tmp_path, capsys, subcommand, mangle, key):
     cfg = {
