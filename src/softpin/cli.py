@@ -29,7 +29,9 @@ One YAML document per run (``--config PATH``)::
     output: {dir: ".", format: csv, prefix: null}  # optional
 
 A key left out of ``model`` or ``numerics`` takes the default of the
-library function or class it is passed to.
+library function or class it is passed to.  ``numerics.l``, when set, is
+the walk's truncation height for every recursion of the run, and wins over
+``model.walk.l_max``.
 
 Task blocks::
 
@@ -77,7 +79,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
@@ -96,7 +98,7 @@ from .continuum import (
     sharp_constant,
     ztilde_growth_rate,
 )
-from .lattice import folded_kernel
+from .lattice import layout
 from .localization import (
     annealed_critical_curve,
     quenched_critical_h,
@@ -445,6 +447,9 @@ def _height(key) -> int:
 def _build_model(config: dict):
     m = config["model"]
     walk = WalkSpec(**m["walk"])
+    l = config.get("numerics", {}).get("l")
+    if l is not None:  # wins over model.walk.l_max
+        walk = replace(walk, l_max=l)
     pot = dict(m["potential"])
     if pot.get("table") is not None:
         pot["table"] = {_height(k): float(v) for k, v in pot["table"].items()}
@@ -557,7 +562,7 @@ def ladder_csv_rows(estimate: FreeEnergyEstimate) -> list[dict]:
 def _run_free_energy(config, ctx: RunContext) -> int:
     walk, spec, charges = _build_model(config)
     task = config["task"]
-    num = _present(config.get("numerics", {}), "n_points", "l")
+    num = _present(config.get("numerics", {}), "n_points")
     ann = annealed_free_energy(
         walk, spec, charges, task["beta"], task["h"], task["n_max"], **num)
     _emit(ctx, "free_energy_ladder", LADDER_COLUMNS, ladder_csv_rows(ann))
@@ -595,7 +600,7 @@ def _run_critical_curve(config, ctx: RunContext) -> int:
     grid = task["beta_grid"]
     brackets, bounds = annealed_critical_curve(
         walk, spec, charges, grid, grid if task.get("lower_bound") else (),
-        **_present(config.get("numerics", {}), "tol", "m_max", "l"))
+        **_present(config.get("numerics", {}), "tol", "m_max"))
     rows = []
     for j, (beta, ann) in enumerate(zip(grid, brackets)):
         row = {
@@ -622,7 +627,7 @@ def _run_localize(config, ctx: RunContext) -> int:
     cv = transient_criterion(
         walk, spec, charges, task["beta"], task["h"],
         task.get("return_mass", 1.0), **_present(task, "kappa"),
-        **_present(config.get("numerics", {}), "m_max", "l"),
+        **_present(config.get("numerics", {}), "m_max"),
     )
     row = {
         "beta": task["beta"], "h": task["h"], "kappa": cv.kappa,
@@ -657,12 +662,12 @@ def _run_bessel_check(config, ctx: RunContext) -> int:
     # height distribution after n steps, against the local-limit shape;
     # the reference weights come from a longer probe so the ratio is a
     # genuine consistency check, not an identity
-    l = walk.resolve_l(n)
-    v = height_law(folded_kernel(walk.drift, l), n)
+    ker = layout(walk, None, n)
+    v = height_law(ker, n)
     cw = estimate_c_weights(walk, k_max=max(ks),
                             n_probe=task.get("n_probe", 4 * n))
     for k in ks:
-        if (n - k) % 2 != 0 or k > l:
+        if (n - k) % 2 != 0 or k > ker.l:
             rows.append({"check": "local_limit", "param": k, "value": 0.0,
                          "target": None, "ratio": None})
             continue
@@ -688,9 +693,7 @@ def _run_scaling(config, ctx: RunContext) -> int:
         params=params, beta_hat=task["beta_hat"], h_hat=task["h_hat"],
         n_ladder=tuple(task["n_ladder"]),
     )
-    kwargs = {**_present(task, "cstar_phi", "cstar_phi2", "k_weights",
-                         "n_probe"),
-              **_present(config.get("numerics", {}), "l")}
+    kwargs = _present(task, "cstar_phi", "cstar_phi2", "k_weights", "n_probe")
     points = scaled_free_energy(
         schedule, walk, charges, spec, **_present(task, "m_mult"), **kwargs,
     )
@@ -826,6 +829,8 @@ def run(subcommand: str, config: dict, *, seed: int | None = None,
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         out_dir = out if out is not None else output.get("dir", ".")
         eff_fmt = fmt if fmt is not None else output.get("format", "csv")
+        if eff_fmt not in ("csv", "json"):
+            raise ConfigError(f"output format {eff_fmt!r} is not csv or json")
         prefix = output.get("prefix") or ""
         if prefix and not prefix.endswith("_"):
             prefix += "_"

@@ -466,10 +466,13 @@ def _simulate_paths(alpha: float, T: float, dt: float, theta: float,
     (seed, spawn_base + step); results are deterministic for a fixed
     (seed, n_paths) and independent across steps.
     """
-    n_steps = int(round(T / dt))
-    if n_steps >= 2_000_000:
-        raise ValueError("dt too small: step substreams would collide with "
-                         "the bootstrap spawn range")
+    steps = T / dt
+    # from 2e6 steps on, step substreams would collide with the bootstrap
+    # spawn range
+    if not (math.isfinite(steps) and 1 <= round(steps) < 2_000_000):
+        raise ValueError(f"dt too small or too large: T / dt = {steps:g} "
+                         f"steps, need 1 to 1999999")
+    n_steps = round(steps)
     df = 2.0 * (1.0 - alpha)
     floor = 1e-9
     y = np.zeros(n_paths)

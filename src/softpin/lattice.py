@@ -3,16 +3,17 @@
 Everything downstream walks the same tridiagonal structure: nearest-neighbour
 steps on heights truncated at ``|x| = L``, with the outward step at the
 boundary folded back onto the inward one so the kernel stays stochastic.
-One kernel class carries its sites' ``heights`` and ``origin`` index, on a
-*folded* lattice over ``|x| in {0..L}`` (valid whenever the site weights are
-symmetric, since the drift is antisymmetric) or a *signed* one over
-``x in {-L..L}``.  ``step`` moves one flat state and ``log_step`` one held
-in logs; ``tiled`` lays independent rows end to end, and no mass crosses
-between them, as p_up is 0 on each row's top site and p_down on its bottom
-one.  ``first_passage``, the one killed first-passage recursion, runs the
-first-return law and the weighted excursion sums, the latter many phase
-points at a time as rows.  It takes log weights, and a row stops for one
-reason only: its partial sum passes the cap or overflows.
+One ``layout`` builds every kernel, from a walk, which owns the truncation
+height L, and a potential.  A kernel carries its sites' ``heights`` and
+``origin`` index, on a *folded* lattice over ``|x| in {0..L}`` (valid
+whenever the site weights are symmetric, since the drift is antisymmetric)
+or a *signed* one over ``x in {-L..L}``.  ``step`` moves one flat state and
+``log_step`` one held in logs; ``tiled`` lays independent rows end to end,
+and no mass crosses between them, as p_up is 0 on each row's top site and
+p_down on its bottom one.  ``first_passage``, the one killed first-passage
+recursion, runs the first-return law and the weighted excursion sums, the
+latter many phase points at a time as rows.  It takes log weights, and a row
+stops for one reason only: its partial sum passes the cap or overflows.
 
 When the site weights do not change from step to step, recursions take
 block steps: the walk is nearest-neighbour, so BLOCK = 32 steps of the
@@ -41,8 +42,6 @@ import numpy as np
 __all__ = [
     "FoldedKernel",
     "SignedKernel",
-    "folded_kernel",
-    "signed_kernel",
     "layout",
     "first_passage",
     "band_steps",
@@ -114,47 +113,31 @@ class SignedKernel(_Kernel):
     """Kernel on {-L..L}; index i is height i - L."""
 
 
-def folded_kernel(drift_fn, l: int) -> FoldedKernel:
-    """Build the folded kernel from a vectorized drift function d(x)."""
-    if l < 1:
-        raise ValueError("truncation height must be >= 1")
-    x = np.arange(l + 1)
-    d = drift_fn(x)
+def layout(walk, spec, n: int, folded: bool | None = None) -> _Kernel:
+    """Kernel of an n-step recursion of walk under spec, truncated at the
+    walk's height L = ``walk.resolve_l(n)``.
+
+    The folded lattice serves symmetric potentials, and spec=None (no
+    potential), unless ``folded`` is False; the signed one serves the rest.
+    """
+    symmetric = spec is None or spec.symmetric
+    use_folded = symmetric if folded is None else folded
+    if use_folded and not symmetric:
+        raise ValueError("folded recursion needs a symmetric potential")
+    l = walk.resolve_l(n)
+    x = np.arange(0 if use_folded else -l, l + 1)
+    d = walk.drift(x)
     p_up = 0.5 * (1.0 + d)
     p_down = 0.5 * (1.0 - d)
-    p_up[0], p_down[0] = 1.0, 0.0
-    # reflect: fold the outward step at the truncation height inward
-    p_down[l] += p_up[l]
-    p_up[l] = 0.0
-    return FoldedKernel(l, p_up, p_down, x, 0)
-
-
-def signed_kernel(drift_fn, l: int) -> SignedKernel:
-    if l < 1:
-        raise ValueError("truncation height must be >= 1")
-    x = np.arange(-l, l + 1)
-    d = drift_fn(x)
-    p_up = 0.5 * (1.0 + d)
-    p_down = 0.5 * (1.0 - d)
+    # fold the outward step at either end inward: at the truncation height,
+    # and at -L, or at 0, from where |S| can only go up (d(0) = 0)
     p_down[-1] += p_up[-1]
     p_up[-1] = 0.0
     p_up[0] += p_down[0]
     p_down[0] = 0.0
+    if use_folded:
+        return FoldedKernel(l, p_up, p_down, x, 0)
     return SignedKernel(l, p_up, p_down, x, l)
-
-
-def layout(walk, spec, n: int, l: int | None = None,
-           folded: bool | None = None) -> _Kernel:
-    """Kernel of an n-step recursion of walk under spec.
-
-    The folded lattice serves symmetric potentials unless ``folded`` is
-    False; l defaults to the walk's truncation height for n steps.
-    """
-    use_folded = spec.symmetric if folded is None else folded
-    if use_folded and not spec.symmetric:
-        raise ValueError("folded recursion needs a symmetric potential")
-    make = folded_kernel if use_folded else signed_kernel
-    return make(walk.drift, l if l is not None else walk.resolve_l(n))
 
 
 # steps per banded product of fixed site weights; every output's bits are

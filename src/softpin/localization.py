@@ -81,8 +81,8 @@ def _decay_rate(spec: PotentialSpec, alpha: float) -> float:
 
 
 def excursion_weights(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
-                      beta: float, h: float, m_max: int, kappa: float = 1.0,
-                      l: int | None = None) -> ExcursionWeights:
+                      beta: float, h: float, m_max: int,
+                      kappa: float = 1.0) -> ExcursionWeights:
     """First-passage recursion for the excursion weights A_m, m <= m_max.
 
     A_m multiplies the first-return probability by the exponential weight
@@ -95,16 +95,16 @@ def excursion_weights(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
     return _excursion_rows(walk, spec, charges, [kappa * beta], [kappa * h],
-                           m_max, l)[0]
+                           m_max)[0]
 
 
-def _excursion_rows(walk, spec, charges, beta, h, m_max: int,
-                    l: int | None = None) -> list[ExcursionWeights]:
+def _excursion_rows(walk, spec, charges, beta, h,
+                    m_max: int) -> list[ExcursionWeights]:
     """``excursion_weights`` at each phase point (beta[i], h[i]), as rows
     of one recursion."""
     if m_max < 4:
         raise ValueError("m_max must be >= 4")
-    ker = layout(walk, spec, m_max, l)
+    ker = layout(walk, spec, m_max)
     psi_x = psi(charges, spec, np.asarray(beta, dtype=float)[:, None],
                 np.asarray(h, dtype=float)[:, None], ker.heights)
     psi0 = psi_x[:, ker.origin].tolist()
@@ -203,10 +203,10 @@ def _estimate(ew: ExcursionWeights) -> float:
 
 
 def excursion_sum(walk, spec, charges, beta, h, m_max: int = 4096,
-                  kappa: float = 1.0, threshold: float = 1.0,
-                  l: int | None = None) -> CriterionValue:
+                  kappa: float = 1.0,
+                  threshold: float = 1.0) -> CriterionValue:
     """Evaluate the localization sum against ``threshold`` (default 1)."""
-    ew = excursion_weights(walk, spec, charges, beta, h, m_max, kappa=kappa, l=l)
+    ew = excursion_weights(walk, spec, charges, beta, h, m_max, kappa=kappa)
     partial = float(ew.a.sum())
     tail = math.inf if ew.diverged else _tail_bound(
         ew, float(return_law(walk, m_max).sum()))
@@ -224,8 +224,8 @@ def excursion_sum(walk, spec, charges, beta, h, m_max: int = 4096,
 
 
 def transient_criterion(walk, spec, charges, beta, h, r: float,
-                        m_max: int = 4096, kappa: float = 1.0,
-                        l: int | None = None) -> CriterionValue:
+                        m_max: int = 4096,
+                        kappa: float = 1.0) -> CriterionValue:
     """Localization criterion for the transient-walk variant.
 
     A transient walk whose first-return law integrates to r < 1 is, after
@@ -234,10 +234,8 @@ def transient_criterion(walk, spec, charges, beta, h, r: float,
     """
     if not 0.0 < r <= 1.0:
         raise ValueError("the return mass r must lie in (0, 1]")
-    return excursion_sum(
-        walk, spec, charges, beta, h, m_max=m_max, kappa=kappa,
-        threshold=1.0 / r, l=l,
-    )
+    return excursion_sum(walk, spec, charges, beta, h, m_max=m_max,
+                         kappa=kappa, threshold=1.0 / r)
 
 
 # ---------------------------------------------------------- critical curves
@@ -323,8 +321,7 @@ def _lockstep(searches, verdicts) -> list:
 
 
 def annealed_critical_curve(walk, spec, charges, betas, bound_betas=(),
-                            tol: float = 1e-3, m_max: int = 4096,
-                            l: int | None = None):
+                            tol: float = 1e-3, m_max: int = 4096):
     """Annealed critical-height brackets at each of betas and rescaled
     lower bounds (1+alpha) * h_c^ann(beta/(1+alpha)) at each of
     bound_betas, in grid order.
@@ -341,7 +338,7 @@ def annealed_critical_curve(walk, spec, charges, betas, bound_betas=(),
     def localized(pending):
         return [_estimate(ew) > 1.0 for ew in _excursion_rows(
             walk, spec, charges, [jobs[i][0] for i, _ in pending],
-            [h for _, h in pending], m_max, l)]
+            [h for _, h in pending], m_max)]
 
     found = _lockstep([_annealed_search(charges, spec, *job) for job in jobs],
                       localized)
@@ -353,20 +350,19 @@ def annealed_critical_curve(walk, spec, charges, betas, bound_betas=(),
 
 
 def annealed_critical_h(walk, spec, charges, beta: float, tol: float = 1e-3,
-                        m_max: int = 4096,
-                        l: int | None = None) -> CriticalBracket:
+                        m_max: int = 4096) -> CriticalBracket:
     """Bracket the critical height of the excursion criterion at one beta;
     see ``annealed_critical_curve``."""
     return annealed_critical_curve(walk, spec, charges, [beta], tol=tol,
-                                   m_max=m_max, l=l)[0][0]
+                                   m_max=m_max)[0][0]
 
 
 def rescaled_lower_bound(walk, spec, charges, beta: float, tol: float = 1e-3,
-              m_max: int = 4096, l: int | None = None) -> CriticalBracket:
+                         m_max: int = 4096) -> CriticalBracket:
     """Rescaled annealed curve bounding the quenched critical height from
     below: (1+alpha) * h_c^ann(beta/(1+alpha))."""
     return annealed_critical_curve(walk, spec, charges, [], [beta], tol=tol,
-                                   m_max=m_max, l=l)[1][0]
+                                   m_max=m_max)[1][0]
 
 
 def quenched_critical_h(walk, spec, charges, beta: float, n_max: int = 4096,

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import (band_steps, first_passage, folded_kernel,
-                      recommended_truncation)
+from .lattice import band_steps, first_passage, layout, recommended_truncation
 
 __all__ = [
     "PotentialSpec",
@@ -254,9 +253,9 @@ def return_law(walk: WalkSpec, n_max: int) -> np.ndarray:
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    l = walk.resolve_l(n_max)
-    k_arr, _, _ = first_passage(
-        folded_kernel(walk.drift, l), np.zeros(l + 1), 0.0, n_max, math.inf)
+    ker = layout(walk, None, n_max)
+    k_arr, _, _ = first_passage(ker, np.zeros(len(ker.heights)), 0.0, n_max,
+                                math.inf)
     missing = 1.0 - k_arr.sum()
     if missing > 10.0 * n_max ** (-walk.alpha):
         warnings.warn(
@@ -309,8 +308,8 @@ def estimate_c_weights(walk: WalkSpec, k_max: int, n_probe: int) -> CWeights:
             "k_max beyond sqrt(n_probe); weights there are outside the "
             "local-limit window", stacklevel=2,
         )
-    l = max(walk.resolve_l(n_probe + 1), k_max + 2)
-    ker = folded_kernel(walk.drift, l)
+    ker = layout(replace(walk, l_max=max(walk.resolve_l(n_probe + 1),
+                                         k_max + 2)), None, n_probe)
     v = height_law(ker, n_probe)
     v_next = ker.step(v)
     vals = np.empty(k_max + 1)

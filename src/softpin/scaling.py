@@ -155,7 +155,7 @@ class ScaledFreeEnergyPoint:
 
 def scaled_free_energy(schedule: ScalingSchedule, walk: WalkSpec,
                        charges: ChargeModel, spec: PotentialSpec,
-                       m_mult: int = DEFAULT_M_MULT, l: int | None = None,
+                       m_mult: int = DEFAULT_M_MULT,
                        cstar_phi: float | None = None,
                        cstar_phi2: float | None = None,
                        k_weights: int = DEFAULT_K_WEIGHTS,
@@ -187,9 +187,8 @@ def scaled_free_energy(schedule: ScalingSchedule, walk: WalkSpec,
     for n in range(len(schedule.n_ladder)):
         size = schedule.n_ladder[n]
         beta_n, h_n = schedule.beta_n(size), schedule.h_n(size)
-        ew = excursion_weights(
-            walk, spec, charges, beta_n, h_n, m_max=m_mult * size, l=l
-        )
+        ew = excursion_weights(walk, spec, charges, beta_n, h_n,
+                               m_max=m_mult * size)
         # a diverged sum has no renewal root: F is beyond resolution
         root = None if ew.diverged else renewal_root(ew.a, walk.alpha)
         n_times_f = math.inf if root is None else size * root.f
@@ -208,7 +207,7 @@ def scaled_free_energy(schedule: ScalingSchedule, walk: WalkSpec,
 
 def series_coefficient(walk: WalkSpec, charges: ChargeModel,
                        spec: PotentialSpec, point: PhasePoint, tn: int,
-                       k: int, l: int | None = None) -> float:
+                       k: int) -> float:
     """k-th coefficient of the partition expansion in chi = e^psi - 1:
 
         C_{TN,k} = sum_{n_1 < ... < n_k <= TN} E[prod_l chi(|S_{n_l}|)].
@@ -223,7 +222,7 @@ def series_coefficient(walk: WalkSpec, charges: ChargeModel,
         raise ValueError("series coefficients are supported for 1 <= k <= 4")
     if tn < 1:
         raise ValueError("tn must be a positive integer")
-    ker = layout(walk, spec, tn, l)
+    ker = layout(walk, spec, tn)
     chi = np.exp(np.asarray(psi(charges, spec, point.beta, point.h,
                                 ker.heights), dtype=float)) - 1.0
     layers = np.zeros((k + 1, len(chi)))
@@ -253,7 +252,7 @@ class SeriesComparisonRow:
 
 def compare_to_continuum(schedule: ScalingSchedule, walk: WalkSpec,
                          charges: ChargeModel, spec: PotentialSpec,
-                         T: float = 1.0, k: int = 1, l: int | None = None,
+                         T: float = 1.0, k: int = 1,
                          cstar_phi: float | None = None,
                          cstar_phi2: float | None = None,
                          k_weights: int = DEFAULT_K_WEIGHTS,
@@ -281,9 +280,8 @@ def compare_to_continuum(schedule: ScalingSchedule, walk: WalkSpec,
     rows = []
     for size in schedule.n_ladder:
         tn = int(round(T * size))
-        c_tnk = series_coefficient(
-            walk, charges, spec, schedule.phase_point(size), tn, k, l=l
-        )
+        c_tnk = series_coefficient(walk, charges, spec,
+                                   schedule.phase_point(size), tn, k)
         rel_gap = None
         if cand.gamma_ak_plus1 != 0.0:
             rel_gap = abs(c_tnk - cand.gamma_ak_plus1) / abs(cand.gamma_ak_plus1)

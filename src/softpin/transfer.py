@@ -79,8 +79,11 @@ def _check_record_points(record_at) -> np.ndarray:
 # running in logs: exp(709.8) overflows, exp(-708.4) is no longer a normal
 # double, and a step keeps a renormalized row's peak within [1/4, 2]
 LOG_WEIGHT_CAP = 700.0
-# steps whose row maxima go into the running log-scale in one np.log call
+# steps whose row maxima go into the running log-scale at once
 _LOG_EVERY = 256
+# a log sweep subtracts its row maxima every this many steps and at record
+# steps, so a step rounds on at most this many steps' log weights
+_LOG_RESCALE_EVERY = 8
 # the smallest normal double: an origin value below it has lost digits
 _TINY = np.finfo(float).tiny
 
@@ -137,12 +140,16 @@ def _sweep(ker, step_weights, record_at: np.ndarray):
 def _log_sweep(ker, step_log_weights, record_at: np.ndarray):
     """``_sweep`` in logs, where step_log_weights(n) gives the flat log
     site weights of step n: exact for any weights, as no row can overflow,
-    die or lose its origin's share."""
+    die or lose its origin's share.  Each row's maximum is subtracted every
+    _LOG_RESCALE_EVERY steps, so no step rounds on values the size of log Z."""
     pts = record_at.tolist()
     sites, origin = len(ker.heights), ker.origin
     r = len(ker.p_up) // sites
     v, nxt = np.full(r * sites, -math.inf), np.empty(r * sites)
     v[origin::sites] = 0.0
+    acc = np.zeros(r)  # log-scale subtracted from v so far
+    maxima = np.empty((r, _LOG_EVERY))  # row maxima not yet in acc
+    k = 0
     rec_free = np.zeros((r, len(pts)))
     rec_con = np.zeros_like(rec_free)
     idx = 1 if pts[0] == 0 else 0
@@ -150,18 +157,26 @@ def _log_sweep(ker, step_log_weights, record_at: np.ndarray):
         ker.log_step(v, nxt)
         nxt += step_log_weights(n)
         v, nxt = nxt, v
+        if n % _LOG_RESCALE_EVERY and n != pts[idx]:
+            continue
+        by_row = v.reshape(r, sites)
+        by_row -= by_row.max(axis=1, keepdims=True, out=maxima[:, k : k + 1])
+        k += 1
+        if k == _LOG_EVERY or n == pts[idx]:
+            acc += maxima[:, :k].sum(axis=-1)
+            k = 0
         if n == pts[idx]:
-            rec_free[:, idx] = special.logsumexp(v.reshape(r, sites), axis=1)
-            rec_con[:, idx] = v[origin::sites]
+            rec_free[:, idx] = acc + special.logsumexp(by_row, axis=1)
+            rec_con[:, idx] = acc + v[origin::sites]
             idx += 1
     return rec_free, rec_con
 
 
 def annealed_sweep(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
-                   beta: float, h: float, record_at, l: int | None = None,
+                   beta: float, h: float, record_at,
                    folded: bool | None = None) -> PartitionSweep:
     pts = _check_record_points(record_at)
-    ker = layout(walk, spec, int(pts[-1]), l, folded)
+    ker = layout(walk, spec, int(pts[-1]), folded)
     log_w = np.asarray(psi(charges, spec, beta, h, ker.heights), dtype=float)
     in_logs = np.abs(log_w).max() > LOG_WEIGHT_CAP
     if not in_logs:
@@ -172,11 +187,11 @@ def annealed_sweep(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
     return PartitionSweep(n_values=pts, log_z_free=free, log_z_constrained=con)
 
 
-def _quenched_rows(walk, spec, g: np.ndarray, pts: np.ndarray, l, folded):
+def _quenched_rows(walk, spec, g: np.ndarray, pts: np.ndarray, folded):
     """(log_z_free, log_z_constrained) along pts for each row of g, the
     per-step couplings beta * omega - h in front of phi(S_n).  A row runs
     linearly or in logs by its own weights, with the bits it gets alone."""
-    ker = layout(walk, spec, int(pts[-1]), l, folded)
+    ker = layout(walk, spec, int(pts[-1]), folded)
     phi_vec = np.asarray(phi_eval(spec, ker.heights), dtype=float)
 
     def run(rows, linear):
@@ -203,27 +218,27 @@ def _quenched_rows(walk, spec, g: np.ndarray, pts: np.ndarray, l, folded):
 
 
 def quenched_sweep(walk: WalkSpec, spec: PotentialSpec, beta: float, h: float,
-                   omega: np.ndarray, record_at, l: int | None = None,
+                   omega: np.ndarray, record_at,
                    folded: bool | None = None) -> PartitionSweep:
     pts = _check_record_points(record_at)
     omega = np.asarray(omega, dtype=float)
     if len(omega) < pts[-1]:
         raise ValueError("need one charge per step")
     g = beta * omega[None, : pts[-1]] - h
-    (free,), (con,) = _quenched_rows(walk, spec, g, pts, l, folded)
+    (free,), (con,) = _quenched_rows(walk, spec, g, pts, folded)
     return PartitionSweep(n_values=pts, log_z_free=free, log_z_constrained=con)
 
 
 def annealed_partition(walk, spec, charges, beta, h, n: int,
-                       l: int | None = None, folded: bool | None = None):
+                       folded: bool | None = None):
     """(log Z_free, log Z_constrained) after n steps, n even."""
-    sw = annealed_sweep(walk, spec, charges, beta, h, [n], l=l, folded=folded)
+    sw = annealed_sweep(walk, spec, charges, beta, h, [n], folded=folded)
     return float(sw.log_z_free[0]), float(sw.log_z_constrained[0])
 
 
 def quenched_partition(walk, spec, beta, h, omega, n: int,
-                       l: int | None = None, folded: bool | None = None):
-    sw = quenched_sweep(walk, spec, beta, h, omega, [n], l=l, folded=folded)
+                       folded: bool | None = None):
+    sw = quenched_sweep(walk, spec, beta, h, omega, [n], folded=folded)
     return float(sw.log_z_free[0]), float(sw.log_z_constrained[0])
 
 
@@ -291,15 +306,15 @@ def _estimate_from_ladder(sweep: PartitionSweep, beta, h, sem=0.0,
 
 
 def annealed_free_energy(walk, spec, charges, beta, h, n_max: int,
-                         n_points: int = 6, l: int | None = None) -> FreeEnergyEstimate:
+                         n_points: int = 6) -> FreeEnergyEstimate:
     ladder = default_ladder(n_max, n_points)
-    sweep = annealed_sweep(walk, spec, charges, beta, h, ladder, l=l)
+    sweep = annealed_sweep(walk, spec, charges, beta, h, ladder)
     return _estimate_from_ladder(sweep, beta, h)
 
 
 def quenched_free_energy(walk, spec, charges, beta, h, n_max: int,
-                         n_samples: int, seed: int, n_points: int = 6,
-                         l: int | None = None) -> FreeEnergyEstimate:
+                         n_samples: int, seed: int,
+                         n_points: int = 6) -> FreeEnergyEstimate:
     """Disorder-averaged free energy over independent charge sequences.
 
     Sample i draws its charges from the sub-stream (seed, i), so results
@@ -315,7 +330,7 @@ def quenched_free_energy(walk, spec, charges, beta, h, n_max: int,
             np.random.SeedSequence(seed, spawn_key=(i,)))), n_max)
     g *= beta
     g -= h
-    free, con = _quenched_rows(walk, spec, g, ladder, l, None)
+    free, con = _quenched_rows(walk, spec, g, ladder, None)
     sweeps = [
         PartitionSweep(n_values=ladder, log_z_free=free[i],
                        log_z_constrained=con[i])
@@ -336,14 +351,14 @@ def quenched_free_energy(walk, spec, charges, beta, h, n_max: int,
     )
 
 
-def compare_free_constrained(walk, spec, charges, beta, h, ladder,
-                             l: int | None = None) -> np.ndarray:
+def compare_free_constrained(walk, spec, charges, beta, h,
+                             ladder) -> np.ndarray:
     """Rows (N, (log Z_free - log Z_constrained)/N) along the ladder.
 
     The per-step boundary-condition discrepancy; nonnegative, and decaying
     like O(log N / N) whenever the two conditions share a free energy.
     """
-    sweep = annealed_sweep(walk, spec, charges, beta, h, ladder, l=l)
+    sweep = annealed_sweep(walk, spec, charges, beta, h, ladder)
     diff = (sweep.log_z_free - sweep.log_z_constrained) / sweep.n_values
     return np.column_stack([sweep.n_values.astype(float), diff])
 

@@ -10,6 +10,7 @@ forms or measured once and never tuned to the implementation.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from softpin.continuum import (
     dirichlet_ik,
     ztilde_growth_rate,
 )
-from softpin.lattice import folded_kernel
+from softpin.lattice import layout
 from softpin.localization import (
     annealed_critical_h,
     criterion_start_invariance,
@@ -67,7 +68,8 @@ def test_pinning_free_energy_matches_renewal_root():
     psi0 = 0.5  # beta = 0, h = -0.5, phi = indicator of the origin
     root = -0.5 * math.log(1.0 - (1.0 - math.exp(-psi0)) ** 2)
     n = 2 ** 12
-    _, log_zc = annealed_partition(SRW, PIN, GAUSS, 0.0, -0.5, n, l=256)
+    _, log_zc = annealed_partition(replace(SRW, l_max=256), PIN, GAUSS, 0.0,
+                                   -0.5, n)
     assert log_zc / n == pytest.approx(root, abs=1e-3)
     assert time.monotonic() - t0 < 10.0
 
@@ -218,9 +220,8 @@ def test_return_height_distribution_matches_limit_constants():
     """
     t0 = time.monotonic()
     n = 2 ** 12
-    l = SRW.resolve_l(n)
-    ker = folded_kernel(SRW.drift, l)
-    v = np.zeros(l + 1)
+    ker = layout(SRW, None, n)
+    v = np.zeros(len(ker.heights))
     v[0] = 1.0
     out = np.zeros_like(v)
     for _ in range(n):

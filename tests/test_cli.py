@@ -342,6 +342,39 @@ def test_json_format(tmp_path):
     assert isinstance(row["diverged"], bool)
 
 
+_POWER_TAIL = {"walk": {"alpha": 0.6},
+               "potential": {"kind": "power_tail", "theta": 3.0}}
+
+
+@pytest.mark.parametrize("subcommand,model,task,numerics,l", [
+    ("localize", pinning_model(0.6), {"beta": 0.5, "h": 0.1},
+     {"m_max": 256}, 8),
+    ("critical-curve", _POWER_TAIL,
+     {"beta_grid": [1.0], "quenched": {"n_samples": 8, "n_max": 256}},
+     {"m_max": 256}, 6),
+    # c-weights estimated from the walk: no cstar_phi or cstar_phi2
+    ("scaling", _POWER_TAIL,
+     {"alpha": 0.6, "theta": 3.0, "beta_hat": 1.0, "h_hat": 0.1,
+      "n_ladder": [16, 32], "k_weights": 8, "n_probe": 256,
+      "series": {"k": 1}}, {}, 40),
+], ids=["localize", "critical-curve", "scaling"])
+def test_numerics_l_is_the_walk_truncation_height_everywhere(
+        tmp_path, subcommand, model, task, numerics, l):
+    # the tail bound's return law, the quenched band and the c-weights
+    # run on the same lattice as the rest of the row
+    data = []
+    for walk, extra in [(model["walk"], {"l": l}),
+                        ({**model["walk"], "l_max": l}, {})]:
+        out = tmp_path / str(len(data))
+        config = {"model": {**model, "walk": walk}, "task": task,
+                  "numerics": {**numerics, **extra}}
+        assert run(subcommand, config, out=str(out)) == 0
+        data.append({path.name: [line for line in path.read_text(
+            encoding="utf-8").splitlines() if not line.startswith("# ")]
+            for path in sorted(out.glob("*.csv"))})
+    assert data[0] and data[0] == data[1]
+
+
 # ------------------------------------------------------------------ failures
 
 def test_unknown_subcommand_exits_2(tmp_path, capsys):
@@ -350,6 +383,13 @@ def test_unknown_subcommand_exits_2(tmp_path, capsys):
         main(["frobnicate", "--config", cfg])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_unknown_format_override_exits_2(tmp_path, capsys):
+    config = {"model": pinning_model(), "task": {"beta": 0.0, "h": 0.1}}
+    assert run("localize", config, out=str(tmp_path), fmt="xml") == 2
+    assert "'xml'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("mangle", [
@@ -633,6 +673,22 @@ def test_flagged_monte_carlo_exits_3(tmp_path, capsys):
     })
     assert main(["continuum", "--config", cfg]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("theta,dt", [(0.3, 3.0), (0.6, 3.0), (0.6, 1e-310)],
+                         ids=["no-step", "no-step-intermediate",
+                              "infinite-steps"])
+def test_monte_carlo_step_count_out_of_range_exits_2(tmp_path, capsys, theta,
+                                                     dt):
+    # T / dt must round to 1 .. 1999999 path steps
+    cfg = write_cfg(tmp_path, "c.yaml", {
+        "task": {"alpha": 0.6, "theta": theta, "beta_hat": 1.0, "h_hat": 0.5,
+                 "mc": {"T": 1.0, "n_paths": 50, "dt": dt}},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["continuum", "--config", cfg]) == 2
+    assert "T / dt" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "continuum_mc.csv").exists()
 
 
 def test_installed_entry_point_reports_version():

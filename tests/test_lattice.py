@@ -12,6 +12,7 @@ recursion.
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,7 +213,7 @@ def test_block_steps_match_a_per_step_loop(lattice, m_max, scale):
 def test_block_steps_on_a_lattice_narrower_than_the_band(lattice):
     # l = 5: 6 or 11 sites, fewer than the 65 diagonals of a 32-step block
     m_max, spec = 300, SPECS[lattice]
-    ker = layout(WALK, spec, m_max, l=5)
+    ker = layout(replace(WALK, l_max=5), spec, m_max)
     log_w = 0.02 * phi_eval(spec, ker.heights)
     assert len(log_w) < 65
     assert_matches(first_passage(ker, log_w, 0.0, m_max, DIVERGENCE_CAP),
@@ -320,7 +321,7 @@ def test_block_rows_in_one_product_keep_their_one_row_bits(lattice, m_max,
     # block, or at a block's end), next to a decaying row that never does,
     # a row with w0 = 0 and a row in logs; l = 5 is narrower than the band
     spec = SPECS[lattice]
-    ker = layout(WALK, spec, m_max, l=l)
+    ker = layout(replace(WALK, l_max=l), spec, m_max)
     grow = 0.05 * phi_eval(spec, ker.heights)
     partial = np.cumsum(one_row_block_loop(ker, grow, 0.0, m_max,
                                            math.inf)[0])
@@ -365,7 +366,7 @@ def test_band_powers_are_the_dense_matrix_powers(lattice, l):
     # M = diag(w) P^T, with P the kernel's transition matrix, so that
     # (M v)[i] is the mass stepping onto site i, times w[i]; M^h[i, i + d]
     # is 0 for d + h odd, as a nearest-neighbour walk changes parity
-    ker = layout(WALK, SPECS[lattice], 64, l=l)
+    ker = layout(replace(WALK, l_max=l), SPECS[lattice], 64)
     sites = len(ker.heights)
     w = np.random.default_rng(3).uniform(0.5, 1.5, sites)
     w[ker.origin] = 0.0
@@ -414,7 +415,7 @@ def test_infinite_weight_beyond_reach_changes_nothing(lattice):
     # l = 80 > m_max: a site at height 70 cannot be reached in 64 steps; its
     # e^800 sends the row into logs, which moves only the last bits
     m_max, spec = 64, SPECS[lattice]
-    ker = layout(WALK, spec, m_max, l=80)
+    ker = layout(replace(WALK, l_max=80), spec, m_max)
     log_w = 0.05 * phi_eval(spec, ker.heights)
     got = first_passage(ker, with_log_weight(log_w, ker, 70), math.log(1.3),
                         m_max, DIVERGENCE_CAP)
@@ -430,7 +431,7 @@ def test_batch_with_infinite_weights_equals_one_row_calls_bit_for_bit():
     # overflowing return weight stops it at step 2; the last row takes
     # block steps
     m_max, spec = 64, SPECS["folded"]
-    ker = layout(WALK, spec, m_max, l=80)
+    ker = layout(replace(WALK, l_max=80), spec, m_max)
     log_w = np.outer([-0.5, 80.0, 0.05, -0.3, 0.01],
                      phi_eval(spec, ker.heights))
     for i, height in [(0, 3), (1, 50), (2, 70), (3, 6)]:

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 import softpin.localization as localization
 from softpin.cli import CURVE_COLUMNS
-from softpin.lattice import folded_kernel
 from softpin.model import ChargeModel, PotentialSpec, WalkSpec, return_law
 from softpin.localization import (
     DIVERGENCE_CAP,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softpin.lattice import folded_kernel, recommended_truncation, signed_kernel
+from softpin.lattice import layout
 from softpin.model import (
     ChargeModel,
     CWeights,
@@ -29,10 +29,18 @@ from conftest import enumerate_srw_first_return
 
 # ------------------------------------------------------------------ kernels
 
+# the folded kernel (of |S|) and the signed one, each truncated at l
+LATTICES = pytest.mark.parametrize("folded", [True, False],
+                                   ids=["folded_kernel", "signed_kernel"])
 
-@pytest.mark.parametrize("make", [folded_kernel, signed_kernel])
-def test_tiled_step_equals_row_by_row_steps(make):
-    ker = make(WalkSpec(alpha=0.7).drift, 9)
+
+def kernel(alpha: float, l: int, folded: bool):
+    return layout(WalkSpec(alpha=alpha, l_max=l), None, 0, folded=folded)
+
+
+@LATTICES
+def test_tiled_step_equals_row_by_row_steps(folded):
+    ker = kernel(0.7, 9, folded)
     sites = len(ker.heights)
     v = np.random.default_rng(3).random((6, sites))
     want = np.array([ker.step(row) for row in v])
@@ -48,13 +56,13 @@ def test_tiled_step_equals_row_by_row_steps(make):
     np.testing.assert_allclose(want, v @ dense, rtol=1e-14)
 
 
-@pytest.mark.parametrize("make", [folded_kernel, signed_kernel])
+@LATTICES
 @pytest.mark.parametrize("l", [20, 200])
 @pytest.mark.parametrize("n", [0, 7, 64, 65, 1000])
-def test_height_law_matches_a_per_step_loop(make, l, n):
+def test_height_law_matches_a_per_step_loop(folded, l, n):
     # block steps: 32 steps per banded product and the last n mod 32 in one;
     # l = 20 folds to 21 sites, fewer than the band's 65 diagonals
-    ker = make(WalkSpec(alpha=0.6).drift, l)
+    ker = kernel(0.6, l, folded)
     want = np.zeros(len(ker.heights))
     want[ker.origin] = 1.0
     for _ in range(n):
@@ -376,17 +384,10 @@ def test_c_star_rejects_truncated_support(srw):
 def _occupation_sums(walk, spec, power, checkpoints):
     """sum_{n<=N} E[phi(S_n)^power] at each N in checkpoints, via the kernel."""
     n_max = max(checkpoints)
-    l = recommended_truncation(n_max)
-    if spec.symmetric:
-        kern = folded_kernel(walk.drift, l)
-        phi_p = phi_eval(spec, np.arange(l + 1)) ** power
-        v = np.zeros(l + 1)
-        v[0] = 1.0
-    else:
-        kern = signed_kernel(walk.drift, l)
-        phi_p = phi_eval(spec, kern.heights) ** power
-        v = np.zeros(2 * l + 1)
-        v[kern.origin] = 1.0
+    kern = layout(walk, spec, n_max)
+    phi_p = phi_eval(spec, kern.heights) ** power
+    v = np.zeros(len(kern.heights))
+    v[kern.origin] = 1.0
     out = np.zeros_like(v)
     total, sums = 0.0, {}
     for n in range(1, n_max + 1):

@@ -1,10 +1,12 @@
 """Package-wide checks: exported names resolve, the names the benchmark
-tracer wraps resolve, and only the CLI writes files or defines output
-columns."""
+tracer wraps resolve, only the CLI writes files or defines output columns,
+the walk alone carries the truncation height, and ``lattice.layout`` alone
+builds kernels."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -81,3 +83,37 @@ def test_only_the_cli_defines_output_columns():
         for n in vars(importlib.import_module(name)) if n.endswith("_COLUMNS")
     }
     assert owners == {"softpin.cli"}
+
+
+def _public_functions(name: str):
+    """(qualified name, function) of each public function and public method
+    of a public class defined in module ``name``."""
+    for attr, obj in vars(importlib.import_module(name)).items():
+        if attr.startswith("_") or getattr(obj, "__module__", None) != name:
+            continue
+        if inspect.isfunction(obj):
+            yield attr, obj
+        elif inspect.isclass(obj):
+            yield from ((f"{attr}.{k}", m) for k, m in vars(obj).items()
+                        if not k.startswith("_") and inspect.isfunction(m))
+
+
+def test_no_public_function_takes_a_truncation_height():
+    # the walk's l_max is the one knob: WalkSpec.resolve_l
+    takers = [f"{name}.{qual}" for name in MODULES
+              for qual, fn in _public_functions(name)
+              if "l" in inspect.signature(fn).parameters]
+    assert takers == []
+
+
+def test_only_layout_builds_kernels():
+    builders = set()
+    for path in Path(softpin.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                name = (func.id if isinstance(func, ast.Name)
+                        else getattr(func, "attr", ""))
+                if name in ("FoldedKernel", "SignedKernel"):
+                    builders.add((path.stem, getattr(top, "name", None)))
+    assert builders == {("lattice", "layout")}

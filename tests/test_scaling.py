@@ -1,12 +1,13 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from softpin.cli import SCALED_COLUMNS, SERIES_COLUMNS
 from softpin.continuum import ContinuumParams
-from softpin.lattice import folded_kernel
+from softpin.lattice import layout
 from softpin.localization import annealed_critical_h
 from softpin.model import (
     ChargeModel,
@@ -163,7 +164,8 @@ def test_series_expansion_reconstructs_partition(spec, beta, h):
     coeff, z_free = enumerate_series(walk, spec, GAUSS, beta, h, tn, k_max=tn)
     assert coeff[0] == pytest.approx(1.0, rel=1e-12)
     assert coeff.sum() == pytest.approx(z_free, rel=1e-12)
-    log_z_free, _ = annealed_partition(walk, spec, GAUSS, beta, h, tn, l=tn + 1)
+    log_z_free, _ = annealed_partition(replace(walk, l_max=tn + 1), spec,
+                                       GAUSS, beta, h, tn)
     assert math.exp(log_z_free) == pytest.approx(z_free, rel=1e-12)
 
 
@@ -173,16 +175,15 @@ def test_series_k1_matches_marginal_expectation():
     sched = short_schedule()
     tn = 64
     point = sched.phase_point(tn)
-    l = WALK6.resolve_l(tn)
-    kern = folded_kernel(WALK6.drift, l)
-    chi = np.expm1(psi(GAUSS, PT3, point.beta, point.h, np.arange(l + 1)))
-    v = np.zeros(l + 1)
+    kern = layout(WALK6, PT3, tn)
+    chi = np.expm1(psi(GAUSS, PT3, point.beta, point.h, kern.heights))
+    v = np.zeros(len(kern.heights))
     v[0] = 1.0
     expect = 0.0
     for _ in range(tn):
         v = kern.step(v)
         expect += float(np.dot(chi, v))
-    got = series_coefficient(WALK6, GAUSS, PT3, point, tn, k=1, l=l)
+    got = series_coefficient(WALK6, GAUSS, PT3, point, tn, k=1)
     assert got == pytest.approx(expect, rel=1e-12)
 
 

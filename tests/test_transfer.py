@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ def log_space_sweep(ker, log_weights, record_at):
 
 
 def quenched_oracle(walk, spec, beta, h, omega, record_at, folded=None):
-    ker = layout(walk, spec, max(record_at), None, folded)
+    ker = layout(walk, spec, max(record_at), folded)
     phi = np.asarray(phi_eval(spec, ker.heights), dtype=float)
     return log_space_sweep(
         ker, lambda n: (beta * omega[n - 1] - h) * phi, record_at)
@@ -122,7 +123,8 @@ def test_annealed_n4_matches_enumeration(charges):
         zf, zc = enumerate_partition(
             walk, PIN, 4, lambda x: psi(charges, PIN, beta, h, x)
         )
-        lf, lc = annealed_partition(walk, PIN, charges, beta, h, 4, l=8)
+        lf, lc = annealed_partition(replace(walk, l_max=8), PIN, charges, beta,
+                                    h, 4)
         assert lf == pytest.approx(math.log(zf), abs=1e-12)
         assert lc == pytest.approx(math.log(zc), abs=1e-12)
 
@@ -142,7 +144,7 @@ def test_quenched_n4_matches_enumeration():
         z_free += 0.5 ** 4 * math.exp(w)
         if s == 0:
             z_con += 0.5 ** 4 * math.exp(w)
-    lf, lc = quenched_partition(SRW, PIN, beta, h, omega, 4, l=4)
+    lf, lc = quenched_partition(replace(SRW, l_max=4), PIN, beta, h, omega, 4)
     assert lf == pytest.approx(math.log(z_free), abs=1e-12)
     assert lc == pytest.approx(math.log(z_con), abs=1e-12)
 
@@ -161,7 +163,7 @@ def test_quenched_power_tail_matches_enumeration():
         z_free += prob * math.exp(w)
         if s == 0:
             z_con += prob * math.exp(w)
-    lf, lc = quenched_partition(walk, pw, 0.9, 0.2, omega, 6, l=8)
+    lf, lc = quenched_partition(replace(walk, l_max=8), pw, 0.9, 0.2, omega, 6)
     assert lf == pytest.approx(math.log(z_free), abs=1e-12)
     assert lc == pytest.approx(math.log(z_con), abs=1e-12)
 
@@ -202,8 +204,9 @@ def test_truncation_doubling_leaves_log_z_unchanged():
     ]
     for walk, spec, b, h in cases:
         l0 = walk.resolve_l(n)
-        a = annealed_partition(walk, spec, GAUSS, b, h, n, l=l0)
-        bb = annealed_partition(walk, spec, GAUSS, b, h, n, l=2 * l0)
+        a = annealed_partition(replace(walk, l_max=l0), spec, GAUSS, b, h, n)
+        bb = annealed_partition(replace(walk, l_max=2 * l0), spec, GAUSS, b,
+                                h, n)
         assert abs(a[0] - bb[0]) < 1e-8
         assert abs(a[1] - bb[1]) < 1e-8
 
@@ -212,10 +215,10 @@ def test_constrained_superadditive():
     # log Z_c(N+M) >= log Z_c(N) + log Z_c(M): restricting to a mid-point
     # visit can only lose mass
     ns = [4, 8, 12, 16, 24]
-    walk = WalkSpec(alpha=0.6)
+    walk = WalkSpec(alpha=0.6, l_max=64)
     spec = PotentialSpec(kind="power_tail", theta=3.0)
     vals = {}
-    sw = annealed_sweep(walk, spec, GAUSS, 0.9, 0.3, sorted(set(ns + [a + b for a in ns for b in ns])), l=64)
+    sw = annealed_sweep(walk, spec, GAUSS, 0.9, 0.3, sorted(set(ns + [a + b for a in ns for b in ns])))
     for n, lzc in zip(sw.n_values, sw.log_z_constrained):
         vals[int(n)] = lzc
     for a in ns:
@@ -277,7 +280,8 @@ def test_delocalized_free_energy_compatible_with_zero():
 def test_pinned_free_energy_matches_renewal_oracle():
     # negative bias h = -1/2 rewards the origin: psi(0) = 1/2, and the
     # limit free energy solves sum_n K(n) e^(-F n) = e^(-1/2)
-    est = annealed_free_energy(SRW, PIN, GAUSS, 0.0, -0.5, n_max=2 ** 10, l=128)
+    est = annealed_free_energy(replace(SRW, l_max=128), PIN, GAUSS, 0.0, -0.5,
+                               n_max=2 ** 10)
     assert est.value == pytest.approx(F_PINNED_SRW, abs=2e-3)
 
 
@@ -396,7 +400,7 @@ def test_rows_on_both_paths_match_one_row_calls(spec):
     rng = np.random.default_rng(11)
     omegas = [rng.standard_normal(64) for _ in couplings]
     g = np.array([b * om - h for (b, h), om in zip(couplings, omegas)])
-    free, con = _quenched_rows(walk, spec, g, ladder, None, None)
+    free, con = _quenched_rows(walk, spec, g, ladder, None)
     for i, ((beta, h), omega) in enumerate(zip(couplings, omegas)):
         one = quenched_sweep(walk, spec, beta, h, omega, ladder)
         np.testing.assert_array_equal(free[i], one.log_z_free)
@@ -421,7 +425,7 @@ def test_sweeps_match_a_log_space_recursion(alpha, spec, charges, beta, h,
     # every coupling, weak or strong: finite and the log-space oracle's
     walk, folded = WalkSpec(alpha=alpha), folded and spec.symmetric
     ladder = [n_max // 4, n_max // 2, n_max]
-    ker = layout(walk, spec, n_max, None, folded)
+    ker = layout(walk, spec, n_max, folded)
     log_w = np.asarray(psi(charges, spec, beta, h, ker.heights), dtype=float)
     assert_matches_oracle(
         annealed_sweep(walk, spec, charges, beta, h, ladder, folded=folded),
@@ -444,6 +448,18 @@ def test_strong_coupling_sweeps_stay_finite():
                         omega, [256])
     assert np.all(np.isfinite(sw.log_z_free))
     assert np.all(np.isfinite(sw.log_z_constrained))
+
+
+def test_log_sweep_rounding_does_not_grow_with_log_z():
+    # the same strong pinning out to N = 4096, where log Z ~ 1.6e6: each
+    # rung, free and constrained, is the closed form to rounding, and the
+    # ladder has neither gap nor drift
+    walk = WalkSpec(alpha=0.6)
+    est = annealed_free_energy(walk, PIN, GAUSS, 40.0, 0.0, n_max=4096)
+    closed = 400.0 + 0.5 * math.log(0.5 * (1.0 - float(walk.drift(1))))
+    for f in (est.ladder.f_free(), est.ladder.f_constrained()):
+        np.testing.assert_allclose(f, closed, rtol=1e-15, atol=0)
+    assert est.error <= 1e-13
 
 
 def test_quenched_below_annealed_jensen():
