@@ -50,6 +50,10 @@ Task blocks::
 ``bessel-check`` and ``continuum`` read everything from their task block
 and need no model block.
 
+Importing this module loads numpy but no scipy: ``scaling``, ``continuum``
+and ``bessel-check`` import the scipy-backed modules in their handlers, and
+a partition sweep that runs in logs loads ``scipy.special`` when it starts.
+
 Reproducibility
 ---------------
 Outputs depend only on the effective config (the YAML after flag
@@ -84,20 +88,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import yaml
 from jsonschema import Draft202012Validator
-from scipy.integrate import quad
 
 from . import __version__
-from .continuum import (
-    ContinuumParams,
-    ContinuumPhasePoint,
-    bessel_density,
-    continuum_critical_curve,
-    continuum_free_energy_mc,
-    continuum_free_energy_short,
-    critical_exponent,
-    sharp_constant,
-    ztilde_growth_rate,
-)
 from .lattice import layout
 from .localization import (
     annealed_critical_curve,
@@ -111,11 +103,6 @@ from .model import (
     estimate_c_weights,
     height_law,
     return_law,
-)
-from .scaling import (
-    ScalingSchedule,
-    compare_to_continuum,
-    scaled_free_energy,
 )
 from .transfer import (
     FreeEnergyEstimate,
@@ -643,6 +630,10 @@ def _run_localize(config, ctx: RunContext) -> int:
 
 
 def _half_line_integral(alpha: float, t: float, x: float) -> float:
+    from scipy.integrate import quad
+
+    from .continuum import bessel_density
+
     lo, _ = quad(lambda y: bessel_density(alpha, t, x, y), 0.0, 1.0)
     hi, _ = quad(lambda y: bessel_density(alpha, t, x, y), 1.0, np.inf)
     return lo + hi
@@ -686,6 +677,9 @@ def _run_bessel_check(config, ctx: RunContext) -> int:
 
 
 def _run_scaling(config, ctx: RunContext) -> int:
+    from .continuum import ContinuumParams
+    from .scaling import ScalingSchedule, compare_to_continuum, scaled_free_energy
+
     walk, spec, charges = _build_model(config)
     task = config["task"]
     params = ContinuumParams(alpha=task["alpha"], theta=task["theta"])
@@ -724,6 +718,17 @@ def _run_scaling(config, ctx: RunContext) -> int:
 
 
 def _run_continuum(config, ctx: RunContext) -> int:
+    from .continuum import (
+        ContinuumParams,
+        ContinuumPhasePoint,
+        continuum_critical_curve,
+        continuum_free_energy_mc,
+        continuum_free_energy_short,
+        critical_exponent,
+        sharp_constant,
+        ztilde_growth_rate,
+    )
+
     task = config["task"]
     params = ContinuumParams(alpha=task["alpha"], theta=task["theta"],
                              **_present(task, "c_tail"))
@@ -755,8 +760,9 @@ def _run_continuum(config, ctx: RunContext) -> int:
             "value": (zt["mu"] * math.gamma(params.alpha))
             ** (1.0 / params.alpha),
         })
-    _emit(ctx, "continuum", ("name", "value"), rows)
-    code = EXIT_OK
+    # the Monte Carlo block runs before any file is written, so an
+    # mc block it rejects leaves no output behind
+    est = None
     if "mc" in task:
         mc = task["mc"]
         est = continuum_free_energy_mc(
@@ -765,16 +771,17 @@ def _run_continuum(config, ctx: RunContext) -> int:
             **_present(mc, "dt", "eps", "n_bootstrap"),
             **({} if cs2 is None else {"cstar_phi2": cs2}),
         )
-        row = {
-            "alpha": params.alpha, "theta": params.theta,
-            "beta_hat": cp.beta_hat, "h_hat": cp.h_hat, "T": est.T,
-            "dt": est.dt, "n_paths": est.n_paths, "estimate": est.estimate,
-            "stderr": est.stderr, "flagged": est.flagged,
-        }
-        _emit(ctx, "continuum_mc", tuple(row), [row])
-        if est.flagged:
-            code = EXIT_NUMERIC
-    return code
+    _emit(ctx, "continuum", ("name", "value"), rows)
+    if est is None:
+        return EXIT_OK
+    row = {
+        "alpha": params.alpha, "theta": params.theta,
+        "beta_hat": cp.beta_hat, "h_hat": cp.h_hat, "T": est.T,
+        "dt": est.dt, "n_paths": est.n_paths, "estimate": est.estimate,
+        "stderr": est.stderr, "flagged": est.flagged,
+    }
+    _emit(ctx, "continuum_mc", tuple(row), [row])
+    return EXIT_NUMERIC if est.flagged else EXIT_OK
 
 
 _HANDLERS = {

@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
-from scipy.optimize import brentq
 
 from .lattice import layout
 from .model import ChargeModel, PotentialSpec, WalkSpec, phi_eval, psi
@@ -142,6 +140,8 @@ def _log_sweep(ker, step_log_weights, record_at: np.ndarray):
     site weights of step n: exact for any weights, as no row can overflow,
     die or lose its origin's share.  Each row's maximum is subtracted every
     _LOG_RESCALE_EVERY steps, so no step rounds on values the size of log Z."""
+    from scipy.special import logsumexp
+
     pts = record_at.tolist()
     sites, origin = len(ker.heights), ker.origin
     r = len(ker.p_up) // sites
@@ -166,7 +166,7 @@ def _log_sweep(ker, step_log_weights, record_at: np.ndarray):
             acc += maxima[:, :k].sum(axis=-1)
             k = 0
         if n == pts[idx]:
-            rec_free[:, idx] = acc + special.logsumexp(by_row, axis=1)
+            rec_free[:, idx] = acc + logsumexp(by_row, axis=1)
             rec_con[:, idx] = acc + v[origin::sites]
             idx += 1
     return rec_free, rec_con
@@ -383,13 +383,15 @@ class RenewalRoot:
 
 def _tail_integral(alpha: float, m0: float, f: float) -> float:
     """integral_{m0}^{inf} x^(-(1+alpha)) e^(-f x) dx, f >= 0."""
+    from scipy.special import gammaincc
+
     if f <= 0.0:
         return m0 ** (-alpha) / alpha
     head = m0 ** (-alpha) * math.exp(-f * m0) / alpha
     rest = (
         (f ** alpha / alpha)
         * math.gamma(1.0 - alpha)
-        * special.gammaincc(1.0 - alpha, f * m0)
+        * gammaincc(1.0 - alpha, f * m0)
     )
     return head - rest
 
@@ -401,6 +403,8 @@ def renewal_root(weights: np.ndarray, alpha: float) -> RenewalRoot:
     tail coefficient is fitted on the top octave of m, where the excursion
     weights have settled onto their ~m^-(1+alpha) decay.
     """
+    from scipy.optimize import brentq
+
     a = np.asarray(weights, dtype=float)
     if len(a) < 8:
         raise ValueError("need excursion weights out to m >= 8")

@@ -673,6 +673,9 @@ def test_flagged_monte_carlo_exits_3(tmp_path, capsys):
     })
     assert main(["continuum", "--config", cfg]) == 3
     capsys.readouterr()
+    # a flagged estimate is still written, next to the closed forms
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "continuum.csv", "continuum_mc.csv"]
 
 
 @pytest.mark.parametrize("theta,dt", [(0.3, 3.0), (0.6, 3.0), (0.6, 1e-310)],
@@ -688,7 +691,8 @@ def test_monte_carlo_step_count_out_of_range_exits_2(tmp_path, capsys, theta,
     })
     assert main(["continuum", "--config", cfg]) == 2
     assert "T / dt" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "continuum_mc.csv").exists()
+    # the closed forms are not written either: a rejected run writes nothing
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_installed_entry_point_reports_version():

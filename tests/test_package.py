@@ -1,13 +1,17 @@
 """Package-wide checks: exported names resolve, the names the benchmark
 tracer wraps resolve, only the CLI writes files or defines output columns,
-the walk alone carries the truncation height, and ``lattice.layout`` alone
-builds kernels."""
+the walk alone carries the truncation height, ``lattice.layout`` alone
+builds kernels, and only the handlers that need scipy load it."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -117,3 +121,46 @@ def test_only_layout_builds_kernels():
                 if name in ("FoldedKernel", "SignedKernel"):
                     builders.add((path.stem, getattr(top, "name", None)))
     assert builders == {("lattice", "layout")}
+
+
+_SCIPY_IMPORTS = textwrap.dedent("""
+    import sys, tempfile
+    from softpin import cli
+
+    SCIPY = ("scipy.special", "scipy.optimize", "scipy.integrate")
+    pinning = {"walk": {"alpha": 0.5}, "potential": {"kind": "pinning"}}
+    out = tempfile.mkdtemp()
+    for sub, task in [
+        ("localize", {"beta": 0.5, "h": 0.1}),
+        ("critical-curve", {"beta_grid": [0.5]}),
+        ("free-energy", {"beta": 0.5, "h": 0.2, "n_max": 64}),
+    ]:
+        assert cli.run(sub, {"model": pinning, "task": task,
+                             "numerics": {"m_max": 256}}, out=out) == 0
+    print(*(m in sys.modules for m in SCIPY))
+    assert cli.run("scaling", {
+        "model": {"walk": {"alpha": 0.6},
+                  "potential": {"kind": "power_tail", "theta": 3.0}},
+        "task": {"alpha": 0.6, "theta": 3.0, "beta_hat": 1.0, "h_hat": 0.1,
+                 "n_ladder": [64], "cstar_phi": 0.5, "cstar_phi2": 0.4},
+    }, out=out) == 0
+    assert cli.run("bessel-check", {"task": {"alpha": 0.5, "n": 16}},
+                   out=out) == 0
+    print(*(m in sys.modules for m in SCIPY))
+""")
+
+
+def test_numpy_only_subcommands_load_no_scipy():
+    # a fresh process: the test session has scipy loaded already
+    src = str(Path(softpin.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_IMPORTS], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # special, optimize, integrate: none after the numpy-only subcommands
+    # (free energies on the linear path), all once scaling and
+    # bessel-check have run
+    assert proc.stdout.split("\n")[:2] == ["False False False",
+                                            "True True True"]
