@@ -19,10 +19,11 @@ When the site weights do not change from step to step, recursions take
 block steps: the walk is nearest-neighbour, so BLOCK = 32 steps of the
 weighted kernel M = diag(w) T form one band matrix M^32 of half-width 32
 (0 on odd diagonals), and one banded product advances the state by a
-block.  ``band_steps`` (the height law, w = 1) and every ``first_passage``
-row whose state stays below 1e200 and whose return weight is finite run
-this way, all rows of a call in one product; each row's returns inside a
-block come from one small matrix on the 65 sites around the origin.  The
+block.  ``band_steps`` (the height law, w = 1, its last n mod 32 steps one
+``step`` each) and every ``first_passage`` row whose state stays below 1e200
+and whose return weight is finite run this way, all rows of a call in one
+product; each row's returns inside a block come from one small matrix on
+the 65 sites around the origin, read off the same band build.  The
 band product is numpy's own and single-threaded, so results do not depend
 on a BLAS thread count; they agree with the one-step recursion within
 1e-12 relative, with the same zeros, divergence flags and stopping steps.
@@ -147,92 +148,81 @@ def layout(walk, spec, n: int, folded: bool | None = None) -> _Kernel:
 BLOCK = 32
 
 
-def _band_powers(ker, w, powers) -> list[np.ndarray]:
-    """M^h for each h of ``powers`` (ascending, at most BLOCK) in row band
-    storage ``b[i, h + d] = M^h[i, i + d]``, where M = diag(w) T is one step
-    of ``ker`` followed by the site weights w.
+def _band_powers(ker, w, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """M^n, n <= BLOCK, in row band storage ``b[i, n + d] = M^n[i, i + d]``,
+    where M = diag(w) T is one step of ``ker`` followed by the site weights
+    w, and the return rows R[h] = e_o T M^h, h < n, on the 2 BLOCK + 1
+    sites centred on the origin o (zero past the lattice's ends): from the
+    state v, the next n steps return R @ v there, one return per step.
 
     Built by left products with the tridiagonal M, (M B)[i, i + d] =
     M[i, i - 1] B[i - 1, (i - 1) + (d + 1)] + M[i, i + 1] B[i + 1, (i + 1) +
     (d - 1)], on the diagonals ``bt[BLOCK + d]`` that M^h can reach and
     whose offset d has the parity of h: the walk is nearest-neighbour, so
-    every other diagonal is exactly 0.  O(BLOCK^2 sites / 2) in all.
+    every other diagonal is exactly 0.  R[h] is read off M^h's rows o - 1
+    and o + 1, the sites that step onto the origin.  O(BLOCK^2 sites / 2)
+    in all.
     """
-    sites, k = len(w), BLOCK
+    (sites,), k, o = w.shape, BLOCK, ker.origin
     up, down = np.zeros(sites), np.zeros(sites)  # M[i, i - 1], M[i, i + 1]
     up[1:] = w[1:] * ker.p_up[:-1]
     down[:-1] = w[:-1] * ker.p_down[1:]
     bt, nxt = np.zeros((2 * k + 1, sites)), np.zeros((2 * k + 1, sites))
     bt[k] = 1.0
-    out = []
-    for h in range(1, max(powers, default=0) + 1):
+    ret = np.zeros((n, 2 * k + 1))
+    for h in range(1, n + 1):
         # M^h lives on the diagonals lo, lo + 2, .., hi, M^(h-1) in bt on
         # the ones between, and M^(h-2), left in nxt, further in still
         lo, hi = k - h, k + h
-        np.multiply(up[1:], bt[lo + 1 : hi : 2, :-1],
-                    out=nxt[lo : hi - 1 : 2, 1:])
+        prev = bt[lo + 1 : hi : 2]
+        ret[h - 1, lo + 2 : hi + 1 : 2] = ker.p_down[o + 1] * prev[:, o + 1]
+        if o > 0:  # no site below the origin of a folded lattice
+            ret[h - 1, lo : hi - 1 : 2] += ker.p_up[o - 1] * prev[:, o - 1]
+        np.multiply(up[1:], prev[:, :-1], out=nxt[lo : hi - 1 : 2, 1:])
         nxt[lo : hi - 1 : 2, 0] = 0.0
-        nxt[lo + 2 : hi + 1 : 2, :-1] += down[:-1] * bt[lo + 1 : hi : 2, 1:]
+        nxt[lo + 2 : hi + 1 : 2, :-1] += down[:-1] * prev[:, 1:]
         bt, nxt = nxt, bt
-        if h in powers:
-            out.append(np.ascontiguousarray(bt[lo : hi + 1].T))
-    return out
+    return np.ascontiguousarray(bt[k - n : k + n + 1].T), ret
 
 
-def _windows(pads: np.ndarray, half: int) -> list[np.ndarray]:
-    """For each padded state of ``pads``, the 2 half + 1 sites around each
-    lattice site, a view."""
-    view = np.lib.stride_tricks.sliding_window_view
-    return [view(p[BLOCK - half : len(p) - BLOCK + half], 2 * half + 1)
-            for p in pads]
+def _windows(pads: np.ndarray) -> np.ndarray:
+    """The 2 BLOCK + 1 sites around each site of each padded state, a view."""
+    return np.lib.stride_tricks.sliding_window_view(pads, 2 * BLOCK + 1, -1)
 
 
 def band_steps(ker, v: np.ndarray, n: int) -> np.ndarray:
     """The state v after n steps of ``ker``: T^BLOCK per banded product,
-    and T^r for the last r = n mod BLOCK steps."""
+    then one ``step`` for each of the last n mod BLOCK."""
     q, r = divmod(n, BLOCK)
-    steps = [BLOCK] * q + [r] * (r > 0)
-    powers = sorted(set(steps))
-    band = dict(zip(powers, _band_powers(ker, np.ones(len(v)), powers)))
     pads = np.zeros((2, len(v) + 2 * BLOCK))  # BLOCK zeros on either side
     pads[0, BLOCK:-BLOCK] = v
-    win = {h: _windows(pads, h) for h in powers}
-    for i, h in enumerate(steps):
-        np.einsum("ij,ij->i", band[h], win[h][i % 2],
+    band, win = _band_powers(ker, np.ones(len(v)), BLOCK)[0], _windows(pads)
+    for i in range(q):
+        np.einsum("ij,ij->i", band, win[i % 2],
                   out=pads[1 - i % 2, BLOCK:-BLOCK])
-    return pads[len(steps) % 2, BLOCK:-BLOCK].copy()
-
-
-def _return_rows(ker, w, k: int) -> np.ndarray:
-    """R[j - 1] = e_o T M^(j - 1), j = 1..k, on the 2 BLOCK + 1 sites
-    centred on the origin o (zero past the lattice's ends): from the state
-    v, the next k steps return R @ v there, one return per step."""
-    sites, o = len(w), ker.origin
-    rows = np.zeros((k, sites + 2 * BLOCK))
-    y = np.zeros(sites)
-    y[o] = 1.0
-    for j in range(k):  # y -> (y T) w
-        x = rows[j, BLOCK : BLOCK + sites]
-        np.multiply(y[1:], ker.p_up[:-1], out=x[:-1])
-        x[1:] += y[:-1] * ker.p_down[1:]
-        y = x * w
-    return rows[:, o : o + 2 * BLOCK + 1].copy()
+    v = pads[q % 2, BLOCK:-BLOCK].copy()
+    for _ in range(r):
+        v = ker.step(v)
+    return v
 
 
 def _block_passage(ker, w, w0, m_max: int, cap: float):
     """a of the rows of ``first_passage`` that cannot overflow, BLOCK steps
     per banded product on the rows laid end to end, until every row's
     partial sum has passed cap; w, (rows, sites), is killed at the origin.
-    A band is 0 past its row and states are finite: rows cannot mix bits."""
+    Each row's band and return rows come from one ``_band_powers`` call of
+    min(BLOCK, m_max) powers, the most the overflow rule bounds.  A band is
+    0 past its row and states are finite: rows cannot mix bits."""
     (r, sites), o, n_blocks = w.shape, ker.origin, -(-m_max // BLOCK)
-    ret_rows = np.stack([_return_rows(ker, x, min(BLOCK, m_max)) for x in w])
-    band = np.empty((r * sites, 2 * BLOCK + 1))
-    for j, x in enumerate(w if n_blocks > 1 else ()):
-        band[j * sites : (j + 1) * sites] = _band_powers(ker, x, [BLOCK])[0]
+    k = min(BLOCK, m_max)
+    band = np.empty((r * sites, 2 * k + 1))
+    ret_rows = np.empty((r, k, 2 * BLOCK + 1))
+    for x, rows, ret in zip(w, band.reshape(r, sites, -1), ret_rows):
+        rows[:], ret[:] = _band_powers(ker, x, k)
     pads = np.zeros((2, r * sites + 2 * BLOCK))  # BLOCK zeros on either end
     pads[0, BLOCK + o :: sites] = 1.0
-    win = _windows(pads, BLOCK)
-    at = [x[o::sites, :, None] for x in win]  # the sites around each origin
+    win = _windows(pads)
+    at = win[:, o::sites, :, None]  # the sites around each origin
     a = np.zeros((m_max + 1, r))  # a block of every row is one slice
     run = np.zeros((BLOCK + 1, r))  # partial sums, then a block's values
     for b in range(n_blocks):
@@ -288,7 +278,8 @@ def first_passage(ker, log_w: np.ndarray, log_w0, m_max: int, cap: float):
     sum(v_n) <= max(w)^n, as the kernel is stochastic and killing only
     removes mass, so a row with max(w)^m_max <= 1e200 and a finite e^log_w0
     cannot overflow: all such rows take BLOCK steps per banded product on
-    e^log_w, together.  Every other row runs one exact recursion in logs, a
+    e^log_w, together, their returns inside a block read off the band
+    build.  Every other row runs one exact recursion in logs, a
     ``log_step`` per step.  Either way a row's bits do not depend on the
     rows next to it.
     """

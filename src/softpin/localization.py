@@ -9,7 +9,8 @@ exceeds 1.  The sum is evaluated by a weighted first-passage recursion;
 truncation at m_max leaves a tail which is handled two ways:
 
 - rigorous bound whenever psi <= 0 away from the origin (the excursion
-  interior never collects positive weight), and no finite bound otherwise;
+  interior never collects positive weight) and the lattice is at least
+  ``recommended_truncation(m_max)`` high, and no finite bound otherwise;
 - fitted power-law point estimate (for root finding, not certification).
 
 Verdicts use the bounds; bisections for critical curves use the point
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import first_passage, layout
+from .lattice import first_passage, layout, recommended_truncation
 from .model import ChargeModel, PotentialSpec, WalkSpec, psi, return_law
 from .transfer import quenched_free_energy
 
@@ -63,21 +64,12 @@ class ExcursionWeights:
     psi0: float
     psi_plus_off_origin: float
     alpha: float
-    decay_rate: float  # escape rate min(theta/2, 1-alpha); no bound reads it
     diverged: bool
     m_stop: int
 
     @property
     def m_max(self) -> int:
         return len(self.a) - 1
-
-
-def _decay_rate(spec: PotentialSpec, alpha: float) -> float:
-    if spec.kind == "copolymer":
-        return 0.0  # non-decaying arm: no diffusive escape from the reward
-    if spec.kind == "power_tail":
-        return min(spec.theta / 2.0, 1.0 - alpha)
-    return 1.0 - alpha  # compactly supported potentials
 
 
 def excursion_weights(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
@@ -111,10 +103,10 @@ def _excursion_rows(walk, spec, charges, beta, h,
     psi_x[:, ker.origin] = -math.inf  # killed at the origin: weight never used
     a, diverged, m_stop = first_passage(ker, psi_x, psi0, m_max,
                                         DIVERGENCE_CAP)
-    m_values, rate = np.arange(m_max + 1), _decay_rate(spec, walk.alpha)
+    m_values = np.arange(m_max + 1)
     return [ExcursionWeights(m_values, a[i], psi0[i],
                              max(0.0, float(psi_x[i].max())), walk.alpha,
-                             rate, bool(diverged[i]), int(m_stop[i]))
+                             bool(diverged[i]), int(m_stop[i]))
             for i in range(len(psi0))]
 
 
@@ -147,7 +139,9 @@ class CriterionValue:
 
 
 # slack added to the rigorous tail branch: the reflecting truncation biases
-# the computed return mass upward by less than this for L >= 4*sqrt(m_max)
+# the computed return mass upward by less than this for L >= 4*sqrt(m_max),
+# the only lattices ``excursion_sum`` bounds a tail on (by 1e-12 at most:
+# test_wall_bias_on_the_return_mass_is_far_below_the_slack)
 TAIL_MASS_SLACK = 1e-6
 
 
@@ -205,12 +199,22 @@ def _estimate(ew: ExcursionWeights) -> float:
 def excursion_sum(walk, spec, charges, beta, h, m_max: int = 4096,
                   kappa: float = 1.0,
                   threshold: float = 1.0) -> CriterionValue:
-    """Evaluate the localization sum against ``threshold`` (default 1)."""
+    """Evaluate the localization sum against ``threshold`` (default 1).
+
+    On a lattice below ``recommended_truncation(m_max)`` the missing return
+    mass is the reflected walk's, not the paper walk's: there is no tail
+    bound, so no "no", and "yes" comes from the exact prefix only, the
+    terms a[m] with m < 2L that no excursion reaching the wall at L enters.
+    """
     ew = excursion_weights(walk, spec, charges, beta, h, m_max, kappa=kappa)
     partial = float(ew.a.sum())
-    tail = math.inf if ew.diverged else _tail_bound(
+    l = walk.resolve_l(m_max)
+    wide = l >= recommended_truncation(m_max)
+    tail = math.inf if ew.diverged or not wide else _tail_bound(
         ew, float(return_law(walk, m_max).sum()))
-    if ew.diverged or partial > threshold:
+    n_exact = m_max + 1 if wide else 2 * l  # the a[m] a "yes" may rest on
+    if (ew.diverged and ew.m_stop < n_exact
+            or float(ew.a[:n_exact].sum()) > threshold):
         verdict = "yes"
     elif partial + tail <= threshold:
         verdict = "no"

@@ -375,6 +375,22 @@ def test_numerics_l_is_the_walk_truncation_height_everywhere(
     assert data[0] and data[0] == data[1]
 
 
+@pytest.mark.parametrize("walk,numerics", [
+    ({"alpha": 0.6}, {"m_max": 256, "l": 8}),
+    ({"alpha": 0.6, "l_max": 8}, {"m_max": 256})], ids=["numerics", "walk"])
+def test_localize_on_a_narrow_lattice_certifies_nothing(tmp_path, walk,
+                                                        numerics):
+    # L = 8 is below 4 sqrt(256) = 64: the partial sum 1.0248 is the
+    # reflected walk's, and its exact prefix (m < 16) does not pass 1
+    out = tmp_path / "out"
+    config = {"model": {**pinning_model(), "walk": walk},
+              "task": {"beta": 0.5, "h": 0.1}, "numerics": numerics}
+    assert run("localize", config, out=str(out)) == 0
+    _, _, (row,) = read_csv(out / "localize.csv")
+    assert float(row["partial_sum"]) > 1.0
+    assert row["localized"] == "undetermined" and row["tail_bound"] == ""
+
+
 # ------------------------------------------------------------------ failures
 
 def test_unknown_subcommand_exits_2(tmp_path, capsys):

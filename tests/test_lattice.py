@@ -291,11 +291,11 @@ def test_each_row_takes_its_own_path_for_m_max_steps(monkeypatch):
 def one_row_block_loop(ker, log_w, log_w0, m_max, cap):
     """One row by the block recursion written out for it alone: per block,
     the returns R @ v on the 65 sites around the origin times
-    math.exp(log_w0), then v -> M^32 v by one einsum on the padded state."""
+    math.exp(log_w0), then, if another block follows, v -> M^32 v by one
+    einsum on the padded state."""
     k, o = softpin.lattice.BLOCK, ker.origin
     w = np.exp(np.where(np.arange(len(log_w)) == o, -math.inf, log_w))
-    ret_rows = softpin.lattice._return_rows(ker, w, min(k, m_max))
-    band = softpin.lattice._band_powers(ker, w, [k])[0]
+    band, ret_rows = softpin.lattice._band_powers(ker, w, min(k, m_max))
     v = np.zeros(len(w) + 2 * k)
     v[k + o] = 1.0
     a = np.zeros(m_max + 1)
@@ -303,8 +303,9 @@ def one_row_block_loop(ker, log_w, log_w0, m_max, cap):
         h = min(k, m_max - n0)
         a[n0 + 1 : n0 + h + 1] = (ret_rows[:h] @ v[o : o + 2 * k + 1]
                                   * math.exp(log_w0))
-        v = np.pad(np.einsum("ij,ij->i", band, np.lib.stride_tricks
-                             .sliding_window_view(v, 2 * k + 1)), k)
+        if n0 + k < m_max:
+            v = np.pad(np.einsum("ij,ij->i", band, np.lib.stride_tricks
+                                 .sliding_window_view(v, 2 * k + 1)), k)
     past = ~(np.cumsum(a) <= min(cap, sys.float_info.max))
     m_stop = int(past.argmax()) if past.any() else m_max
     a[m_stop + 1 :] = 0.0
@@ -361,25 +362,35 @@ def test_return_weight_multiplies_each_return_once():
 
 
 @pytest.mark.parametrize("lattice,l", [("folded", 40), ("signed", 40),
-                                       ("signed", 5)])
+                                       ("signed", 5), ("folded", 1),
+                                       ("signed", 1)])
 def test_band_powers_are_the_dense_matrix_powers(lattice, l):
     # M = diag(w) P^T, with P the kernel's transition matrix, so that
     # (M v)[i] is the mass stepping onto site i, times w[i]; M^h[i, i + d]
-    # is 0 for d + h odd, as a nearest-neighbour walk changes parity
+    # is 0 for d + h odd, as a nearest-neighbour walk changes parity.  The
+    # return rows are e_o P^T M^h, h < n, on the sites o - 32 .. o + 32
     ker = layout(replace(WALK, l_max=l), SPECS[lattice], 64)
-    sites = len(ker.heights)
+    sites, o, k = len(ker.heights), ker.origin, softpin.lattice.BLOCK
     w = np.random.default_rng(3).uniform(0.5, 1.5, sites)
-    w[ker.origin] = 0.0
+    w[o] = 0.0
     p = np.diag(ker.p_up[:-1], 1) + np.diag(ker.p_down[1:], -1)
     m = np.diag(w) @ p.T
-    powers, i = [1, 2, 7, 31, 32], np.arange(sites)[:, None]
-    for h, band in zip(powers, softpin.lattice._band_powers(ker, w, powers)):
-        dense = np.linalg.matrix_power(m, h)
-        j = i + np.arange(-h, h + 1)  # band[i, h + d] is M^h[i, i + d]
+    i, near = np.arange(sites)[:, None], o + np.arange(-k, k + 1)
+    for n in [1, 2, 7, 31, 32]:
+        band, ret = softpin.lattice._band_powers(ker, w, n)
+        dense = np.linalg.matrix_power(m, n)
+        j = i + np.arange(-n, n + 1)  # band[i, n + d] is M^n[i, i + d]
         want = np.where((j >= 0) & (j < sites),
                         dense[i, np.clip(j, 0, sites - 1)], 0.0)
         np.testing.assert_allclose(band, want, rtol=1e-13, atol=0)
-        assert not band[:, 1::2].any()  # the diagonals with d + h odd
+        assert not band[:, 1::2].any()  # the diagonals with d + n odd
+        assert ret.shape == (n, 2 * k + 1)
+        for h in range(n):
+            row = p[:, o] @ np.linalg.matrix_power(m, h)
+            want = np.where((near >= 0) & (near < sites),
+                            row[np.clip(near, 0, sites - 1)], 0.0)
+            np.testing.assert_allclose(ret[h], want, rtol=1e-13, atol=0)
+            assert np.array_equal(ret[h] == 0.0, want == 0.0)
 
 
 # ---------------------------------------------------- overflowing weights

@@ -15,6 +15,7 @@ Closed-form oracles used here:
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,6 +252,33 @@ class TestExcursionSum:
         assert cv.verdict == "yes" and cv.diverged
         ew = excursion_weights(walk, spec, gaussian, 1.0, 40.0, m_max=256)
         assert ew.m_stop == 18 and cv.value == ew.a.sum() > DIVERGENCE_CAP
+
+    @pytest.mark.parametrize("h,narrow,wide", [
+        (-0.5, "yes", "yes"), (-0.05, "undetermined", "yes"),
+        (0.5, "undetermined", "no")])
+    def test_narrow_lattice_certifies_from_its_exact_prefix_only(
+            self, pinning, gaussian, h, narrow, wide):
+        # at beta = 0 the sum is e^-h times the return mass.  L = 8 is
+        # below 4 sqrt(256) = 64, so only a[m], m < 16, is the paper walk's
+        # own; their mass, 0.84, times e^0.5 passes 1 and times e^0.05 does
+        # not, and no tail bound there certifies a "no"
+        walk = WalkSpec(alpha=0.6)
+        cv = excursion_sum(replace(walk, l_max=8), pinning, gaussian, 0.0, h,
+                           m_max=256)
+        assert cv.verdict == narrow and cv.tail_bound == math.inf
+        assert excursion_sum(walk, pinning, gaussian, 0.0, h,
+                             m_max=256).verdict == wide
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.6, 0.9])
+@pytest.mark.parametrize("m_max", [256, 4096])
+def test_wall_bias_on_the_return_mass_is_far_below_the_slack(alpha, m_max):
+    # the return mass at L = 4 sqrt(m_max) against a lattice whose wall the
+    # walk cannot reach within m_max steps: the claim behind TAIL_MASS_SLACK
+    walk = WalkSpec(alpha=alpha)
+    mass = return_law(walk, m_max).sum()
+    unbiased = return_law(replace(walk, l_max=m_max + 2), m_max).sum()
+    assert abs(mass - unbiased) <= 1e-12 < localization.TAIL_MASS_SLACK
 
 
 class TestTransientCriterion:
