@@ -16,17 +16,19 @@ latter many phase points at a time as rows.  It takes log weights, and a row
 stops for one reason only: its partial sum passes the cap or overflows.
 
 When the site weights do not change from step to step, recursions take
-block steps: the walk is nearest-neighbour, so BLOCK = 32 steps of the
-weighted kernel M = diag(w) T form one band matrix M^32 of half-width 32
-(0 on odd diagonals), and one banded product advances the state by a
-block.  ``band_steps`` (the height law, w = 1, its last n mod 32 steps one
-``step`` each) and every ``first_passage`` row whose state stays below 1e200
-and whose return weight is finite run this way, all rows of a call in one
-product; each row's returns inside a block come from one small matrix on
-the 65 sites around the origin, read off the same band build.  The
-band product is numpy's own and single-threaded, so results do not depend
-on a BLAS thread count; they agree with the one-step recursion within
-1e-12 relative, with the same zeros, divergence flags and stopping steps.
+block steps: the walk is nearest-neighbour and BLOCK = 32 is even, so after
+each block a walk from the origin o lies on o's class E = {i : i - o even},
+where the 32 steps of the weighted kernel M = diag(w) T form one band
+matrix M^32 of 33 diagonals, and one banded product over E advances the
+state by a block.  ``band_steps`` (the height law, w = 1, its last n mod 32
+steps one ``step`` each) and every ``first_passage`` row whose state stays
+below 1e200 and whose return weight is finite run this way, all rows of a
+call in one product; each row's returns inside a block, at even steps,
+come from one small matrix on the 33 class sites around the origin, read
+off the same band build.  The band product is numpy's own and
+single-threaded, so results do not depend on a BLAS thread count; they
+agree with the one-step recursion within 1e-12 relative, with the same
+zeros, divergence flags and stopping steps.
 Every other row runs one exact recursion in logs, one ``log_step`` per
 step, the step the partition sweeps of ``softpin.transfer`` also take.
 """
@@ -142,65 +144,76 @@ def layout(walk, spec, n: int, folded: bool | None = None) -> _Kernel:
 
 
 # steps per banded product of fixed site weights; every output's bits are
-# pinned to it.  One core: long single rows are fastest at 32 (`scaling` op
-# 0.47/0.33/0.34 s at 16/32/48); batched ones, each with its O(BLOCK^2 sites)
-# band precompute, at 16 (`critical-curve` op 0.18 s against 0.25 at 32)
+# pinned to it.  One core, on the origin's class: `scaling` op 0.36/0.24/0.22
+# s at 16/32/48, and `critical-curve` op, whose many short rows each pay an
+# O(BLOCK^2 sites / 4) band build, 0.13/0.11/0.13 s
 BLOCK = 32
 
 
 def _band_powers(ker, w, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """M^n, n <= BLOCK, in row band storage ``b[i, n + d] = M^n[i, i + d]``,
-    where M = diag(w) T is one step of ``ker`` followed by the site weights
-    w, and the return rows R[h] = e_o T M^h, h < n, on the 2 BLOCK + 1
-    sites centred on the origin o (zero past the lattice's ends): from the
-    state v, the next n steps return R @ v there, one return per step.
+    """M^n on the origin's class E = {i : i - o even}, n even and at most
+    BLOCK, for each row of the site weights w, (rows, sites), M = diag(w) T
+    being one step of ``ker`` followed by w, and the return rows R[s] = e_o
+    T M^(2s + 1), s < n / 2, on the BLOCK + 1 class sites o - BLOCK .. o +
+    BLOCK (zero past the lattice's ends): from a state v on E, the walk
+    returns R[s] @ v at step 2s + 2, and nothing at odd steps.  The rows'
+    bands, laid end to end, hold M^n[i, i + 2c] at [a, BLOCK / 2 + c] for
+    E's a-th site i.
 
-    Built by left products with the tridiagonal M, (M B)[i, i + d] =
-    M[i, i - 1] B[i - 1, (i - 1) + (d + 1)] + M[i, i + 1] B[i + 1, (i + 1) +
-    (d - 1)], on the diagonals ``bt[BLOCK + d]`` that M^h can reach and
-    whose offset d has the parity of h: the walk is nearest-neighbour, so
-    every other diagonal is exactly 0.  R[h] is read off M^h's rows o - 1
-    and o + 1, the sites that step onto the origin.  O(BLOCK^2 sites / 2)
-    in all.
+    Built by left products with the tridiagonal M, (M B)[i, j] = M[i, i -
+    1] B[i - 1, j] + M[i, i + 1] B[i + 1, j], for j in E: the walk is
+    nearest-neighbour, so M^h[:, E] lives on the rows of h's class, i - o
+    = h mod 2.  ``x[p][t, row, a]`` is M^h[i, i + 2t - BLOCK + p] for h of
+    parity p and the a-th site i of its class, on the diagonals M^h can
+    reach.  R[s] is read off rows o - 1 and o + 1 of M^(2s + 1), the sites
+    that step onto o.  O(BLOCK^2 sites / 4) in all.
     """
-    (sites,), k, o = w.shape, BLOCK, ker.origin
-    up, down = np.zeros(sites), np.zeros(sites)  # M[i, i - 1], M[i, i + 1]
-    up[1:] = w[1:] * ker.p_up[:-1]
-    down[:-1] = w[:-1] * ker.p_down[1:]
-    bt, nxt = np.zeros((2 * k + 1, sites)), np.zeros((2 * k + 1, sites))
-    bt[k] = 1.0
-    ret = np.zeros((n, 2 * k + 1))
+    (r, sites), k, o = w.shape, BLOCK, ker.origin
+    up, down = np.zeros((r, sites)), np.zeros((r, sites))  # M[i, i -/+ 1]
+    up[:, 1:] = w[:, 1:] * ker.p_up[:-1]
+    down[:, :-1] = w[:, :-1] * ker.p_down[1:]
+    x = [np.zeros((k + 1, r, (sites - (o + p) % 2 + 1) // 2)) for p in (0, 1)]
+    x[0][k // 2] = 1.0
+    ret = np.zeros((r, n // 2, k + 1))
     for h in range(1, n + 1):
-        # M^h lives on the diagonals lo, lo + 2, .., hi, M^(h-1) in bt on
-        # the ones between, and M^(h-2), left in nxt, further in still
-        lo, hi = k - h, k + h
-        prev = bt[lo + 1 : hi : 2]
-        ret[h - 1, lo + 2 : hi + 1 : 2] = ker.p_down[o + 1] * prev[:, o + 1]
-        if o > 0:  # no site below the origin of a folded lattice
-            ret[h - 1, lo : hi - 1 : 2] += ker.p_up[o - 1] * prev[:, o - 1]
-        np.multiply(up[1:], prev[:, :-1], out=nxt[lo : hi - 1 : 2, 1:])
-        nxt[lo : hi - 1 : 2, 0] = 0.0
-        nxt[lo + 2 : hi + 1 : 2, :-1] += down[:-1] * prev[:, 1:]
-        bt, nxt = nxt, bt
-    return np.ascontiguousarray(bt[k - n : k + n + 1].T), ret
+        # M^h on the diagonals lo .. hi from M^(h-1) on old[lo + p : hi + p];
+        # h's class starts at site f, and its rows s: have a site below
+        p, f = h % 2, (o + h) % 2
+        new, old, lo, hi = x[p], x[1 - p], (k - h - p) // 2, (k + h - p) // 2
+        prev, s, m = old[lo + p : hi + p], 1 - f, old.shape[2] - f
+        np.multiply(up[:, f::2][:, s:], prev[:, :, : new.shape[2] - s],
+                    out=new[lo:hi, :, s:])
+        new[lo:hi, :, :s] = 0.0
+        new[lo + 1 : hi + 1, :, :m] += down[:, f::2][:, :m] * prev[:, :, f:]
+        if p:
+            ret[:, h // 2, 1:] = ker.p_down[o + 1] * new[:k, :, (o + 1) // 2].T
+            if o > 0:  # no site below the origin of a folded lattice
+                ret[:, h // 2, :k] += (ker.p_up[o - 1]
+                                       * new[:k, :, (o - 1) // 2].T)
+    return np.ascontiguousarray(x[0].reshape(k + 1, -1).T), ret
 
 
-def _windows(pads: np.ndarray) -> np.ndarray:
-    """The 2 BLOCK + 1 sites around each site of each padded state, a view."""
-    return np.lib.stride_tricks.sliding_window_view(pads, 2 * BLOCK + 1, -1)
+def _class_states(r: int, n: int, o: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two states of r rows of n class sites, the first 1 at each row's
+    origin o, padded with BLOCK / 2 zeros on either end: the unpadded
+    states, and the BLOCK + 1 sites around each site, both views."""
+    pads = np.zeros((2, r * n + BLOCK))
+    pads[0, BLOCK // 2 + o // 2 :: n] = 1.0
+    return (pads[:, BLOCK // 2 : -(BLOCK // 2)],
+            np.lib.stride_tricks.sliding_window_view(pads, BLOCK + 1, -1))
 
 
-def band_steps(ker, v: np.ndarray, n: int) -> np.ndarray:
-    """The state v after n steps of ``ker``: T^BLOCK per banded product,
-    then one ``step`` for each of the last n mod BLOCK."""
-    q, r = divmod(n, BLOCK)
-    pads = np.zeros((2, len(v) + 2 * BLOCK))  # BLOCK zeros on either side
-    pads[0, BLOCK:-BLOCK] = v
-    band, win = _band_powers(ker, np.ones(len(v)), BLOCK)[0], _windows(pads)
+def band_steps(ker, n: int) -> np.ndarray:
+    """The law after n steps of ``ker`` of the walk started at its origin:
+    T^BLOCK per banded product on the origin's class, then one ``step`` on
+    all sites for each of the last n mod BLOCK."""
+    (q, r), sites, o = divmod(n, BLOCK), len(ker.heights), ker.origin
+    band = _band_powers(ker, np.ones((1, sites)), BLOCK)[0]
+    states, win = _class_states(1, len(band), o)
     for i in range(q):
-        np.einsum("ij,ij->i", band, win[i % 2],
-                  out=pads[1 - i % 2, BLOCK:-BLOCK])
-    v = pads[q % 2, BLOCK:-BLOCK].copy()
+        np.einsum("ij,ij->i", band, win[i % 2], out=states[1 - i % 2])
+    v = np.zeros(sites)
+    v[o % 2 :: 2] = states[q % 2]
     for _ in range(r):
         v = ker.step(v)
     return v
@@ -208,34 +221,30 @@ def band_steps(ker, v: np.ndarray, n: int) -> np.ndarray:
 
 def _block_passage(ker, w, w0, m_max: int, cap: float):
     """a of the rows of ``first_passage`` that cannot overflow, BLOCK steps
-    per banded product on the rows laid end to end, until every row's
-    partial sum has passed cap; w, (rows, sites), is killed at the origin.
-    Each row's band and return rows come from one ``_band_powers`` call of
-    min(BLOCK, m_max) powers, the most the overflow rule bounds.  A band is
-    0 past its row and states are finite: rows cannot mix bits."""
-    (r, sites), o, n_blocks = w.shape, ker.origin, -(-m_max // BLOCK)
-    k = min(BLOCK, m_max)
-    band = np.empty((r * sites, 2 * k + 1))
-    ret_rows = np.empty((r, k, 2 * BLOCK + 1))
-    for x, rows, ret in zip(w, band.reshape(r, sites, -1), ret_rows):
-        rows[:], ret[:] = _band_powers(ker, x, k)
-    pads = np.zeros((2, r * sites + 2 * BLOCK))  # BLOCK zeros on either end
-    pads[0, BLOCK + o :: sites] = 1.0
-    win = _windows(pads)
-    at = win[:, o::sites, :, None]  # the sites around each origin
+    per banded product on the origin's class of the rows laid end to end,
+    until every row's partial sum has passed cap; w, (rows, sites), is
+    killed at the origin.  The bands and the returns, at even steps only,
+    come from one ``_band_powers`` call of min(BLOCK, m_max) powers, less
+    one if odd: the most the overflow rule bounds.  A band is 0 past its
+    row and states are finite: rows cannot mix bits."""
+    r, o, n_blocks = len(w), ker.origin, -(-m_max // BLOCK)
+    band, ret_rows = _band_powers(ker, w, min(BLOCK, m_max) // 2 * 2)
+    n = len(band) // r  # class sites per row
+    states, win = _class_states(r, n, o)
+    at = win[:, o // 2 :: n, :, None]  # the class sites around each origin
     a = np.zeros((m_max + 1, r))  # a block of every row is one slice
     run = np.zeros((BLOCK + 1, r))  # partial sums, then a block's values
     for b in range(n_blocks):
         n0, h, i = b * BLOCK, min(BLOCK, m_max - b * BLOCK), b % 2
-        x = a[n0 + 1 : n0 + h + 1]
-        np.multiply(np.matmul(ret_rows[:, :h], at[i])[:, :, 0].T, w0, out=x)
-        run[1 : h + 1] = x
+        np.multiply(np.matmul(ret_rows[:, : h // 2], at[i])[:, :, 0].T, w0,
+                    out=a[n0 + 2 : n0 + h + 1 : 2])
+        run[1 : h + 1] = a[n0 + 1 : n0 + h + 1]
         np.add.accumulate(run[: h + 1], out=run[: h + 1])
         if cap < min(run[h].tolist()):  # partial sums only grow
             break
         run[0] = run[h]
         if b + 1 < n_blocks:
-            np.einsum("ij,ij->i", band, win[i], out=pads[1 - i, BLOCK:-BLOCK])
+            np.einsum("ij,ij->i", band, win[i], out=states[1 - i])
     return a.T
 
 
@@ -278,10 +287,11 @@ def first_passage(ker, log_w: np.ndarray, log_w0, m_max: int, cap: float):
     sum(v_n) <= max(w)^n, as the kernel is stochastic and killing only
     removes mass, so a row with max(w)^m_max <= 1e200 and a finite e^log_w0
     cannot overflow: all such rows take BLOCK steps per banded product on
-    e^log_w, together, their returns inside a block read off the band
-    build.  Every other row runs one exact recursion in logs, a
-    ``log_step`` per step.  Either way a row's bits do not depend on the
-    rows next to it.
+    e^log_w, together, on the origin's parity class, the only sites their
+    state reaches at a block's end; their returns inside a block, at even
+    steps, are read off the band build.  Every other row runs one exact
+    recursion in logs, a ``log_step`` per step.  Either way a row's bits do
+    not depend on the rows next to it.
     """
     log_w = np.asarray(log_w, dtype=float)
     rows, sites = log_w.shape[:-1], log_w.shape[-1]

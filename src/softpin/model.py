@@ -288,9 +288,7 @@ class CWeights:
 
 def height_law(ker, n: int) -> np.ndarray:
     """Law of S_n over ker.heights from S_0 = 0 (of |S_n| if folded)."""
-    v = np.zeros(len(ker.heights))
-    v[ker.origin] = 1.0
-    return band_steps(ker, v, n)
+    return band_steps(ker, n)
 
 
 def estimate_c_weights(walk: WalkSpec, k_max: int, n_probe: int) -> CWeights:

@@ -211,11 +211,12 @@ def test_block_steps_match_a_per_step_loop(lattice, m_max, scale):
 
 @pytest.mark.parametrize("lattice", ["folded", "signed"])
 def test_block_steps_on_a_lattice_narrower_than_the_band(lattice):
-    # l = 5: 6 or 11 sites, fewer than the 65 diagonals of a 32-step block
+    # l = 5: 6 or 11 sites, fewer than the 33 diagonals of a 32-step block
+    # on the origin's class, each two sites apart
     m_max, spec = 300, SPECS[lattice]
     ker = layout(replace(WALK, l_max=5), spec, m_max)
     log_w = 0.02 * phi_eval(spec, ker.heights)
-    assert len(log_w) < 65
+    assert len(log_w) < 33
     assert_matches(first_passage(ker, log_w, 0.0, m_max, DIVERGENCE_CAP),
                    reference_first_passage(ker, log_w, 0.0, m_max,
                                            DIVERGENCE_CAP))
@@ -289,23 +290,26 @@ def test_each_row_takes_its_own_path_for_m_max_steps(monkeypatch):
 # ------------------------------------------------ block rows in one product
 
 def one_row_block_loop(ker, log_w, log_w0, m_max, cap):
-    """One row by the block recursion written out for it alone: per block,
-    the returns R @ v on the 65 sites around the origin times
+    """One row by the block recursion written out for it alone, its state
+    on the origin's class (the sites o, o +- 2, ..): per block, the returns
+    at even steps R @ v on the 33 class sites around the origin times
     math.exp(log_w0), then, if another block follows, v -> M^32 v by one
-    einsum on the padded state."""
+    einsum on the padded class state."""
     k, o = softpin.lattice.BLOCK, ker.origin
     w = np.exp(np.where(np.arange(len(log_w)) == o, -math.inf, log_w))
-    band, ret_rows = softpin.lattice._band_powers(ker, w, min(k, m_max))
-    v = np.zeros(len(w) + 2 * k)
-    v[k + o] = 1.0
+    band, ret_rows = softpin.lattice._band_powers(ker, w[None],
+                                                  min(k, m_max) // 2 * 2)
+    v = np.zeros(len(band) + k)
+    v[k // 2 + o // 2] = 1.0
     a = np.zeros(m_max + 1)
     for n0 in range(0, m_max, k):
         h = min(k, m_max - n0)
-        a[n0 + 1 : n0 + h + 1] = (ret_rows[:h] @ v[o : o + 2 * k + 1]
-                                  * math.exp(log_w0))
+        a[n0 + 2 : n0 + h + 1 : 2] = (ret_rows[0, : h // 2]
+                                      @ v[o // 2 : o // 2 + k + 1]
+                                      * math.exp(log_w0))
         if n0 + k < m_max:
             v = np.pad(np.einsum("ij,ij->i", band, np.lib.stride_tricks
-                                 .sliding_window_view(v, 2 * k + 1)), k)
+                                 .sliding_window_view(v, k + 1)), k // 2)
     past = ~(np.cumsum(a) <= min(cap, sys.float_info.max))
     m_stop = int(past.argmax()) if past.any() else m_max
     a[m_stop + 1 :] = 0.0
@@ -366,31 +370,66 @@ def test_return_weight_multiplies_each_return_once():
                                        ("signed", 1)])
 def test_band_powers_are_the_dense_matrix_powers(lattice, l):
     # M = diag(w) P^T, with P the kernel's transition matrix, so that
-    # (M v)[i] is the mass stepping onto site i, times w[i]; M^h[i, i + d]
-    # is 0 for d + h odd, as a nearest-neighbour walk changes parity.  The
-    # return rows are e_o P^T M^h, h < n, on the sites o - 32 .. o + 32
+    # (M v)[i] is the mass stepping onto site i, times w[i]; M^h[i, j] is 0
+    # for i - j + h odd, as a nearest-neighbour walk changes parity.  The
+    # band is M^n on the origin's class E = {i : i - o even}, of two rows
+    # in one call; the return rows e_o P^T M^h on the class sites o - 32,
+    # o - 30, .., o + 32 are kept for odd h, and are 0 for even h
     ker = layout(replace(WALK, l_max=l), SPECS[lattice], 64)
     sites, o, k = len(ker.heights), ker.origin, softpin.lattice.BLOCK
-    w = np.random.default_rng(3).uniform(0.5, 1.5, sites)
-    w[o] = 0.0
+    w = np.random.default_rng(3).uniform(0.5, 1.5, (2, sites))
+    w[:, o] = 0.0
     p = np.diag(ker.p_up[:-1], 1) + np.diag(ker.p_down[1:], -1)
-    m = np.diag(w) @ p.T
-    i, near = np.arange(sites)[:, None], o + np.arange(-k, k + 1)
-    for n in [1, 2, 7, 31, 32]:
+    e = np.arange(o % 2, sites, 2)  # E, its a-th site at index a
+    c = np.arange(-k // 2, k // 2 + 1)
+    a, near = np.arange(len(e))[:, None], o + 2 * c
+    for n in [0, 2, 8, 30, 32]:
         band, ret = softpin.lattice._band_powers(ker, w, n)
-        dense = np.linalg.matrix_power(m, n)
-        j = i + np.arange(-n, n + 1)  # band[i, n + d] is M^n[i, i + d]
-        want = np.where((j >= 0) & (j < sites),
-                        dense[i, np.clip(j, 0, sites - 1)], 0.0)
-        np.testing.assert_allclose(band, want, rtol=1e-13, atol=0)
-        assert not band[:, 1::2].any()  # the diagonals with d + n odd
-        assert ret.shape == (n, 2 * k + 1)
-        for h in range(n):
-            row = p[:, o] @ np.linalg.matrix_power(m, h)
-            want = np.where((near >= 0) & (near < sites),
-                            row[np.clip(near, 0, sites - 1)], 0.0)
-            np.testing.assert_allclose(ret[h], want, rtol=1e-13, atol=0)
-            assert np.array_equal(ret[h] == 0.0, want == 0.0)
+        assert band.shape == (2 * len(e), k + 1)
+        assert ret.shape == (2, n // 2, k + 1)
+        for x, b, r in zip(w, band.reshape(2, len(e), k + 1), ret):
+            m = np.diag(x) @ p.T
+            dense = np.linalg.matrix_power(m, n)[np.ix_(e, e)]
+            j = a + c  # b[a, 16 + c] is M^n[e[a], e[a + c]]
+            want = np.where((j >= 0) & (j < len(e)),
+                            dense[a, np.clip(j, 0, len(e) - 1)], 0.0)
+            np.testing.assert_allclose(b, want, rtol=1e-13, atol=0)
+            assert np.array_equal(b == 0.0, want == 0.0)
+            for h in range(n):
+                row = p[:, o] @ np.linalg.matrix_power(m, h)
+                want = np.where((near >= 0) & (near < sites),
+                                row[np.clip(near, 0, sites - 1)], 0.0)
+                if h % 2 == 0:  # a return at an odd step
+                    assert not want.any()
+                    continue
+                np.testing.assert_allclose(r[h // 2], want, rtol=1e-13,
+                                           atol=0)
+                assert np.array_equal(r[h // 2] == 0.0, want == 0.0)
+
+
+@pytest.mark.parametrize("lattice", ["folded", "signed"])
+@pytest.mark.parametrize("l", [1, 2, 3, 8, 40])
+@pytest.mark.parametrize("m_max", [1, 2, 5, 31, 32, 33, 100])
+def test_block_rows_on_the_origin_class_match_one_step_at_a_time(lattice, l,
+                                                                 m_max):
+    # the class layout against one step at a time on all sites: an odd l
+    # puts the signed lattice's origin on an odd site, m_max < 32 ends in
+    # the first block, and m_max = 1 sees no return; a decaying row, a
+    # free walk, a growing row, one whose sum passes the cap at its first
+    # return and one growing fast (on the signed lattice it passes the cap
+    # inside a block for m_max = 100 and l >= 3)
+    spec = SPECS[lattice]
+    ker = layout(replace(WALK, l_max=l), spec, m_max)
+    log_w = np.outer([-0.5, 0.0, 0.05, 0.05, 0.3],
+                     phi_eval(spec, ker.heights))
+    log_w0 = [0.0, 0.0, 1.0, 6.0, -2.0]
+    assert in_logs(ker, log_w, m_max) == [False] * len(log_w)
+    a, diverged, m_stop = first_passage(ker, log_w, log_w0, m_max, 100.0)
+    for i, x in enumerate(log_w0):
+        assert_matches((a[i], bool(diverged[i]), int(m_stop[i])),
+                       reference_first_passage(ker, log_w[i], x, m_max,
+                                               100.0))
+    assert diverged[3] == (m_max >= 2)
 
 
 # ---------------------------------------------------- overflowing weights
