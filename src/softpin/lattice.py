@@ -30,7 +30,11 @@ single-threaded, so results do not depend on a BLAS thread count; they
 agree with the one-step recursion within 1e-12 relative, with the same
 zeros, divergence flags and stopping steps.
 Every other row runs one exact recursion in logs, one ``log_step`` per
-step, the step the partition sweeps of ``softpin.transfer`` also take.
+step.
+
+The partition sweeps of ``softpin.transfer`` step one parity class of the
+sites onto the other (``_class_sweep``), in ``step``'s order: after n steps
+a walk from the origin lies on n's class.
 """
 
 from __future__ import annotations
@@ -201,6 +205,34 @@ def _class_states(r: int, n: int, o: int) -> tuple[np.ndarray, np.ndarray]:
     pads[0, BLOCK // 2 + o // 2 :: n] = 1.0
     return (pads[:, BLOCK // 2 : -(BLOCK // 2)],
             np.lib.stride_tricks.sliding_window_view(pads, BLOCK + 1, -1))
+
+
+def _class_sweep(ker, r: int, x, log: bool = False):
+    """r rows of ``ker`` laid out for a partition sweep on the parity
+    classes c of its sites, i - o = c mod 2: one flat state per class, a
+    row of it a pad, then the class's sites, in W = (sites + 3) // 2
+    entries, and one pad after the rows; all 0 (-inf in logs) but the
+    origins, 1 (0).  Returns the states' rows, (2, r, W); the step onto
+    each class, (out, lo, hi, up, down): out = lo up + hi down, or
+    logaddexp(lo + up, hi + down), with up and down 0 (-inf) at pads and
+    missing neighbours; the site values x on each class's row, 0 at pads;
+    and each site's entry in a class-0 row, its pad off the class."""
+    sites, o, i = len(ker.heights), ker.origin, np.arange(len(ker.heights))
+    cls, at, width = (i - o) % 2, 1 + i // 2, (sites + 3) // 2
+    arrays = np.zeros((3, 2, r * width + 1))
+    (v, up, down), xs = arrays, np.zeros((2, width))
+    xs[cls, at] = x  # site i is entry at[i] of class cls[i]
+    for a, p in ((up, ker.p_up), (down, ker.p_down)):
+        a[:, :-1].reshape(2, r, width)[cls, :, at] = p[:, None]
+    v[0, 1 + o // 2 :: width] = 1.0
+    if log:
+        with np.errstate(divide="ignore"):
+            np.log(arrays, out=arrays)
+    # an even site's neighbours sit one entry left of it and at it, an odd
+    # site's at it and one entry right
+    steps = [(v[c, 1 - (o + c) % 2 : v.shape[1] - (o + c) % 2], v[1 - c, :-1],
+              v[1 - c, 1:], up[1 - c, :-1], down[1 - c, 1:]) for c in (0, 1)]
+    return v[:, :-1].reshape(2, r, -1), steps, xs, np.where(cls, 0, at)
 
 
 def band_steps(ker, n: int) -> np.ndarray:

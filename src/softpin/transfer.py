@@ -7,7 +7,9 @@ recursion is log-stabilized by factoring out the running maximum, so
 horizons of 2^20 steps stay in float64 range.  A sweep whose site weights
 pass exp(+-LOG_WEIGHT_CAP), or whose origin share underflows, runs in logs
 (one logaddexp per step) and is exact at any coupling.  Disorder samples
-run as rows of one sweep, each row with the bits it gets alone.
+run as rows of one sweep, each row with the bits it gets alone.  A sweep
+steps only the parity class of sites its chains can be on, with the bits
+of the one-step recursion on all sites, and weighs BLOCK steps at once.
 
 Free-energy estimates report the constrained value at the largest ladder
 rung (a rigorous lower bound on the limit by super-additivity) bracketed
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import layout
+from .lattice import BLOCK, _class_sweep, layout
 from .model import ChargeModel, PotentialSpec, WalkSpec, phi_eval, psi
 
 __all__ = [
@@ -86,14 +88,36 @@ _LOG_RESCALE_EVERY = 8
 _TINY = np.finfo(float).tiny
 
 
-def _sweep(ker, step_weights, record_at: np.ndarray):
-    """Forward sweep of independent chains started at the origin, one per
-    row of the tiled kernel ``ker``; step_weights(n) gives the flat site
-    weights of step n (1-based), each within exp(+-LOG_WEIGHT_CAP).
-    Returns (log_z_free, log_z_constrained), each of shape (rows,
-    len(record_at)), and a bool per row, True where the origin's value fell
-    below the smallest normal double at a record step, before or after the
-    division by the row maximum, so that the constrained value lost digits.
+def _class_weights(g, xs, n_steps: int, exp: bool):
+    """The log site weights of steps 1 .. n_steps, step n's on the rows of
+    class n mod 2 (``lattice._class_sweep``), through exp if asked: xs at
+    every step of one row if g is None, else g[:, n - 1] xs by row, one
+    multiply and one exp per BLOCK steps into one buffer."""
+    xs = xs[[1, 0] * (BLOCK // 2), None]
+    if g is None:
+        xs = np.exp(xs) if exp else xs
+        while True:
+            yield from xs
+    buf = np.empty((BLOCK, len(g), xs.shape[2]))
+    for n0 in range(0, n_steps, BLOCK):
+        w = buf[: min(BLOCK, n_steps - n0)]
+        np.multiply(g[:, n0 : n0 + len(w)].T[:, :, None], xs[: len(w)], out=w)
+        yield from (np.exp(w, out=w) if exp else w)
+
+
+def _sweep(ker, g, x, record_at: np.ndarray):
+    """Forward sweep of independent chains started at the origin of
+    ``ker``, one per row of g, whose step n has the log site weights
+    g[:, n - 1] x by row, or x alone at every step of one row if g is None,
+    each within +-LOG_WEIGHT_CAP.  Returns (log_z_free, log_z_constrained),
+    each of shape (rows, len(record_at)), and a bool per row, True where
+    the origin's value fell below the smallest normal double at a record
+    step, before or after the division by the row maximum, so that the
+    constrained value lost digits.
+
+    Each step moves one parity class onto the other in ``step``'s order
+    (``lattice._class_sweep``); a record step's free sum sees the other
+    class's zeros in place, so every value has ``step``'s bits.
 
     Each row is divided by its maximum after every step, and no row can
     overflow or die: |d| < 1/2, so every site sends at least 1/4 of its
@@ -102,32 +126,35 @@ def _sweep(ker, step_weights, record_at: np.ndarray):
     no site above 2 exp(LOG_WEIGHT_CAP), both inside float range.
     """
     pts = record_at.tolist()
-    sites, origin = len(ker.heights), ker.origin
-    r = len(ker.p_up) // sites
-    v, nxt = np.zeros(r * sites), np.empty(r * sites)
-    v[origin::sites] = 1.0
-    acc = np.zeros(r)  # log-scale divided out of v so far
+    r = 1 if g is None else len(g)
+    rows, steps, xs, back = _class_sweep(ker, r, x)
+    at, tmp = back[ker.origin], np.empty(rows[0].size)  # tmp: a product
+    acc = np.zeros(r)  # log-scale divided out of the rows so far
     maxima = np.empty((r, _LOG_EVERY))  # row maxima not yet in acc
     k = 0
     rec_free = np.zeros((r, len(pts)))  # n = 0: Z = Z_constrained = 1
     rec_con = np.zeros_like(rec_free)
     lost = np.zeros(r, dtype=bool)
     idx = 1 if pts[0] == 0 else 0
-    for n in range(1, pts[-1] + 1):
-        ker.step(v, nxt)
-        nxt *= step_weights(n)
+    weights = _class_weights(g, xs, pts[-1], True)
+    for n, w in zip(range(1, pts[-1] + 1), weights):
+        out, lo, hi, up, down = steps[n % 2]
+        np.multiply(lo, up, out=out)
+        np.multiply(hi, down, out=tmp)
+        out += tmp
+        by_row = rows[n % 2]
+        by_row *= w
         if n == pts[idx]:  # the origin's value, before the division
-            lost |= nxt[origin::sites] < _TINY
-        by_row = nxt.reshape(r, sites)
+            lost |= by_row[:, at] < _TINY
         by_row /= by_row.max(axis=1, keepdims=True, out=maxima[:, k : k + 1])
-        v, nxt = nxt, v
         k += 1
         if k == _LOG_EVERY or n == pts[idx]:
             acc += np.log(maxima[:, :k]).sum(axis=-1)
             k = 0
         if n == pts[idx]:
-            rec_free[:, idx] = acc + np.log(v.reshape(r, sites).sum(axis=-1))
-            con = v[origin::sites]  # and after it
+            # on all sites, in C order, as a sum's bits depend on both
+            rec_free[:, idx] = acc + np.log(by_row.take(back, 1).sum(1))
+            con = by_row[:, at]  # and after it
             lost |= con < _TINY
             with np.errstate(divide="ignore"):  # 0 only in a lost row
                 rec_con[:, idx] = acc + np.log(con)
@@ -135,39 +162,41 @@ def _sweep(ker, step_weights, record_at: np.ndarray):
     return rec_free, rec_con, lost
 
 
-def _log_sweep(ker, step_log_weights, record_at: np.ndarray):
-    """``_sweep`` in logs, where step_log_weights(n) gives the flat log
-    site weights of step n: exact for any weights, as no row can overflow,
-    die or lose its origin's share.  Each row's maximum is subtracted every
-    _LOG_RESCALE_EVERY steps, so no step rounds on values the size of log Z."""
+def _log_sweep(ker, g, x, record_at: np.ndarray):
+    """``_sweep`` in logs, on the same classes with -inf for 0: exact for
+    any weights, as no row can overflow, die or lose its origin's share.
+    Each row's maximum is subtracted every _LOG_RESCALE_EVERY steps, so no
+    step rounds on values the size of log Z."""
     from scipy.special import logsumexp
 
     pts = record_at.tolist()
-    sites, origin = len(ker.heights), ker.origin
-    r = len(ker.p_up) // sites
-    v, nxt = np.full(r * sites, -math.inf), np.empty(r * sites)
-    v[origin::sites] = 0.0
-    acc = np.zeros(r)  # log-scale subtracted from v so far
+    r = 1 if g is None else len(g)
+    rows, steps, xs, back = _class_sweep(ker, r, x, log=True)
+    at, tmp = back[ker.origin], np.empty(rows[0].size)  # tmp: a product
+    acc = np.zeros(r)  # log-scale subtracted from the rows so far
     maxima = np.empty((r, _LOG_EVERY))  # row maxima not yet in acc
     k = 0
     rec_free = np.zeros((r, len(pts)))
     rec_con = np.zeros_like(rec_free)
     idx = 1 if pts[0] == 0 else 0
-    for n in range(1, pts[-1] + 1):
-        ker.log_step(v, nxt)
-        nxt += step_log_weights(n)
-        v, nxt = nxt, v
+    weights = _class_weights(g, xs, pts[-1], False)
+    for n, w in zip(range(1, pts[-1] + 1), weights):
+        out, lo, hi, up, down = steps[n % 2]
+        np.add(lo, up, out=out)
+        np.add(hi, down, out=tmp)
+        np.logaddexp(out, tmp, out=out)
+        by_row = rows[n % 2]
+        by_row += w
         if n % _LOG_RESCALE_EVERY and n != pts[idx]:
             continue
-        by_row = v.reshape(r, sites)
         by_row -= by_row.max(axis=1, keepdims=True, out=maxima[:, k : k + 1])
         k += 1
         if k == _LOG_EVERY or n == pts[idx]:
             acc += maxima[:, :k].sum(axis=-1)
             k = 0
         if n == pts[idx]:
-            rec_free[:, idx] = acc + logsumexp(by_row, axis=1)
-            rec_con[:, idx] = acc + v[origin::sites]
+            rec_free[:, idx] = acc + logsumexp(by_row.take(back, 1), axis=1)
+            rec_con[:, idx] = acc + by_row[:, at]
             idx += 1
     return rec_free, rec_con
 
@@ -180,10 +209,9 @@ def annealed_sweep(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
     log_w = np.asarray(psi(charges, spec, beta, h, ker.heights), dtype=float)
     in_logs = np.abs(log_w).max() > LOG_WEIGHT_CAP
     if not in_logs:
-        w = np.exp(log_w)
-        (free,), (con,), (in_logs,) = _sweep(ker, lambda n: w, pts)
+        (free,), (con,), (in_logs,) = _sweep(ker, None, log_w, pts)
     if in_logs:
-        (free,), (con,) = _log_sweep(ker, lambda n: log_w, pts)
+        (free,), (con,) = _log_sweep(ker, None, log_w, pts)
     return PartitionSweep(n_values=pts, log_z_free=free, log_z_constrained=con)
 
 
@@ -193,27 +221,16 @@ def _quenched_rows(walk, spec, g: np.ndarray, pts: np.ndarray, folded):
     linearly or in logs by its own weights, with the bits it gets alone."""
     ker = layout(walk, spec, int(pts[-1]), folded)
     phi_vec = np.asarray(phi_eval(spec, ker.heights), dtype=float)
-
-    def run(rows, linear):
-        g_rows = g[rows]
-        log_w = np.empty((len(g_rows), len(phi_vec)))  # one step's, by row
-
-        def weights(n):
-            np.multiply(g_rows[:, n - 1, None], phi_vec, out=log_w)
-            return (np.exp(log_w, out=log_w) if linear else log_w).reshape(-1)
-
-        return (_sweep if linear else _log_sweep)(
-            ker.tiled(len(g_rows)), weights, pts)
-
     in_logs = (np.abs(g).max(axis=1, initial=0.0) * np.abs(phi_vec).max()
                > LOG_WEIGHT_CAP)
     free, con = np.empty((2, len(g), len(pts)))
     if not in_logs.all():
         linear = np.flatnonzero(~in_logs)
-        free[linear], con[linear], lost = run(linear, True)
+        rows = g[linear] if in_logs.any() else g  # no copy of all rows
+        free[linear], con[linear], lost = _sweep(ker, rows, phi_vec, pts)
         in_logs[linear[lost]] = True
     if in_logs.any():
-        free[in_logs], con[in_logs] = run(in_logs, False)
+        free[in_logs], con[in_logs] = _log_sweep(ker, g[in_logs], phi_vec, pts)
     return free, con
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softpin.cli import LADDER_COLUMNS, QUENCHED_COLUMNS, ladder_csv_rows
+from softpin import transfer
 from softpin.lattice import layout
 from softpin.model import ChargeModel, PotentialSpec, WalkSpec, phi_eval, psi, return_law
 from softpin.transfer import (
@@ -407,6 +408,186 @@ def test_rows_on_both_paths_match_one_row_calls(spec):
         np.testing.assert_array_equal(con[i], one.log_z_constrained)
         assert_matches_oracle(one, quenched_oracle(walk, spec, beta, h, omega,
                                                    ladder.tolist()))
+
+
+# ------------------------------------- the sweeps stepped on every site
+
+def full_lattice_sweep(ker, step_weights, record_at):
+    """Oracle of ``transfer._sweep``, bit for bit: the same recursion one
+    ``step`` at a time on every site of the tiled kernel ``ker``, the
+    other class's zeros included, with step_weights(n) the flat site
+    weights of step n.  Returns (log_z_free, log_z_constrained, lost)."""
+    pts = record_at.tolist()
+    sites, origin = len(ker.heights), ker.origin
+    r = len(ker.p_up) // sites
+    v, nxt = np.zeros(r * sites), np.empty(r * sites)
+    v[origin::sites] = 1.0
+    acc = np.zeros(r)
+    maxima = np.empty((r, transfer._LOG_EVERY))
+    k = 0
+    rec_free = np.zeros((r, len(pts)))
+    rec_con = np.zeros_like(rec_free)
+    lost = np.zeros(r, dtype=bool)
+    idx = 1 if pts[0] == 0 else 0
+    for n in range(1, pts[-1] + 1):
+        ker.step(v, nxt)
+        nxt *= step_weights(n)
+        if n == pts[idx]:
+            lost |= nxt[origin::sites] < transfer._TINY
+        by_row = nxt.reshape(r, sites)
+        by_row /= by_row.max(axis=1, keepdims=True, out=maxima[:, k : k + 1])
+        v, nxt = nxt, v
+        k += 1
+        if k == transfer._LOG_EVERY or n == pts[idx]:
+            acc += np.log(maxima[:, :k]).sum(axis=-1)
+            k = 0
+        if n == pts[idx]:
+            rec_free[:, idx] = acc + np.log(v.reshape(r, sites).sum(axis=-1))
+            con = v[origin::sites]
+            lost |= con < transfer._TINY
+            with np.errstate(divide="ignore"):
+                rec_con[:, idx] = acc + np.log(con)
+            idx += 1
+    return rec_free, rec_con, lost
+
+
+def full_lattice_log_sweep(ker, step_log_weights, record_at):
+    """Oracle of ``transfer._log_sweep``, bit for bit: one ``log_step`` at
+    a time on every site of the tiled kernel ``ker``."""
+    from scipy.special import logsumexp
+
+    pts = record_at.tolist()
+    sites, origin = len(ker.heights), ker.origin
+    r = len(ker.p_up) // sites
+    v, nxt = np.full(r * sites, -math.inf), np.empty(r * sites)
+    v[origin::sites] = 0.0
+    acc = np.zeros(r)
+    maxima = np.empty((r, transfer._LOG_EVERY))
+    k = 0
+    rec_free = np.zeros((r, len(pts)))
+    rec_con = np.zeros_like(rec_free)
+    idx = 1 if pts[0] == 0 else 0
+    for n in range(1, pts[-1] + 1):
+        ker.log_step(v, nxt)
+        nxt += step_log_weights(n)
+        v, nxt = nxt, v
+        if n % transfer._LOG_RESCALE_EVERY and n != pts[idx]:
+            continue
+        by_row = v.reshape(r, sites)
+        by_row -= by_row.max(axis=1, keepdims=True, out=maxima[:, k : k + 1])
+        k += 1
+        if k == transfer._LOG_EVERY or n == pts[idx]:
+            acc += maxima[:, :k].sum(axis=-1)
+            k = 0
+        if n == pts[idx]:
+            rec_free[:, idx] = acc + logsumexp(by_row, axis=1)
+            rec_con[:, idx] = acc + v[origin::sites]
+            idx += 1
+    return rec_free, rec_con
+
+
+def full_lattice_rows(walk, spec, g, pts, folded):
+    """Oracle of ``_quenched_rows`` on the oracles above: (log_z_free,
+    log_z_constrained, lost), lost being that of the linear sweep's rows."""
+    ker = layout(walk, spec, int(pts[-1]), folded)
+    phi = np.asarray(phi_eval(spec, ker.heights), dtype=float)
+
+    def run(rows, sweep, linear):
+        def weights(n):
+            log_w = g[rows][:, n - 1, None] * phi
+            return (np.exp(log_w) if linear else log_w).reshape(-1)
+        return sweep(ker.tiled(len(g[rows])), weights, pts)
+
+    in_logs = (np.abs(g).max(axis=1) * np.abs(phi).max()
+               > transfer.LOG_WEIGHT_CAP)
+    free, con = np.empty((2, len(g), len(pts)))
+    lost = np.zeros(0, dtype=bool)
+    if not in_logs.all():
+        linear = np.flatnonzero(~in_logs)
+        free[linear], con[linear], lost = run(linear, full_lattice_sweep, True)
+        in_logs[linear[lost]] = True
+    if in_logs.any():
+        free[in_logs], con[in_logs] = run(in_logs, full_lattice_log_sweep,
+                                          False)
+    return free, con, lost
+
+
+def class_rows(monkeypatch, walk, spec, g, pts, folded):
+    """``_quenched_rows`` and the lost flags of its linear sweep, if any."""
+    seen, sweep = [np.zeros(0, dtype=bool)], transfer._sweep
+
+    def spy(*args):
+        out = sweep(*args)
+        seen.append(out[2])
+        return out
+
+    monkeypatch.setattr(transfer, "_sweep", spy)
+    free, con = _quenched_rows(walk, spec, g, pts, folded)
+    monkeypatch.undo()
+    return free, con, seen[-1]
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+# record points with 0, one block or less, and past blocks, ending off a
+# multiple of BLOCK = 32 or on one
+GUARD_RECORDS = [[0, 2, 6], [4, 34, 66, 100], [2], [64]]
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+@pytest.mark.parametrize("l", [1, 2, 3, 8, 9, 40, 41])
+@pytest.mark.parametrize("folded", [True, False])
+def test_class_sweeps_keep_the_full_lattice_bits(monkeypatch, folded, l,
+                                                 rows):
+    # odd L puts a signed lattice's origin on an odd site
+    walk = WalkSpec(alpha=0.6, l_max=l)
+    specs = [PIN, PotentialSpec(kind="power_tail", theta=3.0)]
+    if not folded:
+        specs.append(PotentialSpec(kind="copolymer"))
+    rng = np.random.default_rng(100 * l + rows)
+    for spec, pts in itertools.product(specs, GUARD_RECORDS):
+        pts = np.array(pts)
+        g = 0.8 * rng.standard_normal((rows, pts[-1])) - 0.2
+        assert_same_bits(class_rows(monkeypatch, walk, spec, g, pts, folded),
+                         full_lattice_rows(walk, spec, g, pts, folded))
+        # the annealed sweep, linear and (beta = 40) in logs
+        ker = layout(walk, spec, int(pts[-1]), folded)
+        for beta in (0.7, 40.0):
+            sw = annealed_sweep(walk, spec, GAUSS, beta, 0.1, pts, folded)
+            log_w = np.asarray(psi(GAUSS, spec, beta, 0.1, ker.heights),
+                               dtype=float)
+            if beta < 1:
+                want = full_lattice_sweep(ker, lambda n: np.exp(log_w), pts)
+            else:
+                want = full_lattice_log_sweep(ker, lambda n: log_w, pts)
+            assert_same_bits((sw.log_z_free, sw.log_z_constrained),
+                             (want[0][0], want[1][0]))
+
+
+@pytest.mark.parametrize("folded", [True, False])
+def test_class_sweeps_lose_and_rerun_the_rows_the_full_lattice_does(
+        monkeypatch, folded):
+    # h = 650 on power_tail: the origin's share of the middle row underflows
+    # (see test_underflowing_origin_share_is_recomputed_in_logs), and that
+    # row reruns in logs; betas 1000 and 800 pass the weight cap and run in
+    # logs from the start, beside linear rows
+    walk, pw = WalkSpec(alpha=0.6), PotentialSpec(kind="power_tail", theta=3.0)
+    rng = np.random.default_rng(5)
+    for pts, couplings in (
+            ([16, 32, 64], [(0.5, 0.1), (0.0, 650.0), (2.0, 0.0)]),
+            ([0, 16, 50], [(1000.0, 0.0), (0.5, 0.0), (0.0, 650.0),
+                           (800.0, 0.0), (0.1, 0.0)])):
+        pts = np.array(pts)
+        g = np.array([b * rng.standard_normal(pts[-1]) - h
+                      for b, h in couplings])
+        got = class_rows(monkeypatch, walk, pw, g, pts, folded)
+        want = full_lattice_rows(walk, pw, g, pts, folded)
+        assert want[2].tolist() == [h == 650.0 for b, h in couplings
+                                    if b < 100]
+        assert_same_bits(got, want)
 
 
 _SPECS = st.one_of(
