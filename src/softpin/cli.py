@@ -90,7 +90,7 @@ import yaml
 from jsonschema import Draft202012Validator
 
 from . import __version__
-from .lattice import layout
+from .lattice import height_law, layout
 from .localization import (
     annealed_critical_curve,
     quenched_critical_h,
@@ -101,7 +101,6 @@ from .model import (
     PotentialSpec,
     WalkSpec,
     estimate_c_weights,
-    height_law,
     return_law,
 )
 from .transfer import (

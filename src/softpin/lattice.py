@@ -7,21 +7,19 @@ One ``layout`` builds every kernel, from a walk, which owns the truncation
 height L, and a potential.  A kernel carries its sites' ``heights`` and
 ``origin`` index, on a *folded* lattice over ``|x| in {0..L}`` (valid
 whenever the site weights are symmetric, since the drift is antisymmetric)
-or a *signed* one over ``x in {-L..L}``.  ``step`` moves one flat state and
-``log_step`` one held in logs; ``tiled`` lays independent rows end to end,
-and no mass crosses between them, as p_up is 0 on each row's top site and
-p_down on its bottom one.  ``first_passage``, the one killed first-passage
-recursion, runs the first-return law and the weighted excursion sums, the
-latter many phase points at a time as rows.  It takes log weights, and a row
-stops for one reason only: its partial sum passes the cap or overflows.
+or a *signed* one over ``x in {-L..L}``.  ``step`` moves one flat state.
+``first_passage``, the one killed first-passage recursion, runs the
+first-return law and the weighted excursion sums, the latter many phase
+points at a time as rows.  It takes log weights, and a row stops for one
+reason only: its partial sum passes the cap or overflows.
 
 When the site weights do not change from step to step, recursions take
 block steps: the walk is nearest-neighbour and BLOCK = 32 is even, so after
 each block a walk from the origin o lies on o's class E = {i : i - o even},
 where the 32 steps of the weighted kernel M = diag(w) T form one band
 matrix M^32 of 33 diagonals, and one banded product over E advances the
-state by a block.  ``band_steps`` (the height law, w = 1, its last n mod 32
-steps one ``step`` each) and every ``first_passage`` row whose state stays
+state by a block.  ``height_law`` (w = 1, its last n mod 32 steps one
+``step`` each) and every ``first_passage`` row whose state stays
 below 1e200 and whose return weight is finite run this way, all rows of a
 call in one product; each row's returns inside a block, at even steps,
 come from one small matrix on the 33 class sites around the origin, read
@@ -29,20 +27,21 @@ off the same band build.  The band product is numpy's own and
 single-threaded, so results do not depend on a BLAS thread count; they
 agree with the one-step recursion within 1e-12 relative, with the same
 zeros, divergence flags and stopping steps.
-Every other row runs one exact recursion in logs, one ``log_step`` per
-step.
 
-The partition sweeps of ``softpin.transfer`` step one parity class of the
-sites onto the other (``_class_sweep``), in ``step``'s order: after n steps
-a walk from the origin lies on n's class.
+Recursions of rows that move one step at a time step one parity class of
+the sites onto the other, in ``step``'s order (``_class_sweep``): after
+n steps a walk from the origin lies on n's class.  These are the partition
+sweeps of ``softpin.transfer``, the ``first_passage`` rows that run in
+logs, where the class step is exact, and the layers of
+``softpin.scaling.series_coefficient``.  No row leaks into another, as a
+pad ends each row.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +50,7 @@ __all__ = [
     "SignedKernel",
     "layout",
     "first_passage",
-    "band_steps",
+    "height_law",
     "recommended_truncation",
 ]
 
@@ -68,19 +67,14 @@ def recommended_truncation(n: int) -> int:
 
 @dataclass(frozen=True)
 class _Kernel:
-    """Nearest-neighbour kernel; p_up[i] + p_down[i] == 1 for every state.
-    ``heights`` and ``origin`` describe one row, p_up and p_down all rows."""
+    """Nearest-neighbour kernel on the sites ``heights``, walks starting at
+    site ``origin``; p_up[i] + p_down[i] == 1 for every state."""
 
     l: int
     p_up: np.ndarray
     p_down: np.ndarray
     heights: np.ndarray
     origin: int
-
-    def tiled(self, r: int) -> _Kernel:
-        """This kernel on r rows laid end to end on one flat lattice."""
-        return replace(self, p_up=np.tile(self.p_up, r),
-                       p_down=np.tile(self.p_down, r))
 
     def step(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One transition of the flat state v; ``out`` must not share
@@ -90,23 +84,6 @@ class _Kernel:
         np.multiply(v[:-1], self.p_up[:-1], out=out[1:])
         out[0] = 0.0
         out[:-1] += v[1:] * self.p_down[1:]
-        return out
-
-    @cached_property
-    def _log_p(self) -> tuple[np.ndarray, np.ndarray]:
-        with np.errstate(divide="ignore"):  # -inf where p is 0: rows never mix
-            return np.log(self.p_up[:-1]), np.log(self.p_down[1:])
-
-    def log_step(self, v: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-        """``step`` of a state held in logs, one logaddexp per site; it
-        cannot overflow or underflow."""
-        log_up, log_down = self._log_p
-        if out is None:
-            out = np.empty_like(v)
-        np.add(v[:-1], log_up, out=out[1:])
-        out[0] = -math.inf
-        np.logaddexp(out[:-1], v[1:] + log_down, out=out[:-1])
         return out
 
 
@@ -208,37 +185,55 @@ def _class_states(r: int, n: int, o: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _class_sweep(ker, r: int, x, log: bool = False):
-    """r rows of ``ker`` laid out for a partition sweep on the parity
-    classes c of its sites, i - o = c mod 2: one flat state per class, a
-    row of it a pad, then the class's sites, in W = (sites + 3) // 2
-    entries, and one pad after the rows; all 0 (-inf in logs) but the
-    origins, 1 (0).  Returns the states' rows, (2, r, W); the step onto
-    each class, (out, lo, hi, up, down): out = lo up + hi down, or
-    logaddexp(lo + up, hi + down), with up and down 0 (-inf) at pads and
-    missing neighbours; the site values x on each class's row, 0 at pads;
-    and each site's entry in a class-0 row, its pad off the class."""
+    """r rows of ``ker`` laid out on the parity classes c of its sites, i -
+    o = c mod 2: one flat state per class, a row of it a pad, then the
+    class's sites, in W = (sites + 3) // 2 entries, and one pad after the
+    rows; all 0 (-inf in logs) but the origins, 1 (0).  Returns the states'
+    rows, (2, r, W); step(n), which moves class 1 - n % 2 onto class n % 2
+    in ``step``'s order, out = lo up + hi down, or logaddexp(lo + up, hi +
+    down), with up and down 0 (-inf) at pads and missing neighbours, and
+    returns that class's rows; the site values x, (..., sites), on each
+    class's row, (2, ..., W), 0 at pads; and each site's entry in a row of
+    either class, (2, sites), its pad off the class."""
     sites, o, i = len(ker.heights), ker.origin, np.arange(len(ker.heights))
     cls, at, width = (i - o) % 2, 1 + i // 2, (sites + 3) // 2
     arrays = np.zeros((3, 2, r * width + 1))
-    (v, up, down), xs = arrays, np.zeros((2, width))
-    xs[cls, at] = x  # site i is entry at[i] of class cls[i]
+    (v, up, down), xs = arrays, np.zeros((2, *np.shape(x)[:-1], width))
+    xs[cls, ..., at] = np.moveaxis(x, -1, 0)  # site i: class cls[i], at[i]
     for a, p in ((up, ker.p_up), (down, ker.p_down)):
         a[:, :-1].reshape(2, r, width)[cls, :, at] = p[:, None]
     v[0, 1 + o // 2 :: width] = 1.0
     if log:
         with np.errstate(divide="ignore"):
             np.log(arrays, out=arrays)
+    rows, tmp = v[:, :-1].reshape(2, r, -1), np.empty(r * width)
     # an even site's neighbours sit one entry left of it and at it, an odd
     # site's at it and one entry right
     steps = [(v[c, 1 - (o + c) % 2 : v.shape[1] - (o + c) % 2], v[1 - c, :-1],
-              v[1 - c, 1:], up[1 - c, :-1], down[1 - c, 1:]) for c in (0, 1)]
-    return v[:, :-1].reshape(2, r, -1), steps, xs, np.where(cls, 0, at)
+              v[1 - c, 1:], up[1 - c, :-1], down[1 - c, 1:], rows[c])
+             for c in (0, 1)]
+
+    if log:
+        def step(n):
+            out, lo, hi, p_up, p_down, by_row = steps[n % 2]
+            np.add(lo, p_up, out=out)
+            np.add(hi, p_down, out=tmp)
+            np.logaddexp(out, tmp, out=out)
+            return by_row
+    else:
+        def step(n):
+            out, lo, hi, p_up, p_down, by_row = steps[n % 2]
+            np.multiply(lo, p_up, out=out)
+            np.multiply(hi, p_down, out=tmp)
+            out += tmp
+            return by_row
+    return rows, step, xs, np.where(cls == np.arange(2)[:, None], at, 0)
 
 
-def band_steps(ker, n: int) -> np.ndarray:
-    """The law after n steps of ``ker`` of the walk started at its origin:
-    T^BLOCK per banded product on the origin's class, then one ``step`` on
-    all sites for each of the last n mod BLOCK."""
+def height_law(ker, n: int) -> np.ndarray:
+    """Law of S_n over ``ker.heights`` from S_0 at the origin (of |S_n| if
+    folded): T^BLOCK per banded product on the origin's class, then one
+    ``step`` on all sites for each of the last n mod BLOCK."""
     (q, r), sites, o = divmod(n, BLOCK), len(ker.heights), ker.origin
     band = _band_powers(ker, np.ones((1, sites)), BLOCK)[0]
     states, win = _class_states(1, len(band), o)
@@ -281,25 +276,23 @@ def _block_passage(ker, w, w0, m_max: int, cap: float):
 
 
 def _log_passage(ker, log_w, log_w0, m_max: int, cap: float):
-    """a of the rows of ``first_passage`` whose state may overflow, one step
-    at a time in logs on the tiled lattice, up to the step at which the
-    last one's partial sum passes cap; log_w, (rows, sites), is -inf at
-    the origin.  No row can overflow, underflow or leak into another."""
-    r, sites = log_w.shape
-    at = slice(ker.origin, None, sites)
-    ker, log_w = ker.tiled(r), log_w.ravel()
-    v, nxt = np.full(r * sites, -math.inf), np.empty(r * sites)
-    v[at] = 0.0
-    a = np.zeros((r, m_max + 1))
-    partial = np.zeros(r)
+    """a of the rows of ``first_passage`` whose state may overflow, one
+    class step at a time in logs (``_class_sweep``), up to the step at
+    which the last one's partial sum passes cap; log_w, (rows, sites), is
+    -inf at the origin.  No row can overflow, underflow or leak into
+    another, and the walk returns at even steps only."""
+    _, step, log_ws, back = _class_sweep(ker, len(log_w), log_w, log=True)
+    at = back[0, ker.origin]
+    a = np.zeros((len(log_w), m_max + 1))
+    partial = np.zeros(len(log_w))
     for n in range(1, m_max + 1):
-        ker.log_step(v, nxt)
-        np.exp(nxt[at] + log_w0, out=a[:, n])
-        nxt += log_w
-        v, nxt = nxt, v
-        partial += a[:, n]
-        if not (partial <= cap).any():
-            break
+        by_row = step(n)
+        if n % 2 == 0:
+            np.exp(by_row[:, at] + log_w0, out=a[:, n])
+            partial += a[:, n]
+            if not (partial <= cap).any():
+                break
+        by_row += log_ws[n % 2]
     return a
 
 
@@ -322,8 +315,8 @@ def first_passage(ker, log_w: np.ndarray, log_w0, m_max: int, cap: float):
     e^log_w, together, on the origin's parity class, the only sites their
     state reaches at a block's end; their returns inside a block, at even
     steps, are read off the band build.  Every other row runs one exact
-    recursion in logs, a ``log_step`` per step.  Either way a row's bits do
-    not depend on the rows next to it.
+    recursion in logs, one parity-class step per step.  Either way a row's
+    bits do not depend on the rows next to it.
     """
     log_w = np.asarray(log_w, dtype=float)
     rows, sites = log_w.shape[:-1], log_w.shape[-1]

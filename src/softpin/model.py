@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import band_steps, first_passage, layout, recommended_truncation
+from .lattice import first_passage, height_law, layout, recommended_truncation
 
 __all__ = [
     "PotentialSpec",
@@ -36,7 +36,6 @@ __all__ = [
     "psi",
     "transition_prob",
     "return_law",
-    "height_law",
     "estimate_c_weights",
     "c_star",
     "load_potential_table",
@@ -284,11 +283,6 @@ class CWeights:
     @property
     def k_max(self) -> int:
         return len(self.values) - 1
-
-
-def height_law(ker, n: int) -> np.ndarray:
-    """Law of S_n over ker.heights from S_0 = 0 (of |S_n| if folded)."""
-    return band_steps(ker, n)
 
 
 def estimate_c_weights(walk: WalkSpec, k_max: int, n_probe: int) -> CWeights:

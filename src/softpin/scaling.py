@@ -37,7 +37,7 @@ from .continuum import (
     continuum_free_energy_short,
     scaling_exponents,
 )
-from .lattice import layout
+from .lattice import _class_sweep, layout
 from .localization import excursion_weights
 from .model import ChargeModel, PhasePoint, PotentialSpec, WalkSpec, c_star, estimate_c_weights, psi
 from .transfer import renewal_root
@@ -216,7 +216,8 @@ def series_coefficient(walk: WalkSpec, charges: ChargeModel,
     the expected chi-product over j already-selected indices jointly with
     the walker position; stepping either keeps the index count (transfer
     only) or selects the new time point (transfer, then weight by chi).
-    Cost O(TN * k * L).
+    The layers are the rows of one parity-class sweep
+    (``lattice._class_sweep``), all stepped at once.  Cost O(TN * k * L).
     """
     if not 1 <= k <= 4:
         raise ValueError("series coefficients are supported for 1 <= k <= 4")
@@ -225,17 +226,14 @@ def series_coefficient(walk: WalkSpec, charges: ChargeModel,
     ker = layout(walk, spec, tn)
     chi = np.exp(np.asarray(psi(charges, spec, point.beta, point.h,
                                 ker.heights), dtype=float)) - 1.0
-    layers = np.zeros((k + 1, len(chi)))
-    layers[0, ker.origin] = 1.0
-    stepped = np.zeros_like(layers)
-    tiled, flat, flat_stepped = ker.tiled(k + 1), layers.ravel(), stepped.ravel()
-    for _ in range(tn):
-        tiled.step(flat, flat_stepped)
-        for j in range(k, 0, -1):
-            np.multiply(stepped[j - 1], chi, out=layers[j])
-            layers[j] += stepped[j]
-        layers[0] = stepped[0]
-    return float(layers[k].sum())
+    rows, step, chis, back = _class_sweep(ker, k + 1, chi)
+    rows[0, 1:] = 0.0  # only layer 0 starts at the origin
+    for n in range(1, tn + 1):
+        layers = step(n)
+        for j in range(k, 0, -1):  # layer j - 1 is still the stepped one
+            layers[j] += layers[j - 1] * chis[n % 2]
+    # on all sites, in order, as a sum's bits depend on both
+    return float(layers[k].take(back[tn % 2]).sum())
 
 
 @dataclass(frozen=True)

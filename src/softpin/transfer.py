@@ -127,8 +127,9 @@ def _sweep(ker, g, x, record_at: np.ndarray):
     """
     pts = record_at.tolist()
     r = 1 if g is None else len(g)
-    rows, steps, xs, back = _class_sweep(ker, r, x)
-    at, tmp = back[ker.origin], np.empty(rows[0].size)  # tmp: a product
+    # record steps are even: their rows are class 0's
+    _, step, xs, (back, _) = _class_sweep(ker, r, x)
+    at = back[ker.origin]
     acc = np.zeros(r)  # log-scale divided out of the rows so far
     maxima = np.empty((r, _LOG_EVERY))  # row maxima not yet in acc
     k = 0
@@ -138,11 +139,7 @@ def _sweep(ker, g, x, record_at: np.ndarray):
     idx = 1 if pts[0] == 0 else 0
     weights = _class_weights(g, xs, pts[-1], True)
     for n, w in zip(range(1, pts[-1] + 1), weights):
-        out, lo, hi, up, down = steps[n % 2]
-        np.multiply(lo, up, out=out)
-        np.multiply(hi, down, out=tmp)
-        out += tmp
-        by_row = rows[n % 2]
+        by_row = step(n)
         by_row *= w
         if n == pts[idx]:  # the origin's value, before the division
             lost |= by_row[:, at] < _TINY
@@ -171,8 +168,9 @@ def _log_sweep(ker, g, x, record_at: np.ndarray):
 
     pts = record_at.tolist()
     r = 1 if g is None else len(g)
-    rows, steps, xs, back = _class_sweep(ker, r, x, log=True)
-    at, tmp = back[ker.origin], np.empty(rows[0].size)  # tmp: a product
+    # record steps are even: their rows are class 0's
+    _, step, xs, (back, _) = _class_sweep(ker, r, x, log=True)
+    at = back[ker.origin]
     acc = np.zeros(r)  # log-scale subtracted from the rows so far
     maxima = np.empty((r, _LOG_EVERY))  # row maxima not yet in acc
     k = 0
@@ -181,11 +179,7 @@ def _log_sweep(ker, g, x, record_at: np.ndarray):
     idx = 1 if pts[0] == 0 else 0
     weights = _class_weights(g, xs, pts[-1], False)
     for n, w in zip(range(1, pts[-1] + 1), weights):
-        out, lo, hi, up, down = steps[n % 2]
-        np.add(lo, up, out=out)
-        np.add(hi, down, out=tmp)
-        np.logaddexp(out, tmp, out=out)
-        by_row = rows[n % 2]
+        by_row = step(n)
         by_row += w
         if n % _LOG_RESCALE_EVERY and n != pts[idx]:
             continue

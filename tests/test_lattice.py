@@ -10,6 +10,7 @@ other row runs in logs and agrees, in the same way, with a per-site log
 recursion.
 """
 
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -23,6 +24,8 @@ import softpin.lattice
 from softpin.lattice import first_passage, layout
 from softpin.localization import DIVERGENCE_CAP
 from softpin.model import ChargeModel, PotentialSpec, WalkSpec, phi_eval, psi
+
+from conftest import log_step, tiled
 
 WALK = WalkSpec(alpha=0.6)
 SPECS = {
@@ -237,13 +240,16 @@ def test_cap_crossing_inside_a_block():
 
 @pytest.mark.parametrize("lattice", ["folded", "signed"])
 def test_overflowing_return_weight_stops_at_the_first_return(lattice):
-    # e^1000 overflows: the zero returns of step 1 add 0, not 0 * inf = NaN
+    # e^1000 overflows: the zero returns of step 1 add 0, not 0 * inf = NaN.
+    # Both rows run in logs, where returns are read at even steps only, so
+    # log_w0 = inf never meets the origin's -inf of step 1 either
     ker, log_w = log_site_weights(SPECS[lattice], 256, [-0.5])
-    a, diverged, m_stop = first_passage(ker, log_w[0], 1000.0, 256,
-                                        DIVERGENCE_CAP)
-    assert diverged and m_stop == 2
-    assert not np.isnan(a).any()
-    assert a[2] == math.inf and np.count_nonzero(a) == 1
+    for log_w0 in (1000.0, math.inf):
+        a, diverged, m_stop = first_passage(ker, log_w[0], log_w0, 256,
+                                            DIVERGENCE_CAP)
+        assert diverged and m_stop == 2
+        assert not np.isnan(a).any()
+        assert a[2] == math.inf and np.count_nonzero(a) == 1
 
 
 def test_mixed_batch_equals_one_row_calls_bit_for_bit():
@@ -562,3 +568,53 @@ def test_strong_coupling_rows_match_a_per_site_log_recursion(
         if in_logs(ker, log_w[i], m_max)[0]:
             assert_matches(one, reference_log_passage(
                 ker, log_w[i], log_w0[i], m_max, DIVERGENCE_CAP))
+
+
+# ------------------------------------------ the log rows on every site
+
+def tiled_log_passage(ker, log_w, log_w0, m_max, cap):
+    """Oracle of ``lattice._log_passage``, bit for bit: one ``log_step`` at
+    a time on every site of ``ker`` tiled over the rows, a return read at
+    every step, the other class's -inf included."""
+    r, sites = log_w.shape
+    at = slice(ker.origin, None, sites)
+    ker, log_w = tiled(ker, r), log_w.ravel()
+    v, nxt = np.full(r * sites, -math.inf), np.empty(r * sites)
+    v[at] = 0.0
+    a = np.zeros((r, m_max + 1))
+    partial = np.zeros(r)
+    for n in range(1, m_max + 1):
+        log_step(ker, v, nxt)
+        np.exp(nxt[at] + log_w0, out=a[:, n])
+        nxt += log_w
+        v, nxt = nxt, v
+        partial += a[:, n]
+        if not (partial <= cap).any():
+            break
+    return a
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+@pytest.mark.parametrize("l", [1, 2, 3, 8, 9, 40, 41])
+@pytest.mark.parametrize("lattice", ["folded", "signed"])
+def test_log_rows_on_the_classes_keep_the_full_lattice_bits(lattice, l,
+                                                            rows):
+    # odd L puts a signed lattice's origin on an odd site.  Row i's log
+    # weights lean by -0.3, 0 or +0.4, the last diverging, and its log
+    # return weight is offset by 0, 30 or 800, the last overflowing at the
+    # first return; cap 5 stops rows early, 1e12 later and inf never
+    ker = layout(replace(WALK, l_max=l), SPECS[lattice], 0)
+    rng = np.random.default_rng(100 * l + rows)
+    i = np.arange(rows)
+    lean = np.array([-0.3, 0.0, 0.4])[i % 3, None]
+    offset = np.array([0.0, 30.0, 800.0])[i // 2 % 3]
+    for m_max, cap in itertools.product([4, 33, 64, 130],
+                                        [math.inf, 1e12, 5.0]):
+        log_w = 0.3 * rng.standard_normal((rows, len(ker.heights))) + lean
+        log_w[:, ker.origin] = -math.inf
+        log_w0 = rng.standard_normal(rows) + offset
+        with np.errstate(over="ignore"):
+            got = softpin.lattice._log_passage(ker, log_w, log_w0, m_max,
+                                               cap)
+            want = tiled_log_passage(ker, log_w, log_w0, m_max, cap)
+        np.testing.assert_array_equal(got, want)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softpin.lattice import layout
+from softpin.lattice import height_law, layout
 from softpin.model import (
     ChargeModel,
     CWeights,
@@ -16,7 +16,6 @@ from softpin.model import (
     WalkSpec,
     c_star,
     estimate_c_weights,
-    height_law,
     load_potential_table,
     phi_eval,
     psi,
@@ -39,18 +38,14 @@ def kernel(alpha: float, l: int, folded: bool):
 
 
 @LATTICES
-def test_tiled_step_equals_row_by_row_steps(folded):
+def test_step_fills_out_and_equals_the_dense_matrix(folded):
     ker = kernel(0.7, 9, folded)
     sites = len(ker.heights)
     v = np.random.default_rng(3).random((6, sites))
     want = np.array([ker.step(row) for row in v])
-    tiled = ker.tiled(6)
-    np.testing.assert_array_equal(tiled.step(v.ravel()), want.ravel())
-    out = np.full(v.size, np.nan)
-    assert tiled.step(v.ravel(), out) is out
-    np.testing.assert_array_equal(out, want.ravel())
     one = np.full(sites, np.nan)
-    np.testing.assert_array_equal(ker.step(v[4], one), want[4])
+    assert ker.step(v[4], one) is one
+    np.testing.assert_array_equal(one, want[4])
     # against the dense transition matrix
     dense = np.diag(ker.p_up[:-1], 1) + np.diag(ker.p_down[1:], -1)
     np.testing.assert_allclose(want, v @ dense, rtol=1e-14)

@@ -29,6 +29,8 @@ from softpin.scaling import (
 )
 from softpin.transfer import annealed_free_energy, annealed_partition
 
+from conftest import tiled
+
 GAUSS = ChargeModel("gaussian")
 BERN = ChargeModel("bernoulli_pm1")
 LONG = ContinuumParams(alpha=0.3, theta=0.25)
@@ -185,6 +187,43 @@ def test_series_k1_matches_marginal_expectation():
         expect += float(np.dot(chi, v))
     got = series_coefficient(WALK6, GAUSS, PT3, point, tn, k=1)
     assert got == pytest.approx(expect, rel=1e-12)
+
+
+def tiled_series(walk, charges, spec, point, tn, k):
+    """Oracle of ``series_coefficient``, bit for bit: its k + 1 layers one
+    ``step`` at a time on every site of the kernel tiled over them, the
+    other class's zeros included."""
+    ker = layout(walk, spec, tn)
+    chi = np.exp(np.asarray(psi(charges, spec, point.beta, point.h,
+                                ker.heights), dtype=float)) - 1.0
+    layers = np.zeros((k + 1, len(chi)))
+    layers[0, ker.origin] = 1.0
+    stepped = np.zeros_like(layers)
+    ker, flat, flat_stepped = tiled(ker, k + 1), layers.ravel(), stepped.ravel()
+    for _ in range(tn):
+        ker.step(flat, flat_stepped)
+        for j in range(k, 0, -1):
+            np.multiply(stepped[j - 1], chi, out=layers[j])
+            layers[j] += stepped[j]
+        layers[0] = stepped[0]
+    return float(layers[k].sum())
+
+
+@pytest.mark.parametrize("l", [None, 1, 2, 3, 9])
+@pytest.mark.parametrize("spec,charges,beta,h", [
+    (PotentialSpec(kind="pinning"), GAUSS, 0.7, 0.3),
+    (PT3, GAUSS, 0.8, 0.2),
+    (PotentialSpec(kind="copolymer"), BERN, 0.5, 0.4),
+    (PotentialSpec(kind="table", table={0: 0.4, 1: 1.0, -2: 0.8}), GAUSS, 0.6, -0.1),
+])
+def test_series_layers_on_the_classes_keep_the_full_lattice_bits(
+        spec, charges, beta, h, l):
+    # odd tn ends the layers on the origin's other class; a signed
+    # lattice of odd L has its origin on an odd site
+    walk, point = WalkSpec(alpha=0.6, l_max=l), PhasePoint(beta, h)
+    for tn, k in itertools.product([1, 2, 7, 8, 33, 256, 1025], range(1, 5)):
+        assert (series_coefficient(walk, charges, spec, point, tn, k)
+                == tiled_series(walk, charges, spec, point, tn, k))
 
 
 def test_series_chi_zero_gives_zero():

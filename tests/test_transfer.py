@@ -24,6 +24,8 @@ from softpin.transfer import (
     renewal_root,
 )
 
+from conftest import log_step, tiled
+
 GAUSS = ChargeModel("gaussian")
 BERN = ChargeModel("bernoulli_pm1")
 PIN = PotentialSpec(kind="pinning")
@@ -414,9 +416,10 @@ def test_rows_on_both_paths_match_one_row_calls(spec):
 
 def full_lattice_sweep(ker, step_weights, record_at):
     """Oracle of ``transfer._sweep``, bit for bit: the same recursion one
-    ``step`` at a time on every site of the tiled kernel ``ker``, the
-    other class's zeros included, with step_weights(n) the flat site
-    weights of step n.  Returns (log_z_free, log_z_constrained, lost)."""
+    ``step`` at a time on every site of the kernel ``ker`` tiled over the
+    rows (conftest's ``tiled``), the other class's zeros included, with
+    step_weights(n) the flat site weights of step n.  Returns (log_z_free,
+    log_z_constrained, lost)."""
     pts = record_at.tolist()
     sites, origin = len(ker.heights), ker.origin
     r = len(ker.p_up) // sites
@@ -453,7 +456,7 @@ def full_lattice_sweep(ker, step_weights, record_at):
 
 def full_lattice_log_sweep(ker, step_log_weights, record_at):
     """Oracle of ``transfer._log_sweep``, bit for bit: one ``log_step`` at
-    a time on every site of the tiled kernel ``ker``."""
+    a time on every site of the kernel ``ker`` tiled over the rows."""
     from scipy.special import logsumexp
 
     pts = record_at.tolist()
@@ -468,7 +471,7 @@ def full_lattice_log_sweep(ker, step_log_weights, record_at):
     rec_con = np.zeros_like(rec_free)
     idx = 1 if pts[0] == 0 else 0
     for n in range(1, pts[-1] + 1):
-        ker.log_step(v, nxt)
+        log_step(ker, v, nxt)
         nxt += step_log_weights(n)
         v, nxt = nxt, v
         if n % transfer._LOG_RESCALE_EVERY and n != pts[idx]:
@@ -496,7 +499,7 @@ def full_lattice_rows(walk, spec, g, pts, folded):
         def weights(n):
             log_w = g[rows][:, n - 1, None] * phi
             return (np.exp(log_w) if linear else log_w).reshape(-1)
-        return sweep(ker.tiled(len(g[rows])), weights, pts)
+        return sweep(tiled(ker, len(g[rows])), weights, pts)
 
     in_logs = (np.abs(g).max(axis=1) * np.abs(phi).max()
                > transfer.LOG_WEIGHT_CAP)
