@@ -214,6 +214,8 @@ class PhasePoint:
 def psi(charges: ChargeModel, spec: PotentialSpec, beta: float, h: float, x):
     """Annealed site potential psi(x) = log M(beta*phi(x)) - h*phi(x);
     beta and h may be arrays that broadcast against x."""
+    if not (np.isfinite(beta).all() and np.isfinite(h).all()):
+        raise ValueError("beta and h must be finite")
     if np.min(beta) < 0:
         raise ValueError("beta must be >= 0")
     p = np.asarray(phi_eval(spec, x), dtype=float)

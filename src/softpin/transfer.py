@@ -1,15 +1,15 @@
 """Partition functions and free energies by forward transfer recursion.
 
 Both endpoint conditions are carried in one sweep: after n steps the
-renormalized mass vector yields the free partition function (sum over
-heights) and the constrained one (mass at the origin, even n only).  The
-recursion is log-stabilized by factoring out the running maximum, so
-horizons of 2^20 steps stay in float64 range.  A sweep whose site weights
-pass exp(+-LOG_WEIGHT_CAP), or whose origin share underflows, runs in logs
-(one logaddexp per step) and is exact at any coupling.  Disorder samples
-run as rows of one sweep, each row with the bits it gets alone.  A sweep
-steps only the parity class of sites its chains can be on, with the bits
-of the one-step recursion on all sites, and weighs BLOCK steps at once.
+rescaled mass vector yields the free partition function (sum over heights)
+and the constrained one (mass at the origin, even n only).  Each row is
+scaled by an exact power of two every few steps, so horizons of 2^20 steps
+stay in float64 range.  A sweep whose site weights pass
+exp(+-LOG_WEIGHT_CAP), or whose origin share underflows, runs in logs (one
+logaddexp per step) and is exact at any coupling.  Disorder samples run as
+rows of one sweep, each with the bits it gets alone.  A sweep steps only
+the parity class of sites its chains can be on, with the bits of the
+one-step recursion on all sites, and weighs BLOCK steps at once.
 
 Free-energy estimates report the constrained value at the largest ladder
 rung (a rigorous lower bound on the limit by super-additivity) bracketed
@@ -65,21 +65,23 @@ class PartitionSweep:
 
 
 def _check_record_points(record_at) -> np.ndarray:
-    pts = np.asarray(sorted(set(int(n) for n in record_at)), dtype=int)
-    if len(pts) == 0:
-        raise ValueError("need at least one record point")
-    if pts[0] < 0:
-        raise ValueError("record points must be >= 0")
+    pts = sorted(set(record_at))
+    if not pts or not all(float(n).is_integer() and n >= 0 for n in pts):
+        raise ValueError("need one or more record points, whole and >= 0")
+    pts = np.asarray(pts, dtype=int)
     if np.any(pts % 2 != 0):
         raise ValueError("constrained partitions need even step counts (period 2)")
     return pts
 
 
-# largest |log site weight| of a sweep row that steps linearly, rows past it
-# running in logs: exp(709.8) overflows, exp(-708.4) is no longer a normal
-# double, and a step keeps a renormalized row's peak within [1/4, 2]
+# largest |log site weight| c of a sweep row that steps linearly, rows past
+# it running in logs: exp(709.8) overflows, exp(-708.4) is no longer a normal
+# double, and a row rescaled after every step keeps its peak in [e^-c/8, 2e^c]
 LOG_WEIGHT_CAP = 700.0
-# steps whose row maxima go into the running log-scale at once
+# a linear sweep row's maximum drifts at most 2^+-_DRIFT_BITS between rescales
+_DRIFT_BITS = 64
+_LN2 = math.log(2.0)
+# steps whose row maxima go into a log sweep's running log-scale at once
 _LOG_EVERY = 256
 # a log sweep subtracts its row maxima every this many steps and at record
 # steps, so a step rounds on at most this many steps' log weights
@@ -112,27 +114,30 @@ def _sweep(ker, g, x, record_at: np.ndarray):
     each within +-LOG_WEIGHT_CAP.  Returns (log_z_free, log_z_constrained),
     each of shape (rows, len(record_at)), and a bool per row, True where
     the origin's value fell below the smallest normal double at a record
-    step, before or after the division by the row maximum, so that the
-    constrained value lost digits.
+    step, before or after the rescale: the constrained value lost digits.
 
     Each step moves one parity class onto the other in ``step``'s order
     (``lattice._class_sweep``); a record step's free sum sees the other
     class's zeros in place, so every value has ``step``'s bits.
 
-    Each row is divided by its maximum after every step, and no row can
-    overflow or die: |d| < 1/2, so every site sends at least 1/4 of its
-    mass to a neighbour.  A row whose maximum was 1 thus has a site of at
-    least exp(-LOG_WEIGHT_CAP) / 4 after the next step and its weights, and
-    no site above 2 exp(LOG_WEIGHT_CAP), both inside float range.
+    Every k steps and at record steps, each row is scaled by 2^-e, e the
+    binary exponent of its maximum, and e is added to its count, so log Z
+    = count ln 2 + log(...).  That is exact on normal doubles: a row's
+    bits depend on neither k nor its neighbours.  |d| < 1/2 sends every
+    site at least 1/4 of its mass to a neighbour, so a step and its
+    weights move a row's maximum by a factor in [e^-c / 4, 2 e^c], c the
+    largest |log site weight|.  k = min(BLOCK, max(1, floor(_DRIFT_BITS
+    ln 2 / (c + ln 4)))) keeps it within 2^+-_DRIFT_BITS of its last
+    rescale, or in [e^-c / 8, 2 e^c] at k = 1: no row overflows or dies.
     """
     pts = record_at.tolist()
     r = 1 if g is None else len(g)
+    c = np.abs(x).max() * (1.0 if g is None else np.abs(g).max(initial=0.0))
+    k = min(BLOCK, max(1, int(_DRIFT_BITS * _LN2 // (c + 2.0 * _LN2))))
     # record steps are even: their rows are class 0's
     _, step, xs, (back, _) = _class_sweep(ker, r, x)
     at = back[ker.origin]
-    acc = np.zeros(r)  # log-scale divided out of the rows so far
-    maxima = np.empty((r, _LOG_EVERY))  # row maxima not yet in acc
-    k = 0
+    count = np.zeros(r, dtype=np.int64)  # binary exponents taken out so far
     rec_free = np.zeros((r, len(pts)))  # n = 0: Z = Z_constrained = 1
     rec_con = np.zeros_like(rec_free)
     lost = np.zeros(r, dtype=bool)
@@ -141,20 +146,21 @@ def _sweep(ker, g, x, record_at: np.ndarray):
     for n, w in zip(range(1, pts[-1] + 1), weights):
         by_row = step(n)
         by_row *= w
-        if n == pts[idx]:  # the origin's value, before the division
+        if n % k and n != pts[idx]:
+            continue
+        if n == pts[idx]:  # the origin's value, before the rescale
             lost |= by_row[:, at] < _TINY
-        by_row /= by_row.max(axis=1, keepdims=True, out=maxima[:, k : k + 1])
-        k += 1
-        if k == _LOG_EVERY or n == pts[idx]:
-            acc += np.log(maxima[:, :k]).sum(axis=-1)
-            k = 0
+        e = np.frexp(np.maximum.reduce(by_row, axis=1))[1]
+        np.ldexp(by_row, -e[:, None], out=by_row)
+        count += e
         if n == pts[idx]:
+            scale = count * _LN2
             # on all sites, in C order, as a sum's bits depend on both
-            rec_free[:, idx] = acc + np.log(by_row.take(back, 1).sum(1))
+            rec_free[:, idx] = scale + np.log(by_row.take(back, 1).sum(1))
             con = by_row[:, at]  # and after it
             lost |= con < _TINY
             with np.errstate(divide="ignore"):  # 0 only in a lost row
-                rec_con[:, idx] = acc + np.log(con)
+                rec_con[:, idx] = scale + np.log(con)
             idx += 1
     return rec_free, rec_con, lost
 
@@ -213,6 +219,8 @@ def _quenched_rows(walk, spec, g: np.ndarray, pts: np.ndarray, folded):
     """(log_z_free, log_z_constrained) along pts for each row of g, the
     per-step couplings beta * omega - h in front of phi(S_n).  A row runs
     linearly or in logs by its own weights, with the bits it gets alone."""
+    if not np.isfinite(g).all():
+        raise ValueError("couplings must be finite")
     ker = layout(walk, spec, int(pts[-1]), folded)
     phi_vec = np.asarray(phi_eval(spec, ker.heights), dtype=float)
     in_logs = (np.abs(g).max(axis=1, initial=0.0) * np.abs(phi_vec).max()

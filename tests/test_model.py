@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softpin.lattice import height_law, layout
+from softpin.localization import excursion_sum
 from softpin.model import (
     ChargeModel,
     CWeights,
@@ -22,6 +23,7 @@ from softpin.model import (
     return_law,
     transition_prob,
 )
+from softpin.transfer import annealed_free_energy
 
 from conftest import enumerate_srw_first_return
 
@@ -167,6 +169,25 @@ def test_psi_beta_zero_is_law_independent(h, x):
     b = psi(ChargeModel("bernoulli_pm1"), pw, 0.0, h, x)
     assert a == pytest.approx(b, abs=1e-14)
     assert a == pytest.approx(-h * phi_eval(pw, x), abs=1e-14)
+
+
+@pytest.mark.parametrize("beta, h", [
+    (math.nan, 0.1), (0.5, math.nan), (math.inf, 0.1), (0.5, -math.inf),
+    (np.array([0.5, math.nan]), 0.1)])
+def test_psi_rejects_non_finite_couplings(gaussian, pinning, beta, h):
+    # psi is the one choke point of the annealed, excursion and series
+    # paths: a NaN beta passed its old `min(beta) < 0` check
+    with pytest.raises(ValueError, match="finite"):
+        psi(gaussian, pinning, beta, h, np.arange(3))
+
+
+def test_non_finite_couplings_give_no_verdict_or_free_energy(gaussian,
+                                                             pinning):
+    walk = WalkSpec(alpha=0.6)
+    with pytest.raises(ValueError, match="finite"):
+        excursion_sum(walk, pinning, gaussian, math.nan, 0.1, m_max=64)
+    with pytest.raises(ValueError, match="finite"):
+        annealed_free_energy(walk, pinning, gaussian, 0.5, math.nan, 64)
 
 
 def test_log_cosh_stable_at_large_argument(bernoulli):

@@ -99,6 +99,9 @@ def test_partition_n0_is_unit():
     sw = annealed_sweep(SRW, PIN, GAUSS, 0.7, 0.2, [0, 4])
     assert sw.log_z_free[0] == 0.0
     assert sw.log_z_constrained[0] == 0.0
+    # a quenched sweep of no steps has no couplings at all
+    sw = quenched_sweep(SRW, PIN, 0.7, 0.2, np.zeros(0), [0])
+    assert sw.log_z_free.tolist() == sw.log_z_constrained.tolist() == [0.0]
 
 
 def test_free_partition_zero_coupling_is_zero():
@@ -117,6 +120,37 @@ def test_constrained_zero_coupling_is_return_probability():
 def test_odd_record_points_rejected():
     with pytest.raises(ValueError):
         annealed_sweep(SRW, PIN, GAUSS, 0.0, 0.0, [3])
+
+
+def test_non_integral_record_points_rejected():
+    # 4.9 was truncated to a record at step 4; 4.0 names step 4 exactly
+    for pts in ([4.9], [2, 4.5], [math.nan], [math.inf]):
+        with pytest.raises(ValueError, match="whole"):
+            annealed_sweep(SRW, PIN, GAUSS, 0.5, 0.1, pts)
+    whole = annealed_sweep(SRW, PIN, GAUSS, 0.5, 0.1, [4.0, np.int64(8)])
+    ints = annealed_sweep(SRW, PIN, GAUSS, 0.5, 0.1, [4, 8])
+    assert whole.n_values.tolist() == [4, 8]
+    assert_same_bits((whole.log_z_free, whole.log_z_constrained),
+                     (ints.log_z_free, ints.log_z_constrained))
+
+
+@pytest.mark.parametrize("beta, h, charge", [
+    (0.5, 0.1, math.nan), (0.5, 0.1, math.inf), (math.nan, 0.1, 1.0),
+    (0.5, -math.inf, 1.0)])
+def test_non_finite_couplings_rejected(beta, h, charge):
+    # a NaN or infinite charge, beta or h made every log Z NaN
+    omega = np.ones(16)
+    omega[5] = charge
+    with pytest.raises(ValueError, match="finite"):
+        quenched_sweep(SRW, PIN, beta, h, omega, [16])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coupling_rows_rejected(bad):
+    g = np.zeros((3, 16))
+    g[1, 7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        _quenched_rows(SRW, PIN, g, np.array([16]), None)
 
 
 @pytest.mark.parametrize("charges", [GAUSS, BERN])
@@ -418,16 +452,15 @@ def full_lattice_sweep(ker, step_weights, record_at):
     """Oracle of ``transfer._sweep``, bit for bit: the same recursion one
     ``step`` at a time on every site of the kernel ``ker`` tiled over the
     rows (conftest's ``tiled``), the other class's zeros included, with
-    step_weights(n) the flat site weights of step n.  Returns (log_z_free,
-    log_z_constrained, lost)."""
+    step_weights(n) the flat site weights of step n, each row scaled by
+    2^-e after every step, e the binary exponent of its maximum.  Returns
+    (log_z_free, log_z_constrained, lost)."""
     pts = record_at.tolist()
     sites, origin = len(ker.heights), ker.origin
     r = len(ker.p_up) // sites
     v, nxt = np.zeros(r * sites), np.empty(r * sites)
     v[origin::sites] = 1.0
-    acc = np.zeros(r)
-    maxima = np.empty((r, transfer._LOG_EVERY))
-    k = 0
+    count = np.zeros(r, dtype=np.int64)
     rec_free = np.zeros((r, len(pts)))
     rec_con = np.zeros_like(rec_free)
     lost = np.zeros(r, dtype=bool)
@@ -438,18 +471,17 @@ def full_lattice_sweep(ker, step_weights, record_at):
         if n == pts[idx]:
             lost |= nxt[origin::sites] < transfer._TINY
         by_row = nxt.reshape(r, sites)
-        by_row /= by_row.max(axis=1, keepdims=True, out=maxima[:, k : k + 1])
+        e = np.frexp(by_row.max(axis=1))[1]
+        np.ldexp(by_row, -e[:, None], out=by_row)
+        count += e
         v, nxt = nxt, v
-        k += 1
-        if k == transfer._LOG_EVERY or n == pts[idx]:
-            acc += np.log(maxima[:, :k]).sum(axis=-1)
-            k = 0
         if n == pts[idx]:
-            rec_free[:, idx] = acc + np.log(v.reshape(r, sites).sum(axis=-1))
+            log_scale = count * math.log(2.0)
+            rec_free[:, idx] = log_scale + np.log(by_row.sum(axis=-1))
             con = v[origin::sites]
             lost |= con < transfer._TINY
             with np.errstate(divide="ignore"):
-                rec_con[:, idx] = acc + np.log(con)
+                rec_con[:, idx] = log_scale + np.log(con)
             idx += 1
     return rec_free, rec_con, lost
 
@@ -591,6 +623,39 @@ def test_class_sweeps_lose_and_rerun_the_rows_the_full_lattice_does(
         assert want[2].tolist() == [h == 650.0 for b, h in couplings
                                     if b < 100]
         assert_same_bits(got, want)
+
+
+def rows_at(monkeypatch, drift_bits, walk, spec, g, pts, folded):
+    """``class_rows`` with ``_sweep``'s drift budget set to drift_bits."""
+    monkeypatch.setattr(transfer, "_DRIFT_BITS", drift_bits)
+    return class_rows(monkeypatch, walk, spec, g, pts, folded)
+
+
+@pytest.mark.parametrize("folded", [True, False])
+def test_rescale_interval_and_neighbour_rows_leave_every_bit(monkeypatch,
+                                                             folded):
+    # a budget of 0 bits rescales after every step, k = 1, and one of 1e6
+    # only every BLOCK steps; a row scaled by powers of two keeps its bits
+    # either way, and beside a row near the weight cap, which takes the
+    # derived k to 1 (a row at k = BLOCK that near the cap would overflow)
+    walk = WalkSpec(alpha=0.6)
+    specs = [PIN, PotentialSpec(kind="power_tail", theta=3.0)]
+    if not folded:
+        specs.append(PotentialSpec(kind="copolymer"))
+    rng = np.random.default_rng(7)
+    for spec, pts in itertools.product(specs,
+                                       GUARD_RECORDS + [[128, 1000, 2048]]):
+        pts = np.array(pts)
+        g = 0.8 * rng.standard_normal((3, pts[-1])) - 0.2
+        every = rows_at(monkeypatch, 0, walk, spec, g, pts, folded)
+        block = rows_at(monkeypatch, 10 ** 6, walk, spec, g, pts, folded)
+        assert_same_bits(every, block)
+        assert_same_bits(every, class_rows(monkeypatch, walk, spec, g, pts,
+                                           folded))
+        near = 690.0 * rng.choice([-1.0, 1.0], pts[-1])  # max |phi| = 1
+        mixed = class_rows(monkeypatch, walk, spec,
+                           np.vstack([g[:2], near, g[2:]]), pts, folded)
+        assert_same_bits([a[[0, 1, 3]] for a in mixed], block)
 
 
 _SPECS = st.one_of(
