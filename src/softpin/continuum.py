@@ -42,6 +42,7 @@ reports both (see ``coefficient_candidates``).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -361,12 +362,14 @@ def continuum_critical_curve(params: ContinuumParams, cstar_phi: float,
 
 def _mc_critical_prefactor(params: ContinuumParams, cstar_phi2: float, T: float,
                            dt: float | None, n_paths: int, seed: int) -> float:
+    # one set of seeded paths, weighed at every trial h (no bootstrap: the
+    # root search never reads a standard error)
+    dt, eps, paths = _mc_paths(params, T, dt, n_paths, seed, None)
+
     def f(h: float) -> float:
-        est = continuum_free_energy_mc(
-            params, ContinuumPhasePoint(1.0, h), T=T, dt=dt,
-            n_paths=n_paths, seed=seed, cstar_phi2=cstar_phi2,
-        )
-        return est.estimate
+        exponents = _mc_exponents(params, ContinuumPhasePoint(1.0, h), T, dt,
+                                  eps, paths, cstar_phi2)
+        return _log_mean_exp(exponents, T)[0]
 
     lo, hi = 1e-3, 1.0
     f_lo = f(lo)
@@ -446,9 +449,78 @@ class McEstimate:
     regime: str
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words, mixed with these constants
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# steps whose keys are derived at once: bounds the key array at any step count
+_KEY_CHUNK = 4096
+
+
+def _hashmix(value, hash_const: int, mult: int):
+    """SeedSequence's hashmix of a word (a Python int or a uint64 array of
+    32-bit words); returns the mixed word and the next hash constant."""
+    nxt = hash_const * mult & _MASK32
+    value = (value ^ hash_const) * nxt & _MASK32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x, y):
+    r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _step_keys(seed: int, first: int, count: int) -> np.ndarray:
+    """Philox keys of SeedSequence(seed, spawn_key=(first + i,)) for
+    0 <= i < count, as a (count, 2) uint64 array.
+
+    A transcription of SeedSequence's entropy mixing and of its
+    generate_state(2, np.uint64), in which the spawn word is a vector over
+    the steps: one pass of array arithmetic derives every step's key.  The
+    words are held in uint64 and masked to 32 bits after each product,
+    which is exact.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    if first < 0 or first + count > _MASK32 + 1:
+        raise ValueError("spawn words must lie in [0, 2^32)")
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    # a spawned SeedSequence pads its run entropy to the pool size
+    entropy = words + [0] * (4 - len(words))
+    entropy.append(np.arange(first, first + count, dtype=np.uint64))
+    hash_const = _INIT_A
+    pool = []
+    for word in entropy[:4]:
+        word, hash_const = _hashmix(word, hash_const, _MULT_A)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    for word in entropy[4:]:
+        for dst in range(4):
+            mixed, hash_const = _hashmix(word, hash_const, _MULT_A)
+            pool[dst] = _mix(pool[dst], mixed)
+    hash_const = _INIT_B
+    state = []
+    for word in pool:
+        word, hash_const = _hashmix(word, hash_const, _MULT_B)
+        state.append(word)
+    # little-endian pairs of 32-bit words make the two 64-bit key words
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32],
+                    axis=1)
+
+
 def _simulate_paths(alpha: float, T: float, dt: float, theta: float,
-                    n_paths: int, seed: int, eps: float,
-                    spawn_base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    n_paths: int, seed: int, eps: float, spawn_base: int
+                    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
     """Paths of the squared process Y' = 2 sqrt(Y) dB + 2(1-alpha) dt via its
     exact transition law Y_{t+dt} = dt * noncentral_chi2(2(1-alpha), Y_t/dt);
     X = sqrt(Y) started at 0.
@@ -457,14 +529,21 @@ def _simulate_paths(alpha: float, T: float, dt: float, theta: float,
     mean of each Riemann sum below is the exact Riemann sum of the closed-
     form moment curve — no boundary discretization bias.  Returns per-path
     (occupation time of (0, eps], Int X^-theta dt, Int X^-2 theta dt) over
-    (0, T].  X is floored at 1e-9 purely to keep the integrands finite;
-    the floor sits so deep in the X -> 0 tail that reaching it has
-    probability ~1e-10 per draw, leaving the moment means intact.
+    (0, T]; only the functionals that the regime of (alpha, theta) reads
+    are computed, and the other one is None: the occupation time in the
+    intermediate regime, Int X^-2 theta in the long_range one.  X is
+    floored at 1e-9 purely to keep the integrands finite; the floor sits so
+    deep in the X -> 0 tail that reaching it has probability ~1e-10 per
+    draw, leaving the moment means intact.
 
     Chi-square sampling consumes a variable number of uniforms, so draws
     are taken jointly across paths from per-STEP substreams keyed by
-    (seed, spawn_base + step); results are deterministic for a fixed
-    (seed, n_paths) and independent across steps.
+    (seed, spawn_base + step): step n draws from
+    Philox(SeedSequence(seed, spawn_key=(spawn_base + n,))).  The keys of
+    those generators come from one vectorized SeedSequence hash
+    (_step_keys), and one Philox is reset to each step's key in turn, which
+    is the state a fresh one starts in.  Results are deterministic for a
+    fixed (seed, n_paths) and independent across steps.
     """
     steps = T / dt
     # from 2e6 steps on, step substreams would collide with the bootstrap
@@ -473,23 +552,35 @@ def _simulate_paths(alpha: float, T: float, dt: float, theta: float,
         raise ValueError(f"dt too small or too large: T / dt = {steps:g} "
                          f"steps, need 1 to 1999999")
     n_steps = round(steps)
+    regime = classify_regime(alpha, theta)
     df = 2.0 * (1.0 - alpha)
     floor = 1e-9
     y = np.zeros(n_paths)
-    occ = np.zeros(n_paths)
+    occ = np.zeros(n_paths) if regime == "intermediate" else None
     int_theta = np.zeros(n_paths)
-    int_2theta = np.zeros(n_paths)
-    for n in range(n_steps):
-        gen = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(spawn_base + n,)))
-        )
-        y = dt * gen.noncentral_chisquare(df, y / dt)
-        x = np.sqrt(y)
-        occ += x <= eps
-        xf = np.maximum(x, floor)
-        int_theta += xf**-theta
-        int_2theta += xf ** (-2.0 * theta)
-    return occ * dt, int_theta * dt, int_2theta * dt
+    int_2theta = np.zeros(n_paths) if regime == "long_range" else None
+    bitgen = np.random.Philox(seed)
+    gen = np.random.Generator(bitgen)
+    # the state a fresh Philox starts in: counter 0 and an empty buffer
+    zeros = np.zeros(4, dtype=np.uint64)
+    fresh = {"bit_generator": "Philox",
+             "state": {"counter": zeros, "key": zeros[:2]},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for start in range(0, n_steps, _KEY_CHUNK):
+        count = min(_KEY_CHUNK, n_steps - start)
+        for key in _step_keys(seed, spawn_base + start, count):
+            fresh["state"]["key"] = key
+            bitgen.state = fresh
+            y = dt * gen.noncentral_chisquare(df, y / dt)
+            x = np.sqrt(y)
+            if occ is not None:
+                occ += x <= eps
+            xf = np.maximum(x, floor)
+            int_theta += xf**-theta
+            if int_2theta is not None:
+                int_2theta += xf ** (-2.0 * theta)
+    return (None if occ is None else occ * dt, int_theta * dt,
+            None if int_2theta is None else int_2theta * dt)
 
 
 @lru_cache(maxsize=64)
@@ -526,38 +617,9 @@ def continuum_free_energy_mc(params: ContinuumParams, cp: ContinuumPhasePoint,
     is flagged when the heaviest path carries over half the total weight
     (variance explosion).
     """
-    if params.regime == "short_range":
-        raise ValueError(
-            "short_range has the explicit formula; use continuum_free_energy_short"
-        )
-    if T <= 0.0:
-        raise ValueError("T must be positive")
-    if dt is None:
-        dt = 1e-4 * T
-    if eps is None:
-        eps = max(math.sqrt(dt), 1e-3)
-    alpha, theta = params.alpha, params.theta
-    occ, int_theta, int_2theta = _simulate_paths(
-        alpha, T, dt, theta, n_paths, seed, eps, spawn_base=0
-    )
-    if params.regime == "long_range":
-        exponents = (
-            0.5 * cp.beta_hat**2 * params.c_tail**2 * int_2theta
-            - cp.h_hat * params.c_tail * int_theta
-        )
-    else:
-        cal = _local_time_calibration(alpha, T, dt, eps)
-        prefactor = sharp_constant(alpha) / eps ** (2.0 * (1.0 - alpha))
-        local_time = cal * prefactor * occ
-        exponents = (
-            0.5 * cp.beta_hat**2 * cstar_phi2 * local_time
-            - cp.h_hat * params.c_tail * int_theta
-        )
-    shifted = exponents - exponents.max()
-    weights = np.exp(shifted)
-    total = float(weights.sum())
-    flagged = bool(weights.max() / total > 0.5)
-    estimate = float((exponents.max() + math.log(total / n_paths)) / T)
+    dt, eps, paths = _mc_paths(params, T, dt, n_paths, seed, eps)
+    exponents = _mc_exponents(params, cp, T, dt, eps, paths, cstar_phi2)
+    estimate, flagged = _log_mean_exp(exponents, T)
     boot_gen = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(2_000_000,)))
     )
@@ -568,3 +630,49 @@ def continuum_free_energy_mc(params: ContinuumParams, cp: ContinuumPhasePoint,
         estimate=estimate, stderr=stderr, flagged=flagged, n_paths=n_paths,
         T=T, dt=dt, eps=eps, regime=params.regime,
     )
+
+
+def _mc_paths(params: ContinuumParams, T: float, dt: float | None,
+              n_paths: int, seed: int, eps: float | None):
+    """The checked step and occupation width of a Monte Carlo run, with its
+    seeded path functionals: (dt, eps, _simulate_paths(...))."""
+    if params.regime == "short_range":
+        raise ValueError(
+            "short_range has the explicit formula; use continuum_free_energy_short"
+        )
+    if T <= 0.0:
+        raise ValueError("T must be positive")
+    if dt is None:
+        dt = 1e-4 * T
+    if eps is None:
+        eps = max(math.sqrt(dt), 1e-3)
+    paths = _simulate_paths(params.alpha, T, dt, params.theta, n_paths, seed,
+                            eps, spawn_base=0)
+    return dt, eps, paths
+
+
+def _mc_exponents(params: ContinuumParams, cp: ContinuumPhasePoint, T: float,
+                  dt: float, eps: float, paths, cstar_phi2: float) -> np.ndarray:
+    """Per-path Feynman-Kac exponents of the regime's functional at cp."""
+    occ, int_theta, int_2theta = paths
+    if params.regime == "long_range":
+        return (
+            0.5 * cp.beta_hat**2 * params.c_tail**2 * int_2theta
+            - cp.h_hat * params.c_tail * int_theta
+        )
+    cal = _local_time_calibration(params.alpha, T, dt, eps)
+    prefactor = sharp_constant(params.alpha) / eps ** (2.0 * (1.0 - params.alpha))
+    local_time = cal * prefactor * occ
+    return (
+        0.5 * cp.beta_hat**2 * cstar_phi2 * local_time
+        - cp.h_hat * params.c_tail * int_theta
+    )
+
+
+def _log_mean_exp(exponents: np.ndarray, T: float) -> tuple[float, bool]:
+    """(1/T) log of the mean of e^exponents, and whether the heaviest path
+    carries over half the total weight."""
+    weights = np.exp(exponents - exponents.max())
+    total = float(weights.sum())
+    flagged = bool(weights.max() / total > 0.5)
+    return float((exponents.max() + math.log(total / exponents.size)) / T), flagged

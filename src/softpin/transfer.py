@@ -236,9 +236,17 @@ def _quenched_rows(walk, spec, g: np.ndarray, pts: np.ndarray, folded):
     return free, con
 
 
+def _check_couplings(beta: float, h: float) -> None:
+    # before beta * omega - h is built: inf * 0 or inf - inf there would
+    # warn ahead of _quenched_rows' own check
+    if not (math.isfinite(beta) and math.isfinite(h)):
+        raise ValueError("beta and h must be finite")
+
+
 def quenched_sweep(walk: WalkSpec, spec: PotentialSpec, beta: float, h: float,
                    omega: np.ndarray, record_at,
                    folded: bool | None = None) -> PartitionSweep:
+    _check_couplings(beta, h)
     pts = _check_record_points(record_at)
     omega = np.asarray(omega, dtype=float)
     if len(omega) < pts[-1]:
@@ -342,6 +350,7 @@ def quenched_free_energy(walk, spec, charges, beta, h, n_max: int,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    _check_couplings(beta, h)
     ladder = _check_record_points(default_ladder(n_max, n_points))
     g = np.empty((n_samples, n_max))  # beta * omega - h, built in place
     for i in range(n_samples):

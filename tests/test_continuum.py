@@ -30,7 +30,8 @@ from softpin.continuum import (
     ztilde_growth_rate,
     ztilde_log,
 )
-from softpin.continuum import _local_time_calibration, _simulate_paths
+from softpin import continuum
+from softpin.continuum import _local_time_calibration, _simulate_paths, _step_keys
 
 # closed form of the ordered-simplex weight integral at T = 1:
 # Gamma(alpha)^k / Gamma(alpha k + 1)
@@ -606,8 +607,83 @@ class TestSimulatedMoments:
         b = _simulate_paths(0.3, 0.1, 1e-3, 0.25, 50, seed=1, eps=0.05, spawn_base=0)
         c = _simulate_paths(0.3, 0.1, 1e-3, 0.25, 50, seed=2, eps=0.05, spawn_base=0)
         for u, v in zip(a, b):
-            np.testing.assert_array_equal(u, v)
+            if u is not None:
+                np.testing.assert_array_equal(u, v)
         assert not np.array_equal(a[1], c[1])
+
+
+def per_step_generator_paths(alpha, T, dt, theta, n_paths, seed, eps, spawn_base):
+    """Oracle: every functional of the paths, each step drawing from a
+    generator built from its own SeedSequence(seed, spawn_key=(spawn_base + n,))."""
+    n_steps = round(T / dt)
+    df = 2.0 * (1.0 - alpha)
+    y = np.zeros(n_paths)
+    occ, int_theta, int_2theta = np.zeros((3, n_paths))
+    for n in range(n_steps):
+        gen = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(spawn_base + n,)))
+        )
+        y = dt * gen.noncentral_chisquare(df, y / dt)
+        x = np.sqrt(y)
+        occ += x <= eps
+        xf = np.maximum(x, 1e-9)
+        int_theta += xf**-theta
+        int_2theta += xf ** (-2.0 * theta)
+    return occ * dt, int_theta * dt, int_2theta * dt
+
+
+# seeds of 1, 2, 4 and 5 uint32 words; the third is the continuum op's
+# job seed at the CLI's seed 12345
+SEEDS = (0, 7, 13729193726644583001, 2**127 + 3, 2**128 + 9)
+
+
+class TestStepKeys:
+    @pytest.mark.parametrize("seed", SEEDS + (2**32 - 1, 2**64 - 1, 2**160 - 1))
+    @pytest.mark.parametrize("first, count", [
+        (0, 40), (17, 5), (4090, 12), (1_999_990, 10)])
+    def test_keys_are_the_seed_sequence_philox_keys(self, seed, first, count):
+        # (4090, 12) spans a key chunk of _simulate_paths, (1_999_990, 10)
+        # ends at its step cap
+        want = np.array([
+            np.random.SeedSequence(seed, spawn_key=(first + i,)).generate_state(2, np.uint64)
+            for i in range(count)
+        ])
+        got = _step_keys(seed, first, count)
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, want)
+
+    def test_negative_seed_rejected_like_seed_sequence(self):
+        with pytest.raises(ValueError) as want:
+            np.random.SeedSequence(-1, spawn_key=(0,))
+        with pytest.raises(type(want.value)):
+            _step_keys(-1, 0, 4)
+
+
+class TestPathsKeepPerStepBits:
+    @pytest.mark.parametrize("params", [LONG, INTER], ids=["long_range", "intermediate"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("spawn_base", [0, 9])
+    def test_functionals_equal_the_per_step_generator_oracle(self, params, seed,
+                                                            spawn_base):
+        args = (params.alpha, 0.5, 5e-3, params.theta, 30, seed, 0.05, spawn_base)
+        self.check(params.regime, _simulate_paths(*args),
+                   per_step_generator_paths(*args))
+
+    def test_steps_past_a_key_chunk_keep_their_bits(self):
+        args = (LONG.alpha, 4100.0, 1.0, LONG.theta, 3, 12345, 0.05, 0)
+        self.check("long_range", _simulate_paths(*args),
+                   per_step_generator_paths(*args))
+
+    @staticmethod
+    def check(regime, got, want):
+        occ, int_theta, int_2theta = got
+        np.testing.assert_array_equal(int_theta, want[1])
+        if regime == "long_range":
+            assert occ is None
+            np.testing.assert_array_equal(int_2theta, want[2])
+        else:
+            assert int_2theta is None
+            np.testing.assert_array_equal(occ, want[0])
 
 
 class TestFreeEnergyMc:
@@ -690,6 +766,26 @@ class TestFreeEnergyMc:
 
 
 class TestCriticalCurveMc:
+    def test_root_search_simulates_once_and_keeps_its_bits(self, monkeypatch):
+        # every trial h weighs one set of paths; the pinned values are those
+        # the search returned when each trial h simulated its paths again
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return _simulate_paths(*args, **kwargs)
+
+        monkeypatch.setattr(continuum, "_simulate_paths", counted)
+        params = ContinuumParams(alpha=0.5, theta=0.7)
+        for beta_hat, want in ((1.0, 0.1928322199072605), (2.0, 1.1691159610816437)):
+            calls.clear()
+            val = continuum_critical_curve(
+                params, 1.0, 1.0, beta_hat=beta_hat, T=16.0, dt=1.6e-2,
+                n_paths=200, seed=0,
+            )
+            assert len(calls) == 1
+            assert val == want
+
     def test_intermediate_prefactor_root_solve(self):
         params = ContinuumParams(alpha=0.5, theta=0.7)
         val = continuum_critical_curve(

@@ -145,6 +145,20 @@ def test_non_finite_couplings_rejected(beta, h, charge):
         quenched_sweep(SRW, PIN, beta, h, omega, [16])
 
 
+def test_infinite_beta_on_zero_charges_rejected_before_any_warning():
+    # inf * 0 while building beta * omega - h warned ahead of the ValueError
+    with pytest.raises(ValueError, match="beta and h must be finite"):
+        quenched_sweep(SRW, PIN, math.inf, 0.1, np.zeros(64), [64])
+
+
+def test_quenched_free_energy_rejects_non_finite_couplings_first():
+    # inf - inf while building the rows in place warned ahead of the
+    # ValueError
+    with pytest.raises(ValueError, match="beta and h must be finite"):
+        quenched_free_energy(SRW, PIN, BERN, math.inf, math.inf, n_max=64,
+                             n_samples=2, seed=0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_coupling_rows_rejected(bad):
     g = np.zeros((3, 16))
