@@ -50,9 +50,17 @@ Task blocks::
 ``bessel-check`` and ``continuum`` read everything from their task block
 and need no model block.
 
-Importing this module loads numpy but no scipy: ``scaling``, ``continuum``
-and ``bessel-check`` import the scipy-backed modules in their handlers, and
-a partition sweep that runs in logs loads ``scipy.special`` when it starts.
+The blocks are checked against the schemas below by ``_check``, which
+reads the nine JSON Schema keywords they use, with draft 2020-12's
+meaning: ``type`` (1.0 is an integer; a bool is neither a number nor an
+integer), ``enum``, ``minimum``, ``exclusiveMinimum``, ``properties``,
+``required``, ``additionalProperties``, ``items`` and ``minItems``.  A
+message names the first offending place, as in ``config.task.beta``.
+
+Importing this module loads numpy and PyYAML, but no scipy and no schema
+library: ``scaling``, ``continuum`` and ``bessel-check`` import the
+scipy-backed modules in their handlers, and a partition sweep that runs in
+logs loads ``scipy.special`` when it starts.
 
 Reproducibility
 ---------------
@@ -78,16 +86,17 @@ non-finite number is not written).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
-from jsonschema import Draft202012Validator
 
 from . import __version__
 from .lattice import height_law, layout
@@ -340,6 +349,10 @@ _BASE = {
 }
 
 
+def _at(path: str, key) -> str:
+    return path + (f".{key}" if isinstance(key, str) else f"[{key!r}]")
+
+
 def _nonfinite(obj, path: str = ""):
     """Paths of the non-finite numbers in obj: YAML's .inf and .nan pass
     the schema's number type."""
@@ -347,8 +360,62 @@ def _nonfinite(obj, path: str = ""):
         yield path
     elif isinstance(obj, (dict, list)):
         for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
-            yield from _nonfinite(v, path + (f".{k}" if isinstance(k, str)
-                                             else f"[{k!r}]"))
+            yield from _nonfinite(v, _at(path, k))
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Number) and not isinstance(v, bool)
+
+
+_IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": _is_number,
+    "integer": lambda v: (v.is_integer() if isinstance(v, float)
+                          else isinstance(v, int) and not isinstance(v, bool)),
+}
+
+
+def _check(schema: dict, value, path: str) -> None:
+    """Raise ConfigError at the first place value breaks schema, read as
+    draft 2020-12 reads the nine keywords of the module docstring."""
+    types = schema.get("type", ())
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_IS_TYPE[t](value) for t in types):
+        raise ConfigError(f"{path}: {value!r} is not of type "
+                          + " or ".join(map(repr, types)))
+    if "enum" in schema and value not in schema["enum"]:
+        raise ConfigError(f"{path}: {value!r} is not one of {schema['enum']}")
+    if _is_number(value):
+        if "minimum" in schema and value < schema["minimum"]:
+            raise ConfigError(f"{path}: {value!r} is less than the minimum "
+                              f"of {schema['minimum']!r}")
+        if "exclusiveMinimum" in schema and \
+                value <= schema["exclusiveMinimum"]:
+            raise ConfigError(f"{path}: {value!r} is not greater than "
+                              f"{schema['exclusiveMinimum']!r}")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ConfigError(f"{path}: {key!r} is a required property")
+        props = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        for key, item in value.items():
+            if key in props:
+                _check(props[key], item, _at(path, key))
+            elif extra is False:
+                raise ConfigError(f"{path}: unknown key {key!r}")
+            elif extra is not True:
+                _check(extra, item, _at(path, key))
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise ConfigError(f"{path}: needs at least {schema['minItems']} "
+                              "items")
+        for i, item in enumerate(value):
+            _check(schema.get("items", {}), item, _at(path, i))
 
 
 def _validate(config: dict, subcommand: str) -> None:
@@ -356,19 +423,10 @@ def _validate(config: dict, subcommand: str) -> None:
         raise ConfigError("config must be a mapping")
     for path in _nonfinite(config):
         raise ConfigError(f"config{path}: not a finite number")
-    for err in Draft202012Validator(_BASE).iter_errors(config):
-        raise ConfigError(f"config{_err_path(err)}: {err.message}")
+    _check(_BASE, config, "config")
     if subcommand not in MODEL_FREE and "model" not in config:
         raise ConfigError(f"config: {subcommand} needs a model block")
-    for err in Draft202012Validator(_TASKS[subcommand]).iter_errors(
-        config["task"]
-    ):
-        raise ConfigError(f"config task{_err_path(err)}: {err.message}")
-
-
-def _err_path(err) -> str:
-    return "".join(f".{p}" if isinstance(p, str) else f"[{p}]"
-                   for p in err.absolute_path)
+    _check(_TASKS[subcommand], config["task"], "config.task")
 
 
 # ----------------------------------------------------------- config plumbing
@@ -376,10 +434,13 @@ def _err_path(err) -> str:
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            loaded = yaml.safe_load(fh)
+            # libyaml's scanner where PyYAML was built with it; the same
+            # SafeConstructor builds the same objects either way
+            loaded = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader",
+                                                  yaml.SafeLoader))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from None
     if loaded is None:
         raise ConfigError("config file is empty")
@@ -795,7 +856,10 @@ _HANDLERS = {
 
 # ---------------------------------------------------------------- entry point
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    as it was."""
     parser = argparse.ArgumentParser(
         prog="softpin",
         description="Pinning-model numerics: free energies, critical curves, "

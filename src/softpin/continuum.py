@@ -365,26 +365,33 @@ def _mc_critical_prefactor(params: ContinuumParams, cstar_phi2: float, T: float,
     # one set of seeded paths, weighed at every trial h (no bootstrap: the
     # root search never reads a standard error)
     dt, eps, paths = _mc_paths(params, T, dt, n_paths, seed, None)
-
-    def f(h: float) -> float:
-        exponents = _mc_exponents(params, ContinuumPhasePoint(1.0, h), T, dt,
-                                  eps, paths, cstar_phi2)
-        return _log_mean_exp(exponents, T)[0]
-
+    args = (params, T, dt, eps, paths, cstar_phi2)
     lo, hi = 1e-3, 1.0
-    f_lo = f(lo)
-    f_hi = f(hi)
+    f_lo = _mc_free_energy_at(lo, *args)
+    f_hi = _mc_free_energy_at(hi, *args)
     for _ in range(12):
         if f_hi < 0.0:
             break
         hi *= 2.0
-        f_hi = f(hi)
+        f_hi = _mc_free_energy_at(hi, *args)
     if f_lo <= 0.0 or f_hi >= 0.0:
         raise RuntimeError(
             f"critical-prefactor root not bracketed: f({lo}) = {f_lo}, "
             f"f({hi}) = {f_hi}"
         )
-    return float(brentq(f, lo, hi, xtol=1e-3))
+    return float(brentq(_mc_free_energy_at, lo, hi, args=args, xtol=1e-3))
+
+
+def _mc_free_energy_at(h: float, params: ContinuumParams, T: float, dt: float,
+                       eps: float, paths, cstar_phi2: float) -> float:
+    """The Monte Carlo free energy of fixed paths at (beta_hat, h_hat) =
+    (1, h), with no bootstrap.  Module level, and handed the paths through
+    brentq's ``args``: brentq wraps its function in a self-referencing
+    closure, and a closure over the paths would keep them alive until the
+    cyclic collector runs."""
+    exponents = _mc_exponents(params, ContinuumPhasePoint(1.0, h), T, dt, eps,
+                              paths, cstar_phi2)
+    return _log_mean_exp(exponents, T)[0]
 
 
 # ---------------------------------------------------------- series growth

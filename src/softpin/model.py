@@ -38,7 +38,6 @@ __all__ = [
     "return_law",
     "estimate_c_weights",
     "c_star",
-    "load_potential_table",
 ]
 
 POTENTIAL_KINDS = ("pinning", "copolymer", "power_tail", "table")
@@ -383,27 +382,3 @@ def c_star(spec: PotentialSpec, weights: CWeights, power: int = 1) -> CStarResul
             / expo
         )
     return CStarResult(value=value, tail_bound=tail)
-
-
-def load_potential_table(path) -> PotentialSpec:
-    """Read a table potential from a text file of ``height<TAB>value`` lines.
-
-    Blank lines and lines starting with '#' are skipped.
-    """
-    table: dict[int, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'height<TAB>value'")
-            try:
-                x, v = int(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if x in table:
-                raise ValueError(f"{path}:{lineno}: duplicate height {x}")
-            table[x] = v
-    return PotentialSpec(kind="table", table=table)

@@ -424,6 +424,19 @@ def _tail_integral(alpha: float, m0: float, f: float) -> float:
     return head - rest
 
 
+def _renewal_gap(f: float, c: float, a: np.ndarray, m: np.ndarray,
+                 alpha: float, m_max: int) -> float:
+    """sum_{m >= 2} A_m e^(-f m), plus c times the tail past m_max, minus 1.
+
+    Module level, and handed its arrays through brentq's ``args``: brentq
+    wraps its function in a self-referencing closure, and a closure over
+    the arrays would keep them alive until the cyclic collector runs."""
+    s = float(np.dot(a[2:], np.exp(-f * m[2:])))
+    if c > 0.0:
+        s += c * _tail_integral(alpha, m_max + 1.0, f)
+    return s - 1.0
+
+
 def renewal_root(weights: np.ndarray, alpha: float) -> RenewalRoot:
     """Solve sum_m A_m e^(-F m) (+ fitted tail) = 1 for F >= 0.
 
@@ -443,20 +456,16 @@ def renewal_root(weights: np.ndarray, alpha: float) -> RenewalRoot:
     if window.sum() >= 4:
         c_fit = float(np.mean(a[window] * m[window] ** (1.0 + alpha)))
 
-    def g(f: float, c: float) -> float:
-        s = float(np.dot(a[2:], np.exp(-f * m[2:])))
-        if c > 0.0:
-            s += c * _tail_integral(alpha, m_max + 1.0, f)
-        return s - 1.0
-
     def root(c: float, hi: float) -> float:
-        if g(0.0, c) <= 0.0:
+        args = (c, a, m, alpha, m_max)
+        if _renewal_gap(0.0, *args) <= 0.0:
             return 0.0
-        while g(hi, c) > 0.0 and hi < 1e3:
+        while _renewal_gap(hi, *args) > 0.0 and hi < 1e3:
             hi *= 2.0
-        return float(brentq(g, 0.0, hi, args=(c,), xtol=1e-15, rtol=1e-13))
+        return float(brentq(_renewal_gap, 0.0, hi, args=args, xtol=1e-15,
+                            rtol=1e-13))
 
-    localized = g(0.0, c_fit) > 0.0
+    localized = _renewal_gap(0.0, c_fit, a, m, alpha, m_max) > 0.0
     f_root = root(c_fit, 1.0 / m_max)
     f_lower = root(0.0, max(f_root, 1.0 / m_max)) if c_fit > 0.0 else f_root
     return RenewalRoot(

@@ -1,3 +1,4 @@
+import gc
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -102,3 +103,24 @@ def enumerate_srw_first_return(n: int) -> float:
 def random_walks(rng: np.random.Generator, n: int):
     for _ in range(n):
         yield WalkSpec(alpha=float(rng.uniform(0.05, 0.95)))
+
+
+def arrays_left_in_cycles(call) -> list[np.ndarray]:
+    """The arrays that garbage in reference cycles holds after call().
+
+    call runs once to warm imports and caches, then again with the cyclic
+    collector off; what a collection then finds unreachable is garbage
+    that only a cyclic collection frees."""
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return [x for obj in gc.garbage for x in gc.get_referents(obj)
+                if isinstance(x, np.ndarray)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()

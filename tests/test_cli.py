@@ -12,8 +12,9 @@ import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 
-from softpin import __version__
+from softpin import __version__, cli
 from softpin.cli import config_digest, job_seed, main, run
 from softpin.continuum import (
     ContinuumParams,
@@ -433,7 +434,148 @@ def test_missing_and_malformed_config_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("task: [unclosed", encoding="utf-8")
     assert main(["localize", "--config", str(bad)]) == 2
+    bad.write_bytes(b"task: {beta: 0.5, h: \xff}\n")  # not UTF-8
+    assert main(["localize", "--config", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_loader_without_libyaml_reads_the_same_config(tmp_path, capsys,
+                                                      monkeypatch):
+    # PyYAML built without libyaml has no CSafeLoader; the pure-Python
+    # scanner feeds the same SafeConstructor
+    path = tmp_path / "c.yaml"
+    path.write_text(
+        "seed: 7\n"
+        "model:\n"
+        "  walk: {alpha: 0.5, l_max: null}\n"
+        "  potential: {kind: table, table: {0: 1.0, -1: .5, 2: 1e-3}}\n"
+        "task: {beta_grid: [0.25, 1], lower_bound: yes}\n"
+        "output: {prefix: 'x', format: csv}\n", encoding="utf-8")
+    with_libyaml = cli._load_config(str(path))
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    without = cli._load_config(str(path))
+    assert without == with_libyaml and repr(without) == repr(with_libyaml)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("task: [unclosed", encoding="utf-8")
+    assert main(["localize", "--config", str(bad)]) == 2
+    assert "not valid YAML" in capsys.readouterr().err
+
+
+def test_repeated_main_calls_in_one_process_write_the_same_bytes(tmp_path,
+                                                                 capsys):
+    # one parser serves every call in a process, and an argparse error
+    # between two runs leaves it as it was
+    cfg = write_cfg(tmp_path, "c.yaml", {
+        "model": pinning_model(),
+        "task": {"beta_grid": [0.5], "quenched": {"n_samples": 2,
+                                                  "n_max": 64}},
+        "numerics": {"m_max": 256},
+    })
+    args = ["critical-curve", "--config", cfg, "--seed", "7",
+            "--format", "json"]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["critical-curve", "--config", cfg, "--seed", "x",
+              "--format", "xml"])
+    assert exc.value.code == 2
+    assert main(args + ["--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    first = (tmp_path / "a" / "critical_curve.json").read_bytes()
+    assert (tmp_path / "b" / "critical_curve.json").read_bytes() == first
+
+
+# the values where draft 2020-12's types are easy to get wrong (1.0 is an
+# integer; True is neither an integer nor a number), and other wrong types
+_EDGES = st.sampled_from([None, True, False, 0, 1, 2, -1, 1.0, 2.5, 0.0,
+                          -0.5, "csv", "x", [], {}])
+
+
+def _near(schema: dict):
+    """Values around a schema: mostly of its shape, else of another type,
+    on or past a bound, with an unknown key or with a key missing."""
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    bound = schema.get("minimum", schema.get("exclusiveMinimum", 0))
+    fits, odd = [], [_EDGES]
+    if "enum" in schema:
+        fits.append(st.sampled_from(schema["enum"]))
+    if "integer" in types:
+        fits.append(st.integers(bound, bound + 40))
+    if "number" in types:
+        fits.append(st.floats(bound, bound + 40.0,
+                              exclude_min="exclusiveMinimum" in schema))
+    if {"integer", "number"} & set(types):
+        odd.append(st.sampled_from([bound, bound - 1, float(bound),
+                                    bound + 0.5]))
+    for name, values in (("null", st.none()), ("boolean", st.booleans()),
+                         ("string", st.text(max_size=3))):
+        if name in types:
+            fits.append(values)
+    if "array" in types:
+        fits.append(st.lists(_near(schema.get("items", {})), max_size=3))
+    if "object" in types:
+        props = schema.get("properties", {})
+        required = schema.get("required", [])
+        whole = st.fixed_dictionaries(
+            {k: _near(props[k]) for k in required},
+            optional={k: _near(s) for k, s in props.items()
+                      if k not in required})
+        fits.append(whole)
+        odd += [whole.map(lambda d: {**d, "surprise": 1}),
+                whole.flatmap(lambda d: st.sampled_from([None, *d]).map(
+                    lambda k: {x: v for x, v in d.items() if x != k}))]
+        extra = schema.get("additionalProperties")
+        if isinstance(extra, dict):
+            fits.append(st.dictionaries(
+                st.one_of(st.integers(-2, 2), st.sampled_from(["a", "0"])),
+                _near(extra), max_size=3))
+    # one value in eight is odd, so that whole configs are often accepted
+    return st.integers(0, 7).flatmap(
+        lambda i: st.one_of(odd if i == 0 else fits))
+
+
+def _verdict(schema: dict, value) -> str | None:
+    """The message _check raises on value, or None when it accepts it."""
+    try:
+        cli._check(schema, value, "config.task")
+    except cli.ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", ["config", *cli._TASKS])
+def test_check_accepts_and_rejects_what_draft_2020_12_does(name):
+    schema = cli._BASE if name == "config" else cli._TASKS[name]
+    oracle = Draft202012Validator(schema)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_near(schema))
+    def agree(value):
+        assert (_verdict(schema, value) is None) == oracle.is_valid(value)
+
+    agree()
+
+
+@pytest.mark.parametrize("task,where", [
+    ({"alpha": 0.5, "n": 16.0}, None),                    # 16.0 is an integer
+    ({"alpha": 0.5, "n": True}, "config.task.n: True"),   # a bool is not
+    ({"alpha": True, "n": 16}, "config.task.alpha: True"),  # nor a number
+    ({"alpha": 0.5, "n": 16, "surprise": 1}, "config.task: unknown key "
+                                             "'surprise'"),
+    ({"n": 16}, "config.task: 'alpha' is a required property"),
+    ({"alpha": 0.5, "n": 3}, "config.task.n: 3 is less than"),
+    ({"alpha": 0.0, "n": 16}, "config.task.alpha: 0.0 is not greater"),
+    ({"alpha": 0.5, "n": 16, "ks": []}, "config.task.ks: needs at least 1"),
+    ({"alpha": 0.5, "n": 16, "ks": [0, -1]}, "config.task.ks[1]: -1"),
+])
+def test_check_verdicts_and_messages_on_the_edges(task, where):
+    schema = cli._TASKS["bessel-check"]
+    assert Draft202012Validator(schema).is_valid(task) is (where is None)
+    verdict = _verdict(schema, task)
+    if where is None:
+        assert verdict is None
+    else:
+        assert verdict.startswith(where)
 
 
 def test_invalid_model_values_exit_2(tmp_path, capsys):

@@ -33,6 +33,9 @@ from softpin.continuum import (
 from softpin import continuum
 from softpin.continuum import _local_time_calibration, _simulate_paths, _step_keys
 
+from conftest import arrays_left_in_cycles
+
+
 # closed form of the ordered-simplex weight integral at T = 1:
 # Gamma(alpha)^k / Gamma(alpha k + 1)
 def simplex_closed_form(alpha: float, T: float, k: int) -> float:
@@ -785,6 +788,14 @@ class TestCriticalCurveMc:
             )
             assert len(calls) == 1
             assert val == want
+
+    def test_root_search_leaves_no_path_array_in_a_reference_cycle(self):
+        # brentq wraps its function in a closure that refers to itself; a
+        # function closing over the paths would keep them in that cycle
+        params = ContinuumParams(alpha=0.5, theta=0.7)
+        assert arrays_left_in_cycles(lambda: continuum_critical_curve(
+            params, 1.0, 1.0, beta_hat=1.0, T=16.0, dt=1.6e-2, n_paths=200,
+            seed=0)) == []
 
     def test_intermediate_prefactor_root_solve(self):
         params = ContinuumParams(alpha=0.5, theta=0.7)

@@ -17,7 +17,6 @@ from softpin.model import (
     WalkSpec,
     c_star,
     estimate_c_weights,
-    load_potential_table,
     phi_eval,
     psi,
     return_law,
@@ -126,24 +125,6 @@ def test_table_potential_zero_outside_support(table):
         assert phi_eval(spec, x) == v
     assert phi_eval(spec, 100) == 0.0
     assert phi_eval(spec, -100) == 0.0
-
-
-def test_table_loader_roundtrip(tmp_path):
-    p = tmp_path / "pot.tsv"
-    p.write_text("# heights and values\n0\t1.0\n1\t0.5\n-1\t0.5\n\n2\t0.25\n")
-    spec = load_potential_table(p)
-    assert spec.kind == "table"
-    assert phi_eval(spec, 0) == 1.0
-    assert phi_eval(spec, -1) == 0.5
-    assert phi_eval(spec, 2) == 0.25
-    bad = tmp_path / "bad.tsv"
-    bad.write_text("0 1.0\n")  # spaces, not a tab
-    with pytest.raises(ValueError):
-        load_potential_table(bad)
-    dup = tmp_path / "dup.tsv"
-    dup.write_text("0\t1.0\n0\t2.0\n")
-    with pytest.raises(ValueError):
-        load_potential_table(dup)
 
 
 # -------------------------------------------------------------- charges, psi

@@ -137,6 +137,7 @@ _SCIPY_IMPORTS = textwrap.dedent("""
     ]:
         assert cli.run(sub, {"model": pinning, "task": task,
                              "numerics": {"m_max": 256}}, out=out) == 0
+        assert "jsonschema" not in sys.modules, sub
     print(*(m in sys.modules for m in SCIPY))
     assert cli.run("scaling", {
         "model": {"walk": {"alpha": 0.6},
@@ -144,14 +145,21 @@ _SCIPY_IMPORTS = textwrap.dedent("""
         "task": {"alpha": 0.6, "theta": 3.0, "beta_hat": 1.0, "h_hat": 0.1,
                  "n_ladder": [64], "cstar_phi": 0.5, "cstar_phi2": 0.4},
     }, out=out) == 0
+    assert "jsonschema" not in sys.modules, "scaling"
     assert cli.run("bessel-check", {"task": {"alpha": 0.5, "n": 16}},
                    out=out) == 0
+    assert "jsonschema" not in sys.modules, "bessel-check"
+    assert cli.run("continuum", {"task": {"alpha": 0.6, "theta": 0.6,
+                                          "beta_hat": 1.0, "h_hat": 0.5}},
+                   out=out) == 0
+    assert "jsonschema" not in sys.modules, "continuum"
     print(*(m in sys.modules for m in SCIPY))
 """)
 
 
 def test_numpy_only_subcommands_load_no_scipy():
-    # a fresh process: the test session has scipy loaded already
+    # a fresh process: the test session has scipy loaded already, and
+    # jsonschema, which only the tests use
     src = str(Path(softpin.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(

@@ -24,7 +24,7 @@ from softpin.transfer import (
     renewal_root,
 )
 
-from conftest import log_step, tiled
+from conftest import arrays_left_in_cycles, log_step, tiled
 
 GAUSS = ChargeModel("gaussian")
 BERN = ChargeModel("bernoulli_pm1")
@@ -778,6 +778,16 @@ def test_renewal_root_subcritical_is_zero():
     root = renewal_root(k * math.exp(-0.3), alpha=0.5)
     assert not root.localized
     assert root.f == 0.0
+
+
+def test_renewal_root_leaves_no_array_in_a_reference_cycle():
+    # brentq wraps its function in a closure that refers to itself; a
+    # function closing over the weights would keep them in that cycle
+    weights = return_law(SRW, 4096) * math.exp(0.5)
+    root = []
+    assert arrays_left_in_cycles(
+        lambda: root.append(renewal_root(weights, alpha=0.5))) == []
+    assert root[-1].f > 0.0  # brentq ran
 
 
 def test_renewal_root_tail_fit_improves_marginal_case():
