@@ -59,8 +59,9 @@ message names the first offending place, as in ``config.task.beta``.
 
 Importing this module loads numpy and PyYAML, but no scipy and no schema
 library: ``scaling``, ``continuum`` and ``bessel-check`` import the
-scipy-backed modules in their handlers, and a partition sweep that runs in
-logs loads ``scipy.special`` when it starts.
+scipy-backed modules in their handlers.  A partition sweep needs numpy
+alone, in logs too, so ``free-energy``, ``critical-curve`` and
+``localize`` load no scipy.
 
 Reproducibility
 ---------------

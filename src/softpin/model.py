@@ -30,11 +30,9 @@ __all__ = [
     "PhasePoint",
     "CWeights",
     "CStarResult",
-    "TruncationBoundaryError",
     "DivergentSumError",
     "phi_eval",
     "psi",
-    "transition_prob",
     "return_law",
     "estimate_c_weights",
     "c_star",
@@ -42,10 +40,6 @@ __all__ = [
 
 POTENTIAL_KINDS = ("pinning", "copolymer", "power_tail", "table")
 CHARGE_LAWS = ("gaussian", "bernoulli_pm1")
-
-
-class TruncationBoundaryError(ValueError):
-    """An outward step was requested at the truncation height."""
 
 
 class DivergentSumError(ValueError):
@@ -222,25 +216,6 @@ def psi(charges: ChargeModel, spec: PotentialSpec, beta: float, h: float, x):
     if np.ndim(x) == 0:
         return float(out)
     return out
-
-
-def transition_prob(walk: WalkSpec, x: int, direction: int) -> float:
-    """P(S_{n+1} = x + direction | S_n = x) on the untruncated lattice.
-
-    Raises TruncationBoundaryError when |x| = l_max and the step points
-    outward; the stepping kernels resolve that case by reflection, but the
-    pointwise probability is the caller's policy decision.
-    """
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
-    if walk.l_max is not None:
-        if abs(x) > walk.l_max:
-            raise ValueError("|x| exceeds the truncation height")
-        if abs(x) == walk.l_max and (x >= 0) == (direction == 1) and x != 0:
-            raise TruncationBoundaryError(
-                f"outward step at truncation height x={x}"
-            )
-    return float(0.5 * (1.0 + direction * walk.drift(x)))
 
 
 def return_law(walk: WalkSpec, n_max: int) -> np.ndarray:

@@ -4,12 +4,16 @@ Both endpoint conditions are carried in one sweep: after n steps the
 rescaled mass vector yields the free partition function (sum over heights)
 and the constrained one (mass at the origin, even n only).  Each row is
 scaled by an exact power of two every few steps, so horizons of 2^20 steps
-stay in float64 range.  A sweep whose site weights pass
+stay in float64 range.  A row whose site weights pass
 exp(+-LOG_WEIGHT_CAP), or whose origin share underflows, runs in logs (one
-logaddexp per step) and is exact at any coupling.  Disorder samples run as
-rows of one sweep, each with the bits it gets alone.  A sweep steps only
-the parity class of sites its chains can be on, with the bits of the
-one-step recursion on all sites, and weighs BLOCK steps at once.
+logaddexp per step) and is exact at any coupling; it is shifted by the
+whole-number floor of its maximum every few steps, counted in the same
+integer as a linear row's powers of two, so no step rounds on values the
+size of log Z.  Disorder samples run as rows of one sweep, each with the
+bits it gets alone, and an annealed sweep is one row of unit couplings.  A
+sweep steps only the parity class of sites its chains can be on, with the
+bits of the one-step recursion on all sites, and weighs BLOCK steps at
+once.
 
 Free-energy estimates report the constrained value at the largest ladder
 rung (a rigorous lower bound on the limit by super-additivity) bracketed
@@ -38,7 +42,6 @@ __all__ = [
     "FreeEnergyEstimate",
     "RenewalRoot",
     "annealed_partition",
-    "quenched_partition",
     "annealed_sweep",
     "quenched_sweep",
     "annealed_free_energy",
@@ -81,25 +84,19 @@ LOG_WEIGHT_CAP = 700.0
 # a linear sweep row's maximum drifts at most 2^+-_DRIFT_BITS between rescales
 _DRIFT_BITS = 64
 _LN2 = math.log(2.0)
-# steps whose row maxima go into a log sweep's running log-scale at once
-_LOG_EVERY = 256
-# a log sweep subtracts its row maxima every this many steps and at record
-# steps, so a step rounds on at most this many steps' log weights
+# a log sweep shifts its rows every this many steps and at record steps, so
+# a step rounds on at most this many steps' log weights
 _LOG_RESCALE_EVERY = 8
 # the smallest normal double: an origin value below it has lost digits
 _TINY = np.finfo(float).tiny
 
 
 def _class_weights(g, xs, n_steps: int, exp: bool):
-    """The log site weights of steps 1 .. n_steps, step n's on the rows of
-    class n mod 2 (``lattice._class_sweep``), through exp if asked: xs at
-    every step of one row if g is None, else g[:, n - 1] xs by row, one
-    multiply and one exp per BLOCK steps into one buffer."""
+    """The log site weights g[:, n - 1] xs by row of steps 1 .. n_steps,
+    step n's on the rows of class n mod 2 (``lattice._class_sweep``),
+    through exp if asked: one multiply and one exp per BLOCK steps into
+    one buffer."""
     xs = xs[[1, 0] * (BLOCK // 2), None]
-    if g is None:
-        xs = np.exp(xs) if exp else xs
-        while True:
-            yield from xs
     buf = np.empty((BLOCK, len(g), xs.shape[2]))
     for n0 in range(0, n_steps, BLOCK):
         w = buf[: min(BLOCK, n_steps - n0)]
@@ -107,98 +104,109 @@ def _class_weights(g, xs, n_steps: int, exp: bool):
         yield from (np.exp(w, out=w) if exp else w)
 
 
-def _sweep(ker, g, x, record_at: np.ndarray):
+def _pow2_rescale(by_row, count) -> None:
+    """Scale each row by 2^-e, e the binary exponent of its maximum, and
+    add e to its count: exact on normal doubles."""
+    e = np.frexp(np.maximum.reduce(by_row, axis=1))[1]
+    np.ldexp(by_row, -e[:, None], out=by_row)
+    count += e
+
+
+def _floor_shift(by_row, count) -> None:
+    """Shift each row of logs by e, the floor of its maximum, which then
+    lies in [0, 1), and add e to its count."""
+    e = np.floor(np.maximum.reduce(by_row, axis=1, keepdims=True))
+    by_row -= e
+    count += e[:, 0].astype(np.int64)
+
+
+def _sweep(ker, g, x, record_at: np.ndarray, log: bool = False):
     """Forward sweep of independent chains started at the origin of
     ``ker``, one per row of g, whose step n has the log site weights
-    g[:, n - 1] x by row, or x alone at every step of one row if g is None,
-    each within +-LOG_WEIGHT_CAP.  Returns (log_z_free, log_z_constrained),
-    each of shape (rows, len(record_at)), and a bool per row, True where
-    the origin's value fell below the smallest normal double at a record
-    step, before or after the rescale: the constrained value lost digits.
+    g[:, n - 1] x by row, each within +-LOG_WEIGHT_CAP unless ``log``.
+    Returns (log_z_free, log_z_constrained), each of shape (rows,
+    len(record_at)), and a bool per row, True where the origin's value
+    fell below the smallest normal double at a record step, before or
+    after the rescale: the constrained value lost digits.  A sweep in logs
+    holds each value's log, -inf for 0, and loses no row.
 
     Each step moves one parity class onto the other in ``step``'s order
     (``lattice._class_sweep``); a record step's free sum sees the other
     class's zeros in place, so every value has ``step``'s bits.
 
-    Every k steps and at record steps, each row is scaled by 2^-e, e the
-    binary exponent of its maximum, and e is added to its count, so log Z
-    = count ln 2 + log(...).  That is exact on normal doubles: a row's
-    bits depend on neither k nor its neighbours.  |d| < 1/2 sends every
-    site at least 1/4 of its mass to a neighbour, so a step and its
-    weights move a row's maximum by a factor in [e^-c / 4, 2 e^c], c the
-    largest |log site weight|.  k = min(BLOCK, max(1, floor(_DRIFT_BITS
-    ln 2 / (c + ln 4)))) keeps it within 2^+-_DRIFT_BITS of its last
-    rescale, or in [e^-c / 8, 2 e^c] at k = 1: no row overflows or dies.
+    Every k steps and at record steps, each row is rescaled and the shift
+    added to its int64 count.  A linear row is scaled by a power of two
+    (``_pow2_rescale``), so log Z = count ln 2 + log(...), exact on normal
+    doubles: a row's bits depend on neither k nor its neighbours.  |d| <
+    1/2 sends every site at least 1/4 of its mass to a neighbour, so a
+    step and its weights move a row's maximum by a factor in [e^-c / 4, 2
+    e^c], c the largest |log site weight|.  k = min(BLOCK, max(1,
+    floor(_DRIFT_BITS ln 2 / (c + ln 4)))) keeps it within 2^+-_DRIFT_BITS
+    of its last rescale, or in [e^-c / 8, 2 e^c] at k = 1: no row
+    overflows or dies.  A log row is shifted by a whole number
+    (``_floor_shift``) every k = _LOG_RESCALE_EVERY steps, so log Z =
+    count + log sum exp(...), each exp at most e.
     """
     pts = record_at.tolist()
-    r = 1 if g is None else len(g)
-    c = np.abs(x).max() * (1.0 if g is None else np.abs(g).max(initial=0.0))
-    k = min(BLOCK, max(1, int(_DRIFT_BITS * _LN2 // (c + 2.0 * _LN2))))
+    if log:  # np.positive keeps the values as they are
+        rescale, weigh, unit, tiny = _floor_shift, np.add, 1.0, -math.inf
+        to_linear, to_log, k = np.exp, np.positive, _LOG_RESCALE_EVERY
+    else:
+        rescale, weigh, unit, tiny = _pow2_rescale, np.multiply, _LN2, _TINY
+        to_linear, to_log = np.positive, np.log
+        c = np.abs(x).max() * np.abs(g).max(initial=0.0)
+        k = min(BLOCK, max(1, int(_DRIFT_BITS * _LN2 // (c + 2.0 * _LN2))))
     # record steps are even: their rows are class 0's
-    _, step, xs, (back, _) = _class_sweep(ker, r, x)
+    _, step, xs, (back, _) = _class_sweep(ker, len(g), x, log)
     at = back[ker.origin]
-    count = np.zeros(r, dtype=np.int64)  # binary exponents taken out so far
-    rec_free = np.zeros((r, len(pts)))  # n = 0: Z = Z_constrained = 1
+    count = np.zeros(len(g), dtype=np.int64)  # shifts taken out so far
+    rec_free = np.zeros((len(g), len(pts)))  # n = 0: Z = Z_constrained = 1
     rec_con = np.zeros_like(rec_free)
-    lost = np.zeros(r, dtype=bool)
+    lost = np.zeros(len(g), dtype=bool)
     idx = 1 if pts[0] == 0 else 0
-    weights = _class_weights(g, xs, pts[-1], True)
+    weights = _class_weights(g, xs, pts[-1], not log)
     for n, w in zip(range(1, pts[-1] + 1), weights):
         by_row = step(n)
-        by_row *= w
+        weigh(by_row, w, out=by_row)
         if n % k and n != pts[idx]:
             continue
         if n == pts[idx]:  # the origin's value, before the rescale
-            lost |= by_row[:, at] < _TINY
-        e = np.frexp(np.maximum.reduce(by_row, axis=1))[1]
-        np.ldexp(by_row, -e[:, None], out=by_row)
-        count += e
+            lost |= by_row[:, at] < tiny
+        rescale(by_row, count)
         if n == pts[idx]:
-            scale = count * _LN2
+            scale = count * unit
             # on all sites, in C order, as a sum's bits depend on both
-            rec_free[:, idx] = scale + np.log(by_row.take(back, 1).sum(1))
+            rec_free[:, idx] = scale + np.log(
+                to_linear(by_row.take(back, 1)).sum(1))
             con = by_row[:, at]  # and after it
-            lost |= con < _TINY
+            lost |= con < tiny
             with np.errstate(divide="ignore"):  # 0 only in a lost row
-                rec_con[:, idx] = scale + np.log(con)
+                rec_con[:, idx] = scale + to_log(con)
             idx += 1
     return rec_free, rec_con, lost
 
 
-def _log_sweep(ker, g, x, record_at: np.ndarray):
-    """``_sweep`` in logs, on the same classes with -inf for 0: exact for
-    any weights, as no row can overflow, die or lose its origin's share.
-    Each row's maximum is subtracted every _LOG_RESCALE_EVERY steps, so no
-    step rounds on values the size of log Z."""
-    from scipy.special import logsumexp
-
-    pts = record_at.tolist()
-    r = 1 if g is None else len(g)
-    # record steps are even: their rows are class 0's
-    _, step, xs, (back, _) = _class_sweep(ker, r, x, log=True)
-    at = back[ker.origin]
-    acc = np.zeros(r)  # log-scale subtracted from the rows so far
-    maxima = np.empty((r, _LOG_EVERY))  # row maxima not yet in acc
-    k = 0
-    rec_free = np.zeros((r, len(pts)))
-    rec_con = np.zeros_like(rec_free)
-    idx = 1 if pts[0] == 0 else 0
-    weights = _class_weights(g, xs, pts[-1], False)
-    for n, w in zip(range(1, pts[-1] + 1), weights):
-        by_row = step(n)
-        by_row += w
-        if n % _LOG_RESCALE_EVERY and n != pts[idx]:
-            continue
-        by_row -= by_row.max(axis=1, keepdims=True, out=maxima[:, k : k + 1])
-        k += 1
-        if k == _LOG_EVERY or n == pts[idx]:
-            acc += maxima[:, :k].sum(axis=-1)
-            k = 0
-        if n == pts[idx]:
-            rec_free[:, idx] = acc + logsumexp(by_row.take(back, 1), axis=1)
-            rec_con[:, idx] = acc + by_row[:, at]
-            idx += 1
-    return rec_free, rec_con
+def _rows(ker, g: np.ndarray, x, pts: np.ndarray):
+    """(log_z_free, log_z_constrained) along pts for each row of g, the
+    per-step couplings in front of the site values x on ``ker``.  A row
+    runs linearly or in logs by its own weights, with the bits it gets
+    alone: linearly if they stay within +-LOG_WEIGHT_CAP, and again in
+    logs if its origin's value is lost."""
+    if not np.isfinite(g).all():
+        raise ValueError("couplings must be finite")
+    x = np.asarray(x, dtype=float)
+    in_logs = (np.abs(g).max(axis=1, initial=0.0) * np.abs(x).max()
+               > LOG_WEIGHT_CAP)
+    free, con = np.empty((2, len(g), len(pts)))
+    if not in_logs.all():
+        linear = np.flatnonzero(~in_logs)
+        rows = g[linear] if in_logs.any() else g  # no copy of all rows
+        free[linear], con[linear], lost = _sweep(ker, rows, x, pts)
+        in_logs[linear[lost]] = True
+    if in_logs.any():
+        free[in_logs], con[in_logs], _ = _sweep(ker, g[in_logs], x, pts,
+                                                log=True)
+    return free, con
 
 
 def annealed_sweep(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
@@ -206,39 +214,15 @@ def annealed_sweep(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
                    folded: bool | None = None) -> PartitionSweep:
     pts = _check_record_points(record_at)
     ker = layout(walk, spec, int(pts[-1]), folded)
-    log_w = np.asarray(psi(charges, spec, beta, h, ker.heights), dtype=float)
-    in_logs = np.abs(log_w).max() > LOG_WEIGHT_CAP
-    if not in_logs:
-        (free,), (con,), (in_logs,) = _sweep(ker, None, log_w, pts)
-    if in_logs:
-        (free,), (con,) = _log_sweep(ker, None, log_w, pts)
+    # one row of unit couplings: 1.0 x has the bits of x
+    (free,), (con,) = _rows(ker, np.ones((1, pts[-1])),
+                            psi(charges, spec, beta, h, ker.heights), pts)
     return PartitionSweep(n_values=pts, log_z_free=free, log_z_constrained=con)
-
-
-def _quenched_rows(walk, spec, g: np.ndarray, pts: np.ndarray, folded):
-    """(log_z_free, log_z_constrained) along pts for each row of g, the
-    per-step couplings beta * omega - h in front of phi(S_n).  A row runs
-    linearly or in logs by its own weights, with the bits it gets alone."""
-    if not np.isfinite(g).all():
-        raise ValueError("couplings must be finite")
-    ker = layout(walk, spec, int(pts[-1]), folded)
-    phi_vec = np.asarray(phi_eval(spec, ker.heights), dtype=float)
-    in_logs = (np.abs(g).max(axis=1, initial=0.0) * np.abs(phi_vec).max()
-               > LOG_WEIGHT_CAP)
-    free, con = np.empty((2, len(g), len(pts)))
-    if not in_logs.all():
-        linear = np.flatnonzero(~in_logs)
-        rows = g[linear] if in_logs.any() else g  # no copy of all rows
-        free[linear], con[linear], lost = _sweep(ker, rows, phi_vec, pts)
-        in_logs[linear[lost]] = True
-    if in_logs.any():
-        free[in_logs], con[in_logs] = _log_sweep(ker, g[in_logs], phi_vec, pts)
-    return free, con
 
 
 def _check_couplings(beta: float, h: float) -> None:
     # before beta * omega - h is built: inf * 0 or inf - inf there would
-    # warn ahead of _quenched_rows' own check
+    # warn ahead of _rows' own check
     if not (math.isfinite(beta) and math.isfinite(h)):
         raise ValueError("beta and h must be finite")
 
@@ -248,11 +232,14 @@ def quenched_sweep(walk: WalkSpec, spec: PotentialSpec, beta: float, h: float,
                    folded: bool | None = None) -> PartitionSweep:
     _check_couplings(beta, h)
     pts = _check_record_points(record_at)
-    omega = np.asarray(omega, dtype=float)
+    omega = np.asarray(omega, dtype=float)[: pts[-1]]
     if len(omega) < pts[-1]:
         raise ValueError("need one charge per step")
-    g = beta * omega[None, : pts[-1]] - h
-    (free,), (con,) = _quenched_rows(walk, spec, g, pts, folded)
+    if not np.isfinite(omega).all():  # 0 * inf in g would warn first
+        raise ValueError("charges must be finite")
+    ker = layout(walk, spec, int(pts[-1]), folded)
+    (free,), (con,) = _rows(ker, beta * omega[None] - h,
+                            phi_eval(spec, ker.heights), pts)
     return PartitionSweep(n_values=pts, log_z_free=free, log_z_constrained=con)
 
 
@@ -260,12 +247,6 @@ def annealed_partition(walk, spec, charges, beta, h, n: int,
                        folded: bool | None = None):
     """(log Z_free, log Z_constrained) after n steps, n even."""
     sw = annealed_sweep(walk, spec, charges, beta, h, [n], folded=folded)
-    return float(sw.log_z_free[0]), float(sw.log_z_constrained[0])
-
-
-def quenched_partition(walk, spec, beta, h, omega, n: int,
-                       folded: bool | None = None):
-    sw = quenched_sweep(walk, spec, beta, h, omega, [n], folded=folded)
     return float(sw.log_z_free[0]), float(sw.log_z_constrained[0])
 
 
@@ -352,13 +333,14 @@ def quenched_free_energy(walk, spec, charges, beta, h, n_max: int,
         raise ValueError("n_samples must be >= 1")
     _check_couplings(beta, h)
     ladder = _check_record_points(default_ladder(n_max, n_points))
+    ker = layout(walk, spec, n_max)
     g = np.empty((n_samples, n_max))  # beta * omega - h, built in place
     for i in range(n_samples):
         g[i] = charges.sample(np.random.Generator(np.random.Philox(
             np.random.SeedSequence(seed, spawn_key=(i,)))), n_max)
     g *= beta
     g -= h
-    free, con = _quenched_rows(walk, spec, g, ladder, None)
+    free, con = _rows(ker, g, phi_eval(spec, ker.heights), ladder)
     sweeps = [
         PartitionSweep(n_values=ladder, log_z_free=free[i],
                        log_z_constrained=con[i])

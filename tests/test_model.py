@@ -13,14 +13,12 @@ from softpin.model import (
     DivergentSumError,
     PhasePoint,
     PotentialSpec,
-    TruncationBoundaryError,
     WalkSpec,
     c_star,
     estimate_c_weights,
     phi_eval,
     psi,
     return_law,
-    transition_prob,
 )
 from softpin.transfer import annealed_free_energy
 
@@ -198,33 +196,6 @@ def test_drift_antisymmetric_and_bounded(alpha, x):
         assert d == pytest.approx(-float(w.drift(-x)), abs=1e-15)
         assert abs(d) <= abs(alpha - 0.5) + 1e-15
         assert float(w.drift(0)) == 0.0
-
-
-def test_transition_prob_closed_form():
-    # drift at x=1 is -(alpha - 1/2); alpha = 0.75 pushes toward the origin
-    w = WalkSpec(alpha=0.75)
-    assert transition_prob(w, 1, +1) == pytest.approx(0.375, abs=1e-15)
-    assert transition_prob(w, 1, -1) == pytest.approx(0.625, abs=1e-15)
-    assert transition_prob(w, 0, +1) == 0.5
-
-
-@given(st.floats(0.02, 0.98), st.integers(-30, 30))
-def test_transition_probs_sum_to_one(alpha, x):
-    w = WalkSpec(alpha=alpha)
-    up, down = transition_prob(w, x, +1), transition_prob(w, x, -1)
-    assert up + down == pytest.approx(1.0, abs=1e-15)
-    assert 0.0 < up < 1.0
-
-
-def test_transition_boundary_policy_is_callers_choice():
-    w = WalkSpec(alpha=0.6, l_max=5)
-    with pytest.raises(TruncationBoundaryError):
-        transition_prob(w, 5, +1)
-    with pytest.raises(TruncationBoundaryError):
-        transition_prob(w, -5, -1)
-    assert transition_prob(w, 5, -1) > 0
-    with pytest.raises(ValueError):
-        transition_prob(w, 6, +1)
 
 
 def test_phase_point_validation():

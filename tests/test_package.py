@@ -134,6 +134,8 @@ _SCIPY_IMPORTS = textwrap.dedent("""
         ("localize", {"beta": 0.5, "h": 0.1}),
         ("critical-curve", {"beta_grid": [0.5]}),
         ("free-energy", {"beta": 0.5, "h": 0.2, "n_max": 64}),
+        # past the weight cap: the partition sweep runs in logs
+        ("free-energy", {"beta": 40.0, "h": 0.0, "n_max": 64}),
     ]:
         assert cli.run(sub, {"model": pinning, "task": task,
                              "numerics": {"m_max": 256}}, out=out) == 0
@@ -168,7 +170,7 @@ def test_numpy_only_subcommands_load_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     # special, optimize, integrate: none after the numpy-only subcommands
-    # (free energies on the linear path), all once scaling and
+    # (free energies on the linear and the log path), all once scaling and
     # bessel-check have run
     assert proc.stdout.split("\n")[:2] == ["False False False",
                                             "True True True"]

@@ -15,11 +15,9 @@ from softpin.transfer import (
     annealed_free_energy,
     annealed_partition,
     annealed_sweep,
-    _quenched_rows,
     compare_free_constrained,
     default_ladder,
     quenched_free_energy,
-    quenched_partition,
     quenched_sweep,
     renewal_root,
 )
@@ -86,6 +84,13 @@ def quenched_oracle(walk, spec, beta, h, omega, record_at, folded=None):
         ker, lambda n: (beta * omega[n - 1] - h) * phi, record_at)
 
 
+def quenched_rows(walk, spec, g, pts, folded=None):
+    """``transfer._rows`` of the couplings g in front of phi: the rows of
+    ``quenched_sweep`` and ``quenched_free_energy``."""
+    ker = layout(walk, spec, int(pts[-1]), folded)
+    return transfer._rows(ker, g, phi_eval(spec, ker.heights), pts)
+
+
 def assert_matches_oracle(sweep, oracle):
     # 1e-12 relative, on a scale of at least 1 (log Z = 0 at zero coupling)
     for got, want in zip((sweep.log_z_free, sweep.log_z_constrained), oracle):
@@ -136,9 +141,10 @@ def test_non_integral_record_points_rejected():
 
 @pytest.mark.parametrize("beta, h, charge", [
     (0.5, 0.1, math.nan), (0.5, 0.1, math.inf), (math.nan, 0.1, 1.0),
-    (0.5, -math.inf, 1.0)])
+    (0.5, -math.inf, 1.0), (0.0, 0.1, math.inf), (0.0, 0.1, -math.inf)])
 def test_non_finite_couplings_rejected(beta, h, charge):
-    # a NaN or infinite charge, beta or h made every log Z NaN
+    # a NaN or infinite charge, beta or h made every log Z NaN; at beta = 0,
+    # 0 * inf while building beta * omega - h warned ahead of the ValueError
     omega = np.ones(16)
     omega[5] = charge
     with pytest.raises(ValueError, match="finite"):
@@ -164,7 +170,7 @@ def test_non_finite_coupling_rows_rejected(bad):
     g = np.zeros((3, 16))
     g[1, 7] = bad
     with pytest.raises(ValueError, match="finite"):
-        _quenched_rows(SRW, PIN, g, np.array([16]), None)
+        quenched_rows(SRW, PIN, g, np.array([16]))
 
 
 @pytest.mark.parametrize("charges", [GAUSS, BERN])
@@ -195,9 +201,9 @@ def test_quenched_n4_matches_enumeration():
         z_free += 0.5 ** 4 * math.exp(w)
         if s == 0:
             z_con += 0.5 ** 4 * math.exp(w)
-    lf, lc = quenched_partition(replace(SRW, l_max=4), PIN, beta, h, omega, 4)
-    assert lf == pytest.approx(math.log(z_free), abs=1e-12)
-    assert lc == pytest.approx(math.log(z_con), abs=1e-12)
+    sw = quenched_sweep(replace(SRW, l_max=4), PIN, beta, h, omega, [4])
+    assert sw.log_z_free[0] == pytest.approx(math.log(z_free), abs=1e-12)
+    assert sw.log_z_constrained[0] == pytest.approx(math.log(z_con), abs=1e-12)
 
 
 def test_quenched_power_tail_matches_enumeration():
@@ -214,18 +220,18 @@ def test_quenched_power_tail_matches_enumeration():
         z_free += prob * math.exp(w)
         if s == 0:
             z_con += prob * math.exp(w)
-    lf, lc = quenched_partition(replace(walk, l_max=8), pw, 0.9, 0.2, omega, 6)
-    assert lf == pytest.approx(math.log(z_free), abs=1e-12)
-    assert lc == pytest.approx(math.log(z_con), abs=1e-12)
+    sw = quenched_sweep(replace(walk, l_max=8), pw, 0.9, 0.2, omega, [6])
+    assert sw.log_z_free[0] == pytest.approx(math.log(z_free), abs=1e-12)
+    assert sw.log_z_constrained[0] == pytest.approx(math.log(z_con), abs=1e-12)
 
 
 def test_quenched_beta_zero_equals_annealed():
     omega = np.linspace(-2, 2, 64)  # irrelevant at beta = 0
     pw = PotentialSpec(kind="power_tail", theta=3.0)
-    lf_q, lc_q = quenched_partition(WalkSpec(alpha=0.6), pw, 0.0, 0.4, omega, 64)
+    sw = quenched_sweep(WalkSpec(alpha=0.6), pw, 0.0, 0.4, omega, [64])
     lf_a, lc_a = annealed_partition(WalkSpec(alpha=0.6), pw, GAUSS, 0.0, 0.4, 64)
-    assert lf_q == pytest.approx(lf_a, abs=1e-12)
-    assert lc_q == pytest.approx(lc_a, abs=1e-12)
+    assert sw.log_z_free[0] == pytest.approx(lf_a, abs=1e-12)
+    assert sw.log_z_constrained[0] == pytest.approx(lc_a, abs=1e-12)
 
 
 def test_folded_and_signed_layouts_agree():
@@ -285,16 +291,15 @@ def test_h_monotone_and_jointly_convex_quenched():
     # monotone nonincreasing in h at fixed charges
     prev = None
     for h in (-0.5, 0.0, 0.5, 1.0):
-        lf, _ = quenched_partition(walk, pw, 0.8, h, omega, 32)
+        lf = quenched_sweep(walk, pw, 0.8, h, omega, [32]).log_z_free[0]
         if prev is not None:
             assert lf <= prev + 1e-12
         prev = lf
     # joint convexity in (beta, h) along an arbitrary segment
     p0, p1 = (0.2, -0.3), (1.1, 0.8)
     mid = (0.5 * (p0[0] + p1[0]), 0.5 * (p0[1] + p1[1]))
-    f0, _ = quenched_partition(walk, pw, *p0, omega, 32)
-    f1, _ = quenched_partition(walk, pw, *p1, omega, 32)
-    fm, _ = quenched_partition(walk, pw, *mid, omega, 32)
+    f0, f1, fm = (quenched_sweep(walk, pw, *p, omega, [32]).log_z_free[0]
+                  for p in (p0, p1, mid))
     assert fm <= 0.5 * (f0 + f1) + 1e-12
 
 
@@ -451,7 +456,7 @@ def test_rows_on_both_paths_match_one_row_calls(spec):
     rng = np.random.default_rng(11)
     omegas = [rng.standard_normal(64) for _ in couplings]
     g = np.array([b * om - h for (b, h), om in zip(couplings, omegas)])
-    free, con = _quenched_rows(walk, spec, g, ladder, None)
+    free, con = quenched_rows(walk, spec, g, ladder)
     for i, ((beta, h), omega) in enumerate(zip(couplings, omegas)):
         one = quenched_sweep(walk, spec, beta, h, omega, ladder)
         np.testing.assert_array_equal(free[i], one.log_z_free)
@@ -501,18 +506,17 @@ def full_lattice_sweep(ker, step_weights, record_at):
 
 
 def full_lattice_log_sweep(ker, step_log_weights, record_at):
-    """Oracle of ``transfer._log_sweep``, bit for bit: one ``log_step`` at
-    a time on every site of the kernel ``ker`` tiled over the rows."""
-    from scipy.special import logsumexp
-
+    """Oracle of ``transfer._sweep`` in logs, bit for bit: one ``log_step``
+    at a time on every site of the kernel ``ker`` tiled over the rows,
+    each row shifted by the floor of its maximum every
+    _LOG_RESCALE_EVERY steps and at record steps, the floors counted in
+    one integer."""
     pts = record_at.tolist()
     sites, origin = len(ker.heights), ker.origin
     r = len(ker.p_up) // sites
     v, nxt = np.full(r * sites, -math.inf), np.empty(r * sites)
     v[origin::sites] = 0.0
-    acc = np.zeros(r)
-    maxima = np.empty((r, transfer._LOG_EVERY))
-    k = 0
+    count = np.zeros(r, dtype=np.int64)
     rec_free = np.zeros((r, len(pts)))
     rec_con = np.zeros_like(rec_free)
     idx = 1 if pts[0] == 0 else 0
@@ -523,20 +527,19 @@ def full_lattice_log_sweep(ker, step_log_weights, record_at):
         if n % transfer._LOG_RESCALE_EVERY and n != pts[idx]:
             continue
         by_row = v.reshape(r, sites)
-        by_row -= by_row.max(axis=1, keepdims=True, out=maxima[:, k : k + 1])
-        k += 1
-        if k == transfer._LOG_EVERY or n == pts[idx]:
-            acc += maxima[:, :k].sum(axis=-1)
-            k = 0
+        e = np.floor(by_row.max(axis=1)).astype(np.int64)
+        by_row -= e[:, None]
+        count += e
         if n == pts[idx]:
-            rec_free[:, idx] = acc + logsumexp(by_row, axis=1)
-            rec_con[:, idx] = acc + v[origin::sites]
+            # each row's maximum now lies in [0, 1): no exp overflows
+            rec_free[:, idx] = count + np.log(np.exp(by_row).sum(axis=1))
+            rec_con[:, idx] = count + v[origin::sites]
             idx += 1
     return rec_free, rec_con
 
 
 def full_lattice_rows(walk, spec, g, pts, folded):
-    """Oracle of ``_quenched_rows`` on the oracles above: (log_z_free,
+    """Oracle of ``quenched_rows`` on the oracles above: (log_z_free,
     log_z_constrained, lost), lost being that of the linear sweep's rows."""
     ker = layout(walk, spec, int(pts[-1]), folded)
     phi = np.asarray(phi_eval(spec, ker.heights), dtype=float)
@@ -562,16 +565,17 @@ def full_lattice_rows(walk, spec, g, pts, folded):
 
 
 def class_rows(monkeypatch, walk, spec, g, pts, folded):
-    """``_quenched_rows`` and the lost flags of its linear sweep, if any."""
+    """``quenched_rows`` and the lost flags of its linear sweep, if any."""
     seen, sweep = [np.zeros(0, dtype=bool)], transfer._sweep
 
-    def spy(*args):
-        out = sweep(*args)
-        seen.append(out[2])
+    def spy(*args, **kwargs):
+        out = sweep(*args, **kwargs)
+        if not kwargs.get("log"):
+            seen.append(out[2])
         return out
 
     monkeypatch.setattr(transfer, "_sweep", spy)
-    free, con = _quenched_rows(walk, spec, g, pts, folded)
+    free, con = quenched_rows(walk, spec, g, pts, folded)
     monkeypatch.undo()
     return free, con, seen[-1]
 
