@@ -238,8 +238,9 @@ def quenched_sweep(walk: WalkSpec, spec: PotentialSpec, beta: float, h: float,
     if not np.isfinite(omega).all():  # 0 * inf in g would warn first
         raise ValueError("charges must be finite")
     ker = layout(walk, spec, int(pts[-1]), folded)
-    (free,), (con,) = _rows(ker, beta * omega[None] - h,
-                            phi_eval(spec, ker.heights), pts)
+    with np.errstate(over="ignore"):  # an overflow is _rows' inf to reject
+        g = beta * omega[None] - h
+    (free,), (con,) = _rows(ker, g, phi_eval(spec, ker.heights), pts)
     return PartitionSweep(n_values=pts, log_z_free=free, log_z_constrained=con)
 
 
@@ -338,8 +339,9 @@ def quenched_free_energy(walk, spec, charges, beta, h, n_max: int,
     for i in range(n_samples):
         g[i] = charges.sample(np.random.Generator(np.random.Philox(
             np.random.SeedSequence(seed, spawn_key=(i,)))), n_max)
-    g *= beta
-    g -= h
+    with np.errstate(over="ignore"):  # an overflow is _rows' inf to reject
+        g *= beta
+        g -= h
     free, con = _rows(ker, g, phi_eval(spec, ker.heights), ladder)
     sweeps = [
         PartitionSweep(n_values=ladder, log_z_free=free[i],

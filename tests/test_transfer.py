@@ -165,6 +165,16 @@ def test_quenched_free_energy_rejects_non_finite_couplings_first():
                              n_samples=2, seed=0)
 
 
+def test_overflowing_couplings_rejected_before_any_warning():
+    # finite beta and charges whose product overflows: the overflow warning
+    # in beta * omega - h came ahead of the ValueError
+    with pytest.raises(ValueError, match="couplings must be finite"):
+        quenched_sweep(SRW, PIN, 1e300, 0.0, np.full(64, 1e10), [64])
+    with pytest.raises(ValueError, match="couplings must be finite"):
+        quenched_free_energy(SRW, PIN, GAUSS, 1e308, 0.0, n_max=64,
+                             n_samples=2, seed=0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_coupling_rows_rejected(bad):
     g = np.zeros((3, 16))
