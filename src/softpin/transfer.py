@@ -7,8 +7,8 @@ scaled by an exact power of two every few steps, so horizons of 2^20 steps
 stay in float64 range.  A row whose site weights pass
 exp(+-LOG_WEIGHT_CAP), or whose origin share underflows, runs in logs (one
 logaddexp per step) and is exact at any coupling; it is shifted by the
-whole-number floor of its maximum every few steps, counted in the same
-integer as a linear row's powers of two, so no step rounds on values the
+whole-number floor of its maximum every few steps, counted with a linear
+row's powers of two in one float count, so no step rounds on values the
 size of log Z.  Disorder samples run as rows of one sweep, each with the
 bits it gets alone, and an annealed sweep is one row of unit couplings.  A
 sweep steps only the parity class of sites its chains can be on, with the
@@ -95,13 +95,19 @@ def _class_weights(g, xs, n_steps: int, exp: bool):
     """The log site weights g[:, n - 1] xs by row of steps 1 .. n_steps,
     step n's on the rows of class n mod 2 (``lattice._class_sweep``),
     through exp if asked: one multiply and one exp per BLOCK steps into
-    one buffer."""
+    one buffer, or once if every row's couplings are constant (an
+    annealed sweep), as each block then has the first one's bits."""
     xs = xs[[1, 0] * (BLOCK // 2), None]
     buf = np.empty((BLOCK, len(g), xs.shape[2]))
+    constant = (g == g[:, :1]).all()
     for n0 in range(0, n_steps, BLOCK):
         w = buf[: min(BLOCK, n_steps - n0)]
-        np.multiply(g[:, n0 : n0 + len(w)].T[:, :, None], xs[: len(w)], out=w)
-        yield from (np.exp(w, out=w) if exp else w)
+        if n0 == 0 or not constant:
+            np.multiply(g[:, n0 : n0 + len(w)].T[:, :, None], xs[: len(w)],
+                        out=w)
+            if exp:
+                np.exp(w, out=w)
+        yield from w
 
 
 def _pow2_rescale(by_row, count) -> None:
@@ -117,7 +123,7 @@ def _floor_shift(by_row, count) -> None:
     lies in [0, 1), and add e to its count."""
     e = np.floor(np.maximum.reduce(by_row, axis=1, keepdims=True))
     by_row -= e
-    count += e[:, 0].astype(np.int64)
+    count += e[:, 0]
 
 
 def _sweep(ker, g, x, record_at: np.ndarray, log: bool = False):
@@ -135,7 +141,7 @@ def _sweep(ker, g, x, record_at: np.ndarray, log: bool = False):
     class's zeros in place, so every value has ``step``'s bits.
 
     Every k steps and at record steps, each row is rescaled and the shift
-    added to its int64 count.  A linear row is scaled by a power of two
+    added to its count.  A linear row is scaled by a power of two
     (``_pow2_rescale``), so log Z = count ln 2 + log(...), exact on normal
     doubles: a row's bits depend on neither k nor its neighbours.  |d| <
     1/2 sends every site at least 1/4 of its mass to a neighbour, so a
@@ -159,7 +165,9 @@ def _sweep(ker, g, x, record_at: np.ndarray, log: bool = False):
     # record steps are even: their rows are class 0's
     _, step, xs, (back, _) = _class_sweep(ker, len(g), x, log)
     at = back[ker.origin]
-    count = np.zeros(len(g), dtype=np.int64)  # shifts taken out so far
+    # shifts taken out so far: whole numbers, exact below 2^53, where count
+    # ln 2 has the bits of an integer count's; a float can not wrap around
+    count = np.zeros(len(g))
     rec_free = np.zeros((len(g), len(pts)))  # n = 0: Z = Z_constrained = 1
     rec_con = np.zeros_like(rec_free)
     lost = np.zeros(len(g), dtype=bool)
@@ -221,8 +229,8 @@ def annealed_sweep(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
 
 
 def _check_couplings(beta: float, h: float) -> None:
-    # before beta * omega - h is built: inf * 0 or inf - inf there would
-    # warn ahead of _rows' own check
+    # named before beta * omega - h is built, which _rows would reject only
+    # as non-finite couplings
     if not (math.isfinite(beta) and math.isfinite(h)):
         raise ValueError("beta and h must be finite")
 
@@ -235,10 +243,9 @@ def quenched_sweep(walk: WalkSpec, spec: PotentialSpec, beta: float, h: float,
     omega = np.asarray(omega, dtype=float)[: pts[-1]]
     if len(omega) < pts[-1]:
         raise ValueError("need one charge per step")
-    if not np.isfinite(omega).all():  # 0 * inf in g would warn first
-        raise ValueError("charges must be finite")
     ker = layout(walk, spec, int(pts[-1]), folded)
-    with np.errstate(over="ignore"):  # an overflow is _rows' inf to reject
+    # a non-finite charge or an overflow is _rows' to reject, warning-free
+    with np.errstate(over="ignore", invalid="ignore"):
         g = beta * omega[None] - h
     (free,), (con,) = _rows(ker, g, phi_eval(spec, ker.heights), pts)
     return PartitionSweep(n_values=pts, log_z_free=free, log_z_constrained=con)
@@ -339,7 +346,7 @@ def quenched_free_energy(walk, spec, charges, beta, h, n_max: int,
     for i in range(n_samples):
         g[i] = charges.sample(np.random.Generator(np.random.Philox(
             np.random.SeedSequence(seed, spawn_key=(i,)))), n_max)
-    with np.errstate(over="ignore"):  # an overflow is _rows' inf to reject
+    with np.errstate(over="ignore", invalid="ignore"):  # as in quenched_sweep
         g *= beta
         g -= h
     free, con = _rows(ker, g, phi_eval(spec, ker.heights), ladder)

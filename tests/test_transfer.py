@@ -418,6 +418,18 @@ def test_strong_pinning_annealed_free_energy_is_half_the_origin_reward():
                                           + 0.5 * math.log(p2), rel=1e-12)
 
 
+def test_log_rows_past_two_to_the_63_keep_their_log_z():
+    # psi(0) = 5e15 over 2048 returns: log Z ~ 1.02e19 passes 2^63, where an
+    # int64 count of the shifts wrapped around to a huge negative log Z
+    walk = WalkSpec(alpha=0.6)
+    p2 = 0.5 * (1.0 - float(walk.drift(1)))
+    est = annealed_free_energy(walk, PIN, GAUSS, 1e8, 0.0, n_max=4096)
+    assert est.ladder.log_z_constrained[-1] > 2.0 ** 63
+    for f in (est.ladder.f_free(), est.ladder.f_constrained()):
+        np.testing.assert_allclose(f, 0.25e16 + 0.5 * math.log(p2),
+                                   rtol=1e-15, atol=0)
+
+
 def test_strong_pinning_quenched_free_energy_is_finite():
     # beta = 1000: the origin's weight reaches exp(+-3000), far past the
     # cap; every sample's log Z must be finite and the log-space oracle's
