@@ -419,8 +419,8 @@ def test_strong_pinning_annealed_free_energy_is_half_the_origin_reward():
 
 
 def test_log_rows_past_two_to_the_63_keep_their_log_z():
-    # psi(0) = 5e15 over 2048 returns: log Z ~ 1.02e19 passes 2^63, where an
-    # int64 count of the shifts wrapped around to a huge negative log Z
+    # psi(0) = 5e15 over 2048 returns: log Z ~ 1.02e19 passes 2^63, past
+    # which an int64 count of the shifts would wrap around silently
     walk = WalkSpec(alpha=0.6)
     p2 = 0.5 * (1.0 - float(walk.drift(1)))
     est = annealed_free_energy(walk, PIN, GAUSS, 1e8, 0.0, n_max=4096)
