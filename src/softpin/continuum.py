@@ -526,7 +526,7 @@ def _step_keys(seed: int, first: int, count: int) -> np.ndarray:
 
 
 def _simulate_paths(alpha: float, T: float, dt: float, theta: float,
-                    n_paths: int, seed: int, eps: float, spawn_base: int
+                    n_paths: int, seed: int, eps: float
                     ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
     """Paths of the squared process Y' = 2 sqrt(Y) dB + 2(1-alpha) dt via its
     exact transition law Y_{t+dt} = dt * noncentral_chi2(2(1-alpha), Y_t/dt);
@@ -545,12 +545,12 @@ def _simulate_paths(alpha: float, T: float, dt: float, theta: float,
 
     Chi-square sampling consumes a variable number of uniforms, so draws
     are taken jointly across paths from per-STEP substreams keyed by
-    (seed, spawn_base + step): step n draws from
-    Philox(SeedSequence(seed, spawn_key=(spawn_base + n,))).  The keys of
-    those generators come from one vectorized SeedSequence hash
-    (_step_keys), and one Philox is reset to each step's key in turn, which
-    is the state a fresh one starts in.  Results are deterministic for a
-    fixed (seed, n_paths) and independent across steps.
+    (seed, step): step n draws from Philox(SeedSequence(seed,
+    spawn_key=(n,))).  The keys of those generators come from one
+    vectorized SeedSequence hash (_step_keys), and one Philox is reset to
+    each step's key in turn, which is the state a fresh one starts in.
+    Results are deterministic for a fixed (seed, n_paths) and independent
+    across steps.
     """
     steps = T / dt
     # from 2e6 steps on, step substreams would collide with the bootstrap
@@ -575,7 +575,7 @@ def _simulate_paths(alpha: float, T: float, dt: float, theta: float,
              "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for start in range(0, n_steps, _KEY_CHUNK):
         count = min(_KEY_CHUNK, n_steps - start)
-        for key in _step_keys(seed, spawn_base + start, count):
+        for key in _step_keys(seed, start, count):
             fresh["state"]["key"] = key
             bitgen.state = fresh
             y = dt * gen.noncentral_chisquare(df, y / dt)
@@ -653,9 +653,8 @@ def _mc_paths(params: ContinuumParams, T: float, dt: float | None,
         dt = 1e-4 * T
     if eps is None:
         eps = max(math.sqrt(dt), 1e-3)
-    paths = _simulate_paths(params.alpha, T, dt, params.theta, n_paths, seed,
-                            eps, spawn_base=0)
-    return dt, eps, paths
+    return dt, eps, _simulate_paths(params.alpha, T, dt, params.theta,
+                                    n_paths, seed, eps)
 
 
 def _mc_exponents(params: ContinuumParams, cp: ContinuumPhasePoint, T: float,

@@ -28,6 +28,7 @@ criterion for a transient-walk variant whose return law is r times ours.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -382,40 +383,31 @@ def quenched_critical_h(walk, spec, charges, beta: float, n_max: int = 4096,
     zero.  Reusing one seed across heights makes the sampled profile smooth
     in h, so each edge is bisected to resolution tol; the band still carries
     the O(log(n_max)/n_max) downward drift of the finite-size crossing.
+    Each height is evaluated once, though the second edge's search may
+    revisit heights of the first's.
     """
-    cache: dict[float, tuple[float, float]] = {}
+    @functools.cache
+    def side(h: float) -> int:
+        """The mean's sign, 0 within detect standard errors of 0."""
+        est = quenched_free_energy(walk, spec, charges, beta, h, n_max=n_max,
+                                   n_samples=n_samples, seed=seed)
+        margin = detect * est.sem
+        return (est.f_constrained > margin) - (est.f_constrained < -margin)
 
-    def mean_sem(h: float) -> tuple[float, float]:
-        if h not in cache:
-            est = quenched_free_energy(
-                walk, spec, charges, beta, h, n_max=n_max,
-                n_samples=n_samples, seed=seed,
-            )
-            cache[h] = (est.f_constrained, est.sem)
-        return cache[h]
-
-    def surely_localized(h: float) -> bool:
-        mean, sem = mean_sem(h)
-        return mean - detect * sem > 0.0
-
-    def surely_delocalized(h: float) -> bool:
-        mean, sem = mean_sem(h)
-        return mean + detect * sem < 0.0
-
-    if not surely_localized(0.0):
+    if side(0.0) != 1:
         return CriticalBracket(beta=beta, lo=0.0, hi=0.0, confidence=0.0)
     top = _upper_start(charges, spec, beta)
     for _ in range(60):
-        if surely_delocalized(top):
+        if side(top) == -1:
             break
         top *= 2.0
     else:
         raise RuntimeError("no delocalized height found")
 
     (band_lo, _), = _lockstep([_bisect(0.0, top, tol)], lambda jobs: [
-        surely_localized(h) for _, h in jobs])
+        side(h) == 1 for _, h in jobs])
     (_, band_hi), = _lockstep([_bisect(band_lo, top, tol)], lambda jobs: [
-        not surely_delocalized(h) for _, h in jobs])
+        side(h) != -1 for _, h in jobs])
     conf = math.erf(detect / math.sqrt(2.0))
     return CriticalBracket(beta=beta, lo=band_lo, hi=band_hi, confidence=conf)
 

@@ -69,13 +69,13 @@ class PotentialSpec:
             if not self.table:
                 raise ValueError("table potential needs a nonempty table")
             vals = np.array(list(self.table.values()), dtype=float)
-            if np.any(vals < 0):
-                raise ValueError("potential values must be nonnegative")
+            if not np.all((vals >= 0) & (vals < math.inf)):
+                raise ValueError("table values must be finite and nonnegative")
             if not np.any(vals > 0):
                 raise ValueError("potential must be positive somewhere")
         else:
-            if not self.amplitude > 0:
-                raise ValueError("amplitude must be positive")
+            if not 0.0 < self.amplitude < math.inf:
+                raise ValueError("amplitude must be positive and finite")
             if self.kind == "power_tail" and not 0.0 < self.theta < math.inf:
                 raise ValueError("power_tail needs a finite theta > 0")
 
@@ -212,7 +212,9 @@ def psi(charges: ChargeModel, spec: PotentialSpec, beta: float, h: float, x):
     if np.min(beta) < 0:
         raise ValueError("beta must be >= 0")
     p = np.asarray(phi_eval(spec, x), dtype=float)
-    out = np.asarray(charges.cumulant(beta * p)) - h * p
+    # an overflowed weight is +inf, which its callers read as divergence
+    with np.errstate(over="ignore"):
+        out = np.asarray(charges.cumulant(beta * p)) - h * p
     if np.ndim(x) == 0:
         return float(out)
     return out

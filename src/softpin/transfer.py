@@ -10,10 +10,11 @@ logaddexp per step) and is exact at any coupling; it is shifted by the
 whole-number floor of its maximum every few steps, counted with a linear
 row's powers of two in one float count, so no step rounds on values the
 size of log Z.  Disorder samples run as rows of one sweep, each with the
-bits it gets alone, and an annealed sweep is one row of unit couplings.  A
-sweep steps only the parity class of sites its chains can be on, with the
-bits of the one-step recursion on all sites, and weighs BLOCK steps at
-once.
+bits it gets alone, their couplings made by one builder for both quenched
+entry points, and an annealed sweep is one row of unit couplings; a site
+weight that overflowed raises FloatingPointError.  A sweep steps only the
+parity class of sites its chains can be on, with the bits of the one-step
+recursion on all sites, and weighs BLOCK steps at once.
 
 Free-energy estimates report the constrained value at the largest ladder
 rung (a rigorous lower bound on the limit by super-additivity) bracketed
@@ -199,10 +200,13 @@ def _rows(ker, g: np.ndarray, x, pts: np.ndarray):
     per-step couplings in front of the site values x on ``ker``.  A row
     runs linearly or in logs by its own weights, with the bits it gets
     alone: linearly if they stay within +-LOG_WEIGHT_CAP, and again in
-    logs if its origin's value is lost."""
+    logs if its origin's value is lost.  A site value of -inf forbids the
+    site; +inf, an overflowed weight, or NaN raises FloatingPointError."""
     if not np.isfinite(g).all():
         raise ValueError("couplings must be finite")
     x = np.asarray(x, dtype=float)
+    if not (x < math.inf).all():
+        raise FloatingPointError("non-finite site weight: overflowed or NaN")
     in_logs = (np.abs(g).max(axis=1, initial=0.0) * np.abs(x).max()
                > LOG_WEIGHT_CAP)
     free, con = np.empty((2, len(g), len(pts)))
@@ -228,26 +232,32 @@ def annealed_sweep(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
     return PartitionSweep(n_values=pts, log_z_free=free, log_z_constrained=con)
 
 
-def _check_couplings(beta: float, h: float) -> None:
-    # named before beta * omega - h is built, which _rows would reject only
-    # as non-finite couplings
+def _quenched_rows(walk, spec, beta: float, h: float, g: np.ndarray, pts,
+                   folded: bool | None = None):
+    """``_rows`` of the couplings beta * omega - h in front of phi, built in
+    place in g, which holds the charges omega by row and is given up."""
+    # named here, where _rows would see them only as non-finite couplings
     if not (math.isfinite(beta) and math.isfinite(h)):
         raise ValueError("beta and h must be finite")
+    ker = layout(walk, spec, int(pts[-1]), folded)
+    # a non-finite charge or an overflow is _rows' to reject, warning-free
+    with np.errstate(over="ignore", invalid="ignore"):
+        g *= beta
+        g -= h
+    return _rows(ker, g, phi_eval(spec, ker.heights), pts)
 
 
 def quenched_sweep(walk: WalkSpec, spec: PotentialSpec, beta: float, h: float,
                    omega: np.ndarray, record_at,
                    folded: bool | None = None) -> PartitionSweep:
-    _check_couplings(beta, h)
+    """log partition functions along record_at of one chain whose step n
+    weighs site x by (beta omega[n - 1] - h) phi(x); omega is not changed."""
     pts = _check_record_points(record_at)
     omega = np.asarray(omega, dtype=float)[: pts[-1]]
     if len(omega) < pts[-1]:
         raise ValueError("need one charge per step")
-    ker = layout(walk, spec, int(pts[-1]), folded)
-    # a non-finite charge or an overflow is _rows' to reject, warning-free
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = beta * omega[None] - h
-    (free,), (con,) = _rows(ker, g, phi_eval(spec, ker.heights), pts)
+    (free,), (con,) = _quenched_rows(walk, spec, beta, h, omega[None].copy(),
+                                     pts, folded)
     return PartitionSweep(n_values=pts, log_z_free=free, log_z_constrained=con)
 
 
@@ -339,17 +349,12 @@ def quenched_free_energy(walk, spec, charges, beta, h, n_max: int,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    _check_couplings(beta, h)
     ladder = _check_record_points(default_ladder(n_max, n_points))
-    ker = layout(walk, spec, n_max)
-    g = np.empty((n_samples, n_max))  # beta * omega - h, built in place
+    omega = np.empty((n_samples, n_max))
     for i in range(n_samples):
-        g[i] = charges.sample(np.random.Generator(np.random.Philox(
+        omega[i] = charges.sample(np.random.Generator(np.random.Philox(
             np.random.SeedSequence(seed, spawn_key=(i,)))), n_max)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in quenched_sweep
-        g *= beta
-        g -= h
-    free, con = _rows(ker, g, phi_eval(spec, ker.heights), ladder)
+    free, con = _quenched_rows(walk, spec, beta, h, omega, ladder)
     sweeps = [
         PartitionSweep(n_values=ladder, log_z_free=free[i],
                        log_z_constrained=con[i])

@@ -572,7 +572,7 @@ class TestSimulatedMoments:
         # variance at this (alpha, theta)
         alpha, theta, T, dt = LONG.alpha, LONG.theta, 1.0, 1e-3
         occ, int_theta, int_2theta = _simulate_paths(
-            alpha, T, dt, theta, n_paths=4000, seed=11, eps=0.05, spawn_base=0
+            alpha, T, dt, theta, n_paths=4000, seed=11, eps=0.05
         )
         ts = dt * np.arange(1, int(round(T / dt)) + 1)
         for q, sample in ((theta, int_theta), (2.0 * theta, int_2theta)):
@@ -585,7 +585,7 @@ class TestSimulatedMoments:
         # E[occupation of (0, eps]] = dt Sum_i P(X_{t_i} <= eps) exactly
         alpha, T, dt, eps = 0.4, 1.0, 1e-3, 0.05
         occ, _, _ = _simulate_paths(
-            alpha, T, dt, 0.8, n_paths=3000, seed=3, eps=eps, spawn_base=0
+            alpha, T, dt, 0.8, n_paths=3000, seed=3, eps=eps
         )
         ts = dt * np.arange(1, int(round(T / dt)) + 1)
         target = dt * float(gammainc(1.0 - alpha, eps * eps / (2.0 * ts)).sum())
@@ -596,7 +596,7 @@ class TestSimulatedMoments:
     def test_calibrated_local_time_is_unbiased(self):
         alpha, T, dt, eps = 0.4, 1.0, 1e-3, math.sqrt(1e-3)
         occ, _, _ = _simulate_paths(
-            alpha, T, dt, 0.8, n_paths=3000, seed=5, eps=eps, spawn_base=0
+            alpha, T, dt, 0.8, n_paths=3000, seed=5, eps=eps
         )
         cal = _local_time_calibration(alpha, T, dt, eps)
         prefactor = sharp_constant(alpha) / eps ** (2.0 * (1.0 - alpha))
@@ -606,25 +606,25 @@ class TestSimulatedMoments:
         assert abs(mean - local_time_mean(alpha, T)) < 4.0 * sem
 
     def test_determinism_and_seed_sensitivity(self):
-        a = _simulate_paths(0.3, 0.1, 1e-3, 0.25, 50, seed=1, eps=0.05, spawn_base=0)
-        b = _simulate_paths(0.3, 0.1, 1e-3, 0.25, 50, seed=1, eps=0.05, spawn_base=0)
-        c = _simulate_paths(0.3, 0.1, 1e-3, 0.25, 50, seed=2, eps=0.05, spawn_base=0)
+        a = _simulate_paths(0.3, 0.1, 1e-3, 0.25, 50, seed=1, eps=0.05)
+        b = _simulate_paths(0.3, 0.1, 1e-3, 0.25, 50, seed=1, eps=0.05)
+        c = _simulate_paths(0.3, 0.1, 1e-3, 0.25, 50, seed=2, eps=0.05)
         for u, v in zip(a, b):
             if u is not None:
                 np.testing.assert_array_equal(u, v)
         assert not np.array_equal(a[1], c[1])
 
 
-def per_step_generator_paths(alpha, T, dt, theta, n_paths, seed, eps, spawn_base):
+def per_step_generator_paths(alpha, T, dt, theta, n_paths, seed, eps):
     """Oracle: every functional of the paths, each step drawing from a
-    generator built from its own SeedSequence(seed, spawn_key=(spawn_base + n,))."""
+    generator built from its own SeedSequence(seed, spawn_key=(n,))."""
     n_steps = round(T / dt)
     df = 2.0 * (1.0 - alpha)
     y = np.zeros(n_paths)
     occ, int_theta, int_2theta = np.zeros((3, n_paths))
     for n in range(n_steps):
         gen = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(spawn_base + n,)))
+            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(n,)))
         )
         y = dt * gen.noncentral_chisquare(df, y / dt)
         x = np.sqrt(y)
@@ -665,15 +665,16 @@ class TestStepKeys:
 class TestPathsKeepPerStepBits:
     @pytest.mark.parametrize("params", [LONG, INTER], ids=["long_range", "intermediate"])
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("spawn_base", [0, 9])
+    # one path as well as many: each step draws all paths' values at once
+    @pytest.mark.parametrize("n_paths", [30, 1])
     def test_functionals_equal_the_per_step_generator_oracle(self, params, seed,
-                                                            spawn_base):
-        args = (params.alpha, 0.5, 5e-3, params.theta, 30, seed, 0.05, spawn_base)
+                                                            n_paths):
+        args = (params.alpha, 0.5, 5e-3, params.theta, n_paths, seed, 0.05)
         self.check(params.regime, _simulate_paths(*args),
                    per_step_generator_paths(*args))
 
     def test_steps_past_a_key_chunk_keep_their_bits(self):
-        args = (LONG.alpha, 4100.0, 1.0, LONG.theta, 3, 12345, 0.05, 0)
+        args = (LONG.alpha, 4100.0, 1.0, LONG.theta, 3, 12345, 0.05)
         self.check("long_range", _simulate_paths(*args),
                    per_step_generator_paths(*args))
 

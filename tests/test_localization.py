@@ -16,6 +16,7 @@ import itertools
 import math
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -74,6 +75,13 @@ class TestExcursionWeights:
         assert ew.diverged and ew.m_stop == 2
         assert not np.any(np.isnan(ew.a))
         cv = excursion_sum(walk, pinning, gaussian, 40.0, 0.0, m_max=64)
+        assert cv.diverged and cv.verdict == "yes"
+
+    def test_overflowed_origin_weight_flags_divergence_warning_free(
+            self, srw, pinning, gaussian):
+        # psi(0) = beta^2 / 2 overflows to +inf itself: the cumulant warned
+        # ahead of the verdict
+        cv = excursion_sum(srw, pinning, gaussian, 1e200, 0.0, m_max=64)
         assert cv.diverged and cv.verdict == "yes"
 
     def test_overflowing_off_origin_weight_flags_divergence(self, gaussian):
@@ -415,6 +423,107 @@ def test_quenched_band_at_zero_coupling_is_empty(spec, gaussian):
     br = quenched_critical_h(WalkSpec(alpha=0.6), spec, gaussian, 0.0,
                              n_max=64, n_samples=2)
     assert (br.lo, br.hi, br.confidence) == (0.0, 0.0, 0.0)
+
+
+class QuenchedStub:
+    """``quenched_free_energy`` with a chosen mean profile and a fixed sem,
+    recording each height it is asked for."""
+
+    def __init__(self, mean, sem):
+        self.mean, self.sem, self.heights = mean, sem, []
+
+    def __call__(self, walk, spec, charges, beta, h, **kwargs):
+        self.heights.append(h)
+        return SimpleNamespace(f_constrained=self.mean(h), sem=self.sem)
+
+
+def band_by_predicates(mean, sem, detect, top, tol):
+    """Oracle: the quenched band searched with the predicates mean -
+    detect sem > 0 (surely localized) and mean + detect sem < 0 (surely
+    delocalized), asked afresh at each height.  Returns (lo, hi) and the
+    heights asked in each phase: the start, the first edge, the second."""
+    asked = [[], [], []]
+
+    def drive(search, phase, holds):
+        try:
+            h = next(search)
+            while True:
+                asked[phase].append(h)
+                h = search.send(holds(h))
+        except StopIteration as done:
+            return done.value
+
+    asked[0].append(0.0)
+    if not mean(0.0) - detect * sem > 0.0:
+        return (0.0, 0.0), asked
+    while True:
+        asked[0].append(top)
+        if mean(top) + detect * sem < 0.0:
+            break
+        top *= 2.0
+    lo, _ = drive(localization._bisect(0.0, top, tol), 1,
+                  lambda h: mean(h) - detect * sem > 0.0)
+    _, hi = drive(localization._bisect(lo, top, tol), 2,
+                  lambda h: not mean(h) + detect * sem < 0.0)
+    return (lo, hi), asked
+
+
+# mean profiles in h and their sem, each searched at detect = 2 from the
+# upper start h = 0.25 of beta = 0; 2 sem = 0.5 is a power of two, so the
+# ties below are exact
+QUENCHED_PROFILES = {
+    # a mean of exactly 2 sem at h = 0 is not surely localized
+    "tie at zero": (lambda h: 0.5, 0.25),
+    # a mean of exactly -2 sem at the upper start is not surely
+    # delocalized, so the start doubles
+    "tie at the upper start": (lambda h: 1.0 - 6.0 * h, 0.25),
+    # localized at h = 0 only and delocalized from 0.1 on: the first edge
+    # ends at 0, and the second bisects the same interval again
+    "narrow band": (lambda h: 1.0 if h == 0.0 else 0.0 if h < 0.1 else -1.0,
+                    0.25),
+    "smooth": (lambda h: 0.3 - h, 0.05),
+}
+
+
+class TestQuenchedBandSearch:
+    @pytest.fixture
+    def search(self, monkeypatch, gaussian):
+        def run(name):
+            mean, sem = QUENCHED_PROFILES[name]
+            stub = QuenchedStub(mean, sem)
+            monkeypatch.setattr(localization, "quenched_free_energy", stub)
+            br = quenched_critical_h(WalkSpec(alpha=0.6),
+                                     PotentialSpec(kind="pinning"), gaussian,
+                                     0.0, n_max=64, n_samples=4, tol=1e-3,
+                                     detect=2.0)
+            want, asked = band_by_predicates(mean, sem, 2.0, 0.25, 1e-3)
+            return br, stub.heights, want, asked
+        return run
+
+    @pytest.mark.parametrize("name", QUENCHED_PROFILES)
+    def test_band_is_the_predicates_band_with_each_height_asked_once(
+            self, search, name):
+        br, heights, want, asked = search(name)
+        assert (br.lo, br.hi) == want
+        assert len(heights) == len(set(heights))
+        assert set(heights) == {h for phase in asked for h in phase}
+
+    def test_mean_at_the_margin_is_not_surely_localized(self, search):
+        br, heights, _, _ = search("tie at zero")
+        assert (br.lo, br.hi, br.confidence) == (0.0, 0.0, 0.0)
+        assert heights == [0.0]
+
+    def test_mean_at_minus_the_margin_is_not_surely_delocalized(self, search):
+        br, heights, _, _ = search("tie at the upper start")
+        assert heights[:3] == [0.0, 0.25, 0.5]
+        assert 1.0 / 12.0 - 1e-3 <= br.lo < br.hi
+        assert br.confidence == math.erf(2.0 / math.sqrt(2.0))
+
+    def test_second_edge_revisits_heights_of_the_first(self, search):
+        _, heights, _, (start, first, second) = search("narrow band")
+        revisited = set(second) & set(first + start)
+        assert len(revisited) >= 2
+        assert len(heights) == len(set(start + first + second))
 
 
 class TestMbgLower:

@@ -102,6 +102,12 @@ def test_potential_validation():
         PotentialSpec(kind="table", table={0: -1.0})
     with pytest.raises(ValueError):
         PotentialSpec(kind="table", table={0: 0.0, 1: 0.0})
+    # an infinite amplitude made a sweep warn; a NaN table value failed
+    # only in the sweep, on converting NaN to an integer
+    with pytest.raises(ValueError, match="amplitude"):
+        PotentialSpec(kind="pinning", amplitude=math.inf)
+    with pytest.raises(ValueError, match="table"):
+        PotentialSpec(kind="table", table={0: 1.0, 2: math.nan})
 
 
 def test_symmetry_flags():

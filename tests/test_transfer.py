@@ -175,6 +175,21 @@ def test_overflowing_couplings_rejected_before_any_warning():
                              n_samples=2, seed=0)
 
 
+def test_overflowed_annealed_weight_raises_before_any_warning():
+    # psi(0) = beta^2 / 2 overflows: the cumulant warned, then the log
+    # sweep warned at each step and returned log Z = NaN
+    with pytest.raises(FloatingPointError, match="overflowed"):
+        annealed_sweep(SRW, PIN, GAUSS, 1e200, 0.0, [64])
+
+
+def test_quenched_sweep_leaves_the_callers_charges_unchanged():
+    # the couplings are built in place, in a copy of the charges
+    omega = np.random.default_rng(3).standard_normal(64)
+    kept = omega.copy()
+    quenched_sweep(SRW, PIN, 0.7, 0.2, omega, [32, 64])
+    np.testing.assert_array_equal(omega, kept)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_coupling_rows_rejected(bad):
     g = np.zeros((3, 16))
