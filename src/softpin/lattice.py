@@ -189,12 +189,13 @@ def _class_sweep(ker, r: int, x, log: bool = False):
     o = c mod 2: one flat state per class, a row of it a pad, then the
     class's sites, in W = (sites + 3) // 2 entries, and one pad after the
     rows; all 0 (-inf in logs) but the origins, 1 (0).  Returns the states'
-    rows, (2, r, W); step(n), which moves class 1 - n % 2 onto class n % 2
-    in ``step``'s order, out = lo up + hi down, or logaddexp(lo + up, hi +
-    down), with up and down 0 (-inf) at pads and missing neighbours, and
-    returns that class's rows; the site values x, (..., sites), on each
-    class's row, (2, ..., W), 0 at pads; and each site's entry in a row of
-    either class, (2, sites), its pad off the class."""
+    rows, (2, r, W); one step per class c, steps[c](), which moves class 1
+    - c onto class c in ``step``'s order, out = lo up + hi down, or
+    logaddexp(lo + up, hi + down), with up and down 0 (-inf) at pads and
+    missing neighbours, and returns class c's rows, so step n is steps[n %
+    2](); the site values x, (..., sites), on each class's row, (2, ...,
+    W), 0 at pads; and each site's entry in a row of either class, (2,
+    sites), its pad off the class."""
     sites, o, i = len(ker.heights), ker.origin, np.arange(len(ker.heights))
     cls, at, width = (i - o) % 2, 1 + i // 2, (sites + 3) // 2
     arrays = np.zeros((3, 2, r * width + 1))
@@ -207,27 +208,28 @@ def _class_sweep(ker, r: int, x, log: bool = False):
         with np.errstate(divide="ignore"):
             np.log(arrays, out=arrays)
     rows, tmp = v[:, :-1].reshape(2, r, -1), np.empty(r * width)
+
+    def class_step(out, lo, hi, p_up, p_down, by_row):
+        if log:
+            def step():
+                np.add(lo, p_up, out=out)
+                np.add(hi, p_down, out=tmp)
+                np.logaddexp(out, tmp, out=out)
+                return by_row
+        else:
+            def step():
+                np.multiply(lo, p_up, out=out)
+                np.multiply(hi, p_down, out=tmp)
+                np.add(out, tmp, out=out)
+                return by_row
+        return step
+
     # an even site's neighbours sit one entry left of it and at it, an odd
     # site's at it and one entry right
-    steps = [(v[c, 1 - (o + c) % 2 : v.shape[1] - (o + c) % 2], v[1 - c, :-1],
-              v[1 - c, 1:], up[1 - c, :-1], down[1 - c, 1:], rows[c])
-             for c in (0, 1)]
-
-    if log:
-        def step(n):
-            out, lo, hi, p_up, p_down, by_row = steps[n % 2]
-            np.add(lo, p_up, out=out)
-            np.add(hi, p_down, out=tmp)
-            np.logaddexp(out, tmp, out=out)
-            return by_row
-    else:
-        def step(n):
-            out, lo, hi, p_up, p_down, by_row = steps[n % 2]
-            np.multiply(lo, p_up, out=out)
-            np.multiply(hi, p_down, out=tmp)
-            out += tmp
-            return by_row
-    return rows, step, xs, np.where(cls == np.arange(2)[:, None], at, 0)
+    steps = tuple(class_step(v[c, 1 - (o + c) % 2 : v.shape[1] - (o + c) % 2],
+                             v[1 - c, :-1], v[1 - c, 1:], up[1 - c, :-1],
+                             down[1 - c, 1:], rows[c]) for c in (0, 1))
+    return rows, steps, xs, np.where(cls == np.arange(2)[:, None], at, 0)
 
 
 def height_law(ker, n: int) -> np.ndarray:
@@ -280,19 +282,27 @@ def _log_passage(ker, log_w, log_w0, m_max: int, cap: float):
     class step at a time in logs (``_class_sweep``), up to the step at
     which the last one's partial sum passes cap; log_w, (rows, sites), is
     -inf at the origin.  No row can overflow, underflow or leak into
-    another, and the walk returns at even steps only."""
-    _, step, log_ws, back = _class_sweep(ker, len(log_w), log_w, log=True)
+    another, and the walk returns at even steps only.  A site of weight
+    +inf (overflowed) that the walk has not reached stays at -inf, and an
+    infinite value on the origin is killed."""
+    _, steps, log_ws, back = _class_sweep(ker, len(log_w), log_w, log=True)
     at = back[0, ker.origin]
+    infinite = (log_ws == math.inf).any()
     a = np.zeros((len(log_w), m_max + 1))
     partial = np.zeros(len(log_w))
     for n in range(1, m_max + 1):
-        by_row = step(n)
+        by_row = steps[n % 2]()
         if n % 2 == 0:
             np.exp(by_row[:, at] + log_w0, out=a[:, n])
             partial += a[:, n]
             if not (partial <= cap).any():
                 break
-        by_row += log_ws[n % 2]
+        if infinite:  # -inf + inf and inf - inf, 0 mass either way
+            with np.errstate(invalid="ignore"):
+                by_row += log_ws[n % 2]
+            by_row[np.isnan(by_row)] = -math.inf
+        else:
+            by_row += log_ws[n % 2]
     return a
 
 

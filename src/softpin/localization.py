@@ -28,7 +28,6 @@ criterion for a transient-walk variant whose return law is r times ours.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +35,7 @@ import numpy as np
 
 from .lattice import first_passage, layout, recommended_truncation
 from .model import ChargeModel, PotentialSpec, WalkSpec, psi, return_law
-from .transfer import quenched_free_energy
+from .transfer import _quenched_estimates, quenched_free_energy
 
 __all__ = [
     "ExcursionWeights",
@@ -270,7 +269,12 @@ def _upper_start(charges: ChargeModel, spec: PotentialSpec,
     phi_max = spec.phi_max()
     if beta == 0.0:
         return 0.25
-    return float(charges.cumulant(beta * phi_max) / phi_max) + 0.05
+    with np.errstate(over="ignore"):
+        top = float(charges.cumulant(beta * phi_max) / phi_max) + 0.05
+    if top == math.inf:
+        raise FloatingPointError(
+            f"the charge cumulant overflows at beta = {beta!r}")
+    return top
 
 
 def _bisect(lo: float, hi: float, tol: float):
@@ -384,19 +388,27 @@ def quenched_critical_h(walk, spec, charges, beta: float, n_max: int = 4096,
     in h, so each edge is bisected to resolution tol; the band still carries
     the O(log(n_max)/n_max) downward drift of the finite-size crossing.
     Each height is evaluated once, though the second edge's search may
-    revisit heights of the first's.
+    revisit heights of the first's; the opening pair, 0 and the upper
+    start, runs as rows of one sweep.
     """
-    @functools.cache
-    def side(h: float) -> int:
+    def sign(est) -> int:
         """The mean's sign, 0 within detect standard errors of 0."""
-        est = quenched_free_energy(walk, spec, charges, beta, h, n_max=n_max,
-                                   n_samples=n_samples, seed=seed)
         margin = detect * est.sem
         return (est.f_constrained > margin) - (est.f_constrained < -margin)
 
+    top = _upper_start(charges, spec, beta)
+    signs = dict(zip((0.0, top), map(sign, _quenched_estimates(
+        walk, spec, charges, beta, [0.0, top], n_max, n_samples, seed))))
+
+    def side(h: float) -> int:
+        if h not in signs:
+            signs[h] = sign(quenched_free_energy(
+                walk, spec, charges, beta, h, n_max=n_max,
+                n_samples=n_samples, seed=seed))
+        return signs[h]
+
     if side(0.0) != 1:
         return CriticalBracket(beta=beta, lo=0.0, hi=0.0, confidence=0.0)
-    top = _upper_start(charges, spec, beta)
     for _ in range(60):
         if side(top) == -1:
             break

@@ -213,8 +213,11 @@ def psi(charges: ChargeModel, spec: PotentialSpec, beta: float, h: float, x):
         raise ValueError("beta must be >= 0")
     p = np.asarray(phi_eval(spec, x), dtype=float)
     # an overflowed weight is +inf, which its callers read as divergence
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         out = np.asarray(charges.cumulant(beta * p)) - h * p
+    if np.isnan(out).any():  # inf - inf
+        raise FloatingPointError(
+            "the charge cumulant and h phi both overflow")
     if np.ndim(x) == 0:
         return float(out)
     return out

@@ -226,10 +226,10 @@ def series_coefficient(walk: WalkSpec, charges: ChargeModel,
     ker = layout(walk, spec, tn)
     chi = np.exp(np.asarray(psi(charges, spec, point.beta, point.h,
                                 ker.heights), dtype=float)) - 1.0
-    rows, step, chis, back = _class_sweep(ker, k + 1, chi)
+    rows, steps, chis, back = _class_sweep(ker, k + 1, chi)
     rows[0, 1:] = 0.0  # only layer 0 starts at the origin
     for n in range(1, tn + 1):
-        layers = step(n)
+        layers = steps[n % 2]()
         for j in range(k, 0, -1):  # layer j - 1 is still the stepped one
             layers[j] += layers[j - 1] * chis[n % 2]
     # on all sites, in order, as a sum's bits depend on both

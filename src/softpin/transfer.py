@@ -12,9 +12,12 @@ row's powers of two in one float count, so no step rounds on values the
 size of log Z.  Disorder samples run as rows of one sweep, each with the
 bits it gets alone, their couplings made by one builder for both quenched
 entry points, and an annealed sweep is one row of unit couplings; a site
-weight that overflowed raises FloatingPointError.  A sweep steps only the
-parity class of sites its chains can be on, with the bits of the one-step
-recursion on all sites, and weighs BLOCK steps at once.
+weight that overflowed, or a coupling whose product with a site value
+would, raises FloatingPointError.  A sweep steps only the parity class of
+sites its chains can be on, with the bits of the one-step recursion on all
+sites, and weighs BLOCK steps at once: by one multiply and one exp, or,
+when its couplings repeat (+-1 charges, the annealed row), by gathering
+rows from a table that weighs each distinct coupling once per class.
 
 Free-energy estimates report the constrained value at the largest ladder
 rung (a rigorous lower bound on the limit by super-additivity) bracketed
@@ -31,6 +34,7 @@ deep in the weak-coupling window).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,23 +96,64 @@ _LOG_RESCALE_EVERY = 8
 _TINY = np.finfo(float).tiny
 
 
-def _class_weights(g, xs, n_steps: int, exp: bool):
-    """The log site weights g[:, n - 1] xs by row of steps 1 .. n_steps,
-    step n's on the rows of class n mod 2 (``lattice._class_sweep``),
-    through exp if asked: one multiply and one exp per BLOCK steps into
-    one buffer, or once if every row's couplings are constant (an
-    annealed sweep), as each block then has the first one's bits."""
-    xs = xs[[1, 0] * (BLOCK // 2), None]
-    buf = np.empty((BLOCK, len(g), xs.shape[2]))
-    constant = (g == g[:, :1]).all()
-    for n0 in range(0, n_steps, BLOCK):
+def _repeats(g):
+    """The distinct couplings of g and each coupling's index among them by
+    step, (steps, rows), if the first block's take at most half as many
+    values as it has steps (+-1 charges, or an annealed sweep's unit
+    couplings) and every coupling is one of them, bit for bit; else None.
+    Only the first block is searched, and nothing is sorted, so couplings
+    that do not repeat are told apart for little."""
+    bits = g.view(np.int64)  # -0.0 is not 0.0: its products differ in sign
+    keys = list(set(bits[:, :BLOCK].ravel().tolist()))
+    if len(keys) > min(BLOCK, g.shape[1]) // 2:
+        return None
+    at = np.full(g.shape[::-1], len(keys), dtype=np.uint8)
+    for k, key in enumerate(keys):
+        at[bits.T == key] = k
+    if (at == len(keys)).any():
+        return None
+    return np.array(keys).view(float), at
+
+
+def _class_weights(g, xs, exp: bool):
+    """weights(n0): the log site weights g[:, n - 1] xs by row of steps n =
+    n0 + 1 .. n0 + BLOCK (fewer past g's last column), step n's on the
+    rows of class n mod 2 (``lattice._class_sweep``), through exp if
+    asked, in one buffer.  Couplings that repeat (``_repeats``) are
+    weighed once per class into a table from which a block gathers its
+    rows, or, if they take one value (an annealed sweep), every block reads
+    the first one's; else each block takes one multiply and one exp.  A
+    table holds the same products and exps of the same doubles, so every
+    weight has the same bits either way."""
+    n_steps = g.shape[1]
+    buf = np.empty((BLOCK, len(g), xs.shape[-1]))
+    repeats = _repeats(g)
+    if repeats is not None:
+        values, at = repeats
+        at *= 2  # the table's row of value k on class c is 2 k + c
+        at[::2] += 1  # step n = 1, 3, ... moves onto class 1
+        table = np.multiply(values[:, None, None], xs)
+        table = table.reshape(-1, table.shape[-1])
+        if exp:
+            np.exp(table, out=table)
+
+        def weights(n0):
+            w = buf[: min(BLOCK, n_steps - n0)]
+            # mode="raise" would gather into a temporary and copy it to w
+            return np.take(table, at[n0 : n0 + len(w)], axis=0, out=w,
+                           mode="clip")
+        if len(table) == 2:  # one value: each block's rows are the first's
+            first = weights(0)
+            return lambda n0: first[: min(BLOCK, n_steps - n0)]
+        return weights
+    by_step = xs[[1, 0] * (BLOCK // 2), None]
+
+    def weights(n0):
         w = buf[: min(BLOCK, n_steps - n0)]
-        if n0 == 0 or not constant:
-            np.multiply(g[:, n0 : n0 + len(w)].T[:, :, None], xs[: len(w)],
-                        out=w)
-            if exp:
-                np.exp(w, out=w)
-        yield from w
+        np.multiply(g[:, n0 : n0 + len(w)].T[:, :, None], by_step[: len(w)],
+                    out=w)
+        return np.exp(w, out=w) if exp else w
+    return weights
 
 
 def _pow2_rescale(by_row, count) -> None:
@@ -164,7 +209,7 @@ def _sweep(ker, g, x, record_at: np.ndarray, log: bool = False):
         c = np.abs(x).max() * np.abs(g).max(initial=0.0)
         k = min(BLOCK, max(1, int(_DRIFT_BITS * _LN2 // (c + 2.0 * _LN2))))
     # record steps are even: their rows are class 0's
-    _, step, xs, (back, _) = _class_sweep(ker, len(g), x, log)
+    _, steps, xs, (back, _) = _class_sweep(ker, len(g), x, log)
     at = back[ker.origin]
     # shifts taken out so far: whole numbers, exact below 2^53, where count
     # ln 2 has the bits of an integer count's; a float can not wrap around
@@ -173,25 +218,26 @@ def _sweep(ker, g, x, record_at: np.ndarray, log: bool = False):
     rec_con = np.zeros_like(rec_free)
     lost = np.zeros(len(g), dtype=bool)
     idx = 1 if pts[0] == 0 else 0
-    weights = _class_weights(g, xs, pts[-1], not log)
-    for n, w in zip(range(1, pts[-1] + 1), weights):
-        by_row = step(n)
-        weigh(by_row, w, out=by_row)
-        if n % k and n != pts[idx]:
-            continue
-        if n == pts[idx]:  # the origin's value, before the rescale
-            lost |= by_row[:, at] < tiny
-        rescale(by_row, count)
-        if n == pts[idx]:
-            scale = count * unit
-            # on all sites, in C order, as a sum's bits depend on both
-            rec_free[:, idx] = scale + np.log(
-                to_linear(by_row.take(back, 1)).sum(1))
-            con = by_row[:, at]  # and after it
-            lost |= con < tiny
-            with np.errstate(divide="ignore"):  # 0 only in a lost row
-                rec_con[:, idx] = scale + to_log(con)
-            idx += 1
+    weights = _class_weights(g[:, : pts[-1]], xs, not log)
+    for n0 in range(0, pts[-1], BLOCK):
+        for n, w in enumerate(weights(n0), n0 + 1):
+            by_row = steps[n % 2]()
+            weigh(by_row, w, out=by_row)
+            if n % k and n != pts[idx]:
+                continue
+            if n == pts[idx]:  # the origin's value, before the rescale
+                lost |= by_row[:, at] < tiny
+            rescale(by_row, count)
+            if n == pts[idx]:
+                scale = count * unit
+                # on all sites, in C order, as a sum's bits depend on both
+                rec_free[:, idx] = scale + np.log(
+                    to_linear(by_row.take(back, 1)).sum(1))
+                con = by_row[:, at]  # and after it
+                lost |= con < tiny
+                with np.errstate(divide="ignore"):  # 0 only in a lost row
+                    rec_con[:, idx] = scale + to_log(con)
+                idx += 1
     return rec_free, rec_con, lost
 
 
@@ -201,14 +247,20 @@ def _rows(ker, g: np.ndarray, x, pts: np.ndarray):
     runs linearly or in logs by its own weights, with the bits it gets
     alone: linearly if they stay within +-LOG_WEIGHT_CAP, and again in
     logs if its origin's value is lost.  A site value of -inf forbids the
-    site; +inf, an overflowed weight, or NaN raises FloatingPointError."""
+    site; +inf, an overflowed weight, or NaN raises FloatingPointError, as
+    does a coupling whose product with a site value overflows."""
     if not np.isfinite(g).all():
         raise ValueError("couplings must be finite")
     x = np.asarray(x, dtype=float)
     if not (x < math.inf).all():
         raise FloatingPointError("non-finite site weight: overflowed or NaN")
-    in_logs = (np.abs(g).max(axis=1, initial=0.0) * np.abs(x).max()
-               > LOG_WEIGHT_CAP)
+    g_max, x_abs = np.abs(g).max(axis=1, initial=0.0), np.abs(x)
+    x_max = float(x_abs.max())  # inf at a forbidden site
+    reach = float(x_abs[x_abs < math.inf].max(initial=0.0))
+    if reach and (g_max > sys.float_info.max / reach).any():
+        raise FloatingPointError(
+            "a coupling times a site value overflows the float range")
+    in_logs = g_max > (LOG_WEIGHT_CAP / x_max if x_max else math.inf)
     free, con = np.empty((2, len(g), len(pts)))
     if not in_logs.all():
         linear = np.flatnonzero(~in_logs)
@@ -232,12 +284,13 @@ def annealed_sweep(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
     return PartitionSweep(n_values=pts, log_z_free=free, log_z_constrained=con)
 
 
-def _quenched_rows(walk, spec, beta: float, h: float, g: np.ndarray, pts,
+def _quenched_rows(walk, spec, beta: float, h, g: np.ndarray, pts,
                    folded: bool | None = None):
     """``_rows`` of the couplings beta * omega - h in front of phi, built in
-    place in g, which holds the charges omega by row and is given up."""
+    place in g, which holds the charges omega by row and is given up; h is
+    one height or a column of one per row."""
     # named here, where _rows would see them only as non-finite couplings
-    if not (math.isfinite(beta) and math.isfinite(h)):
+    if not (math.isfinite(beta) and np.isfinite(h).all()):
         raise ValueError("beta and h must be finite")
     ker = layout(walk, spec, int(pts[-1]), folded)
     # a non-finite charge or an overflow is _rows' to reject, warning-free
@@ -347,32 +400,47 @@ def quenched_free_energy(walk, spec, charges, beta, h, n_max: int,
     are reproducible for any sample count and independent of evaluation
     order.
     """
+    return _quenched_estimates(walk, spec, charges, beta, [h], n_max,
+                               n_samples, seed, n_points)[0]
+
+
+def _quenched_estimates(walk, spec, charges, beta, hs, n_max: int,
+                        n_samples: int, seed: int,
+                        n_points: int = 6) -> list[FreeEnergyEstimate]:
+    """``quenched_free_energy`` at each height of hs, on the same samples,
+    as rows of one sweep: each row has the bits it gets alone."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     ladder = _check_record_points(default_ladder(n_max, n_points))
-    omega = np.empty((n_samples, n_max))
+    omega = np.empty((len(hs), n_samples, n_max))
     for i in range(n_samples):
-        omega[i] = charges.sample(np.random.Generator(np.random.Philox(
+        omega[0, i] = charges.sample(np.random.Generator(np.random.Philox(
             np.random.SeedSequence(seed, spawn_key=(i,)))), n_max)
-    free, con = _quenched_rows(walk, spec, beta, h, omega, ladder)
-    sweeps = [
-        PartitionSweep(n_values=ladder, log_z_free=free[i],
-                       log_z_constrained=con[i])
-        for i in range(n_samples)
-    ]
-    mean_sweep = PartitionSweep(
-        n_values=ladder, log_z_free=free.mean(axis=0),
-        log_z_constrained=con.mean(axis=0),
-    )
-    f_con_samples = con[:, -1] / ladder[-1]
-    sem = (
-        float(np.std(f_con_samples, ddof=1) / math.sqrt(n_samples))
-        if n_samples > 1 else 0.0
-    )
-    return _estimate_from_ladder(
-        mean_sweep, beta, h, sem=sem, n_samples=n_samples, seed=seed,
-        sample_sweeps=sweeps,
-    )
+    omega[1:] = omega[0]
+    free, con = _quenched_rows(
+        walk, spec, beta, np.repeat(hs, n_samples)[:, None],
+        omega.reshape(-1, n_max), ladder)
+    estimates = []
+    for j, h in enumerate(hs):
+        rows = slice(j * n_samples, (j + 1) * n_samples)
+        sweeps = [
+            PartitionSweep(n_values=ladder, log_z_free=f, log_z_constrained=c)
+            for f, c in zip(free[rows], con[rows])
+        ]
+        mean_sweep = PartitionSweep(
+            n_values=ladder, log_z_free=free[rows].mean(axis=0),
+            log_z_constrained=con[rows].mean(axis=0),
+        )
+        f_con_samples = con[rows, -1] / ladder[-1]
+        sem = (
+            float(np.std(f_con_samples, ddof=1) / math.sqrt(n_samples))
+            if n_samples > 1 else 0.0
+        )
+        estimates.append(_estimate_from_ladder(
+            mean_sweep, beta, h, sem=sem, n_samples=n_samples, seed=seed,
+            sample_sweeps=sweeps,
+        ))
+    return estimates
 
 
 def compare_free_constrained(walk, spec, charges, beta, h,

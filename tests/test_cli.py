@@ -734,6 +734,24 @@ def test_strong_coupling_writes_no_non_finite_cell(tmp_path, capsys,
     assert all(math.isfinite(x) for x in numbers)
 
 
+@pytest.mark.parametrize("subcommand,potential,task", [
+    # beta^2 / 2 overflows the upper start: a warning, then exit 2
+    ("critical-curve", "pinning", {"beta_grid": [1e200]}),
+    # psi = +inf on the copolymer's arm: the sum diverges, without the
+    # two RuntimeWarnings of its -inf + inf
+    ("localize", "copolymer", {"beta": 1e200, "h": 0.0}),
+])
+def test_overflowing_weights_exit_3_with_no_file(tmp_path, capsys,
+                                                 subcommand, potential, task):
+    out = tmp_path / "out"
+    model = dict(pinning_model(), potential={"kind": potential})
+    cfg = write_cfg(tmp_path, "c.yaml", {
+        "model": model, "task": task, "output": {"dir": str(out)}})
+    assert main([subcommand, "--config", cfg]) == 3
+    assert "numerics failed" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_strong_pinning_free_energy_writes_half_the_origin_reward(tmp_path):
     # beta = 60: psi(0) = 1800, and f_annealed = psi(0)/2 + log(p2)/2
     out = tmp_path / "out"

@@ -24,8 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import softpin.localization as localization
+from softpin import transfer
 from softpin.cli import CURVE_COLUMNS
 from softpin.model import ChargeModel, PotentialSpec, WalkSpec, return_law
+from softpin.transfer import quenched_free_energy
 from softpin.localization import (
     DIVERGENCE_CAP,
     annealed_critical_curve,
@@ -83,6 +85,21 @@ class TestExcursionWeights:
         # ahead of the verdict
         cv = excursion_sum(srw, pinning, gaussian, 1e200, 0.0, m_max=64)
         assert cv.diverged and cv.verdict == "yes"
+
+    def test_overflowed_arm_weights_flag_divergence_warning_free(
+            self, gaussian):
+        # psi = +inf on the copolymer's arm x <= 0: the log recursion added
+        # it to sites the walk had not reached, -inf + inf, and warned
+        cv = excursion_sum(WalkSpec(alpha=0.5),
+                           PotentialSpec(kind="copolymer"), gaussian, 1e200,
+                           0.0, m_max=64)
+        assert cv.diverged and cv.verdict == "yes"
+
+    def test_cumulant_and_h_phi_both_overflowing_raise(self, srw, gaussian):
+        # psi = inf - inf: the subtraction warned and the value was NaN
+        amp = PotentialSpec(kind="pinning", amplitude=1e10)
+        with pytest.raises(FloatingPointError, match="both overflow"):
+            excursion_sum(srw, amp, gaussian, 1e200, 1e300, m_max=64)
 
     def test_overflowing_off_origin_weight_flags_divergence(self, gaussian):
         # psi(3) = 800: e^800 overflows, but the sum runs in logs and is
@@ -425,9 +442,48 @@ def test_quenched_band_at_zero_coupling_is_empty(spec, gaussian):
     assert (br.lo, br.hi, br.confidence) == (0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("search", [annealed_critical_h,
+                                    quenched_critical_h])
+def test_overflowing_upper_start_raises_before_any_warning(srw, pinning,
+                                                           gaussian, search):
+    # beta^2 / 2 overflowed with a warning, and psi then named beta and h
+    with pytest.raises(FloatingPointError, match="cumulant overflows"):
+        search(srw, pinning, gaussian, 1e200)
+
+
+def test_opening_pair_of_the_quenched_band_is_one_sweep(monkeypatch,
+                                                        bernoulli):
+    # 0 and the upper start run as the rows of one sweep, each with the
+    # bits it gets alone, so the band is that of one sweep per height
+    walk, spec = WalkSpec(alpha=0.6), PotentialSpec(kind="copolymer")
+    args = dict(n_max=256, n_samples=4, seed=3, detect=1.96)
+    rows, sweep = [], transfer._sweep
+
+    def counted(ker, g, *a, **kw):
+        rows.append(len(g))
+        return sweep(ker, g, *a, **kw)
+
+    monkeypatch.setattr(transfer, "_sweep", counted)
+    band = quenched_critical_h(walk, spec, bernoulli, 1.0, **args)
+    paired = rows[:]
+    rows.clear()
+    monkeypatch.setattr(
+        localization, "_quenched_estimates",
+        lambda walk, spec, charges, beta, hs, n_max, n_samples, seed: [
+            quenched_free_energy(walk, spec, charges, beta, h, n_max=n_max,
+                                 n_samples=n_samples, seed=seed)
+            for h in hs])
+    alone = quenched_critical_h(walk, spec, bernoulli, 1.0, **args)
+    assert paired[0] == 8 and set(paired[1:]) == {4}
+    assert len(paired) == len(rows) - 1 and set(rows) == {4}
+    assert 0.0 < band.lo < band.hi
+    assert band == alone
+
+
 class QuenchedStub:
     """``quenched_free_energy`` with a chosen mean profile and a fixed sem,
-    recording each height it is asked for."""
+    recording each height it is asked for; ``many`` stands in for
+    ``_quenched_estimates``, which asks for several at once."""
 
     def __init__(self, mean, sem):
         self.mean, self.sem, self.heights = mean, sem, []
@@ -436,12 +492,16 @@ class QuenchedStub:
         self.heights.append(h)
         return SimpleNamespace(f_constrained=self.mean(h), sem=self.sem)
 
+    def many(self, walk, spec, charges, beta, hs, *args):
+        return [self(walk, spec, charges, beta, h) for h in hs]
+
 
 def band_by_predicates(mean, sem, detect, top, tol):
     """Oracle: the quenched band searched with the predicates mean -
     detect sem > 0 (surely localized) and mean + detect sem < 0 (surely
     delocalized), asked afresh at each height.  Returns (lo, hi) and the
-    heights asked in each phase: the start, the first edge, the second."""
+    heights asked in each phase: the start, which asks 0 and the upper
+    start together, the first edge, the second."""
     asked = [[], [], []]
 
     def drive(search, phase, holds):
@@ -453,14 +513,12 @@ def band_by_predicates(mean, sem, detect, top, tol):
         except StopIteration as done:
             return done.value
 
-    asked[0].append(0.0)
+    asked[0] += [0.0, top]
     if not mean(0.0) - detect * sem > 0.0:
         return (0.0, 0.0), asked
-    while True:
-        asked[0].append(top)
-        if mean(top) + detect * sem < 0.0:
-            break
+    while not mean(top) + detect * sem < 0.0:
         top *= 2.0
+        asked[0].append(top)
     lo, _ = drive(localization._bisect(0.0, top, tol), 1,
                   lambda h: mean(h) - detect * sem > 0.0)
     _, hi = drive(localization._bisect(lo, top, tol), 2,
@@ -492,6 +550,8 @@ class TestQuenchedBandSearch:
             mean, sem = QUENCHED_PROFILES[name]
             stub = QuenchedStub(mean, sem)
             monkeypatch.setattr(localization, "quenched_free_energy", stub)
+            monkeypatch.setattr(localization, "_quenched_estimates",
+                                stub.many)
             br = quenched_critical_h(WalkSpec(alpha=0.6),
                                      PotentialSpec(kind="pinning"), gaussian,
                                      0.0, n_max=64, n_samples=4, tol=1e-3,
@@ -511,7 +571,7 @@ class TestQuenchedBandSearch:
     def test_mean_at_the_margin_is_not_surely_localized(self, search):
         br, heights, _, _ = search("tie at zero")
         assert (br.lo, br.hi, br.confidence) == (0.0, 0.0, 0.0)
-        assert heights == [0.0]
+        assert heights == [0.0, 0.25]  # the opening pair, asked at once
 
     def test_mean_at_minus_the_margin_is_not_surely_delocalized(self, search):
         br, heights, _, _ = search("tie at the upper start")

@@ -182,6 +182,39 @@ def test_overflowed_annealed_weight_raises_before_any_warning():
         annealed_sweep(SRW, PIN, GAUSS, 1e200, 0.0, [64])
 
 
+def test_coupling_times_site_value_overflow_raises_before_any_warning():
+    # 1e300 * phi = 1e310: the cap test's product overflowed, warned, and
+    # the sweep returned log Z = NaN
+    amp = PotentialSpec(kind="pinning", amplitude=1e10)
+    with pytest.raises(FloatingPointError, match="overflows"):
+        quenched_sweep(SRW, amp, 1e300, 0.0, np.ones(64), [64])
+
+
+def test_repeated_couplings_are_found_bit_for_bit_and_unsorted(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no sort on the sweep path")
+
+    for name in ("unique", "sort", "argsort"):
+        monkeypatch.setattr(np, name, forbidden)
+    rng = np.random.default_rng(8)
+    g = 0.5 * (rng.integers(0, 2, (4, 100)) * 2.0 - 1.0) - 0.1
+    values, at = transfer._repeats(g)
+    assert sorted(values.tolist()) == [-0.6, 0.4]
+    assert at.shape == (100, 4)
+    np.testing.assert_array_equal(values[at], g.T)
+    assert transfer._repeats(rng.standard_normal((1, 100))) is None
+    # a value first seen past the first block
+    g = np.full((2, 100), 0.5)
+    g[1, 70] = 0.25
+    assert transfer._repeats(g) is None
+    # -0.0 and 0.0 are two values
+    g = np.zeros((1, 64))
+    g[0, ::2] = -0.0
+    values, at = transfer._repeats(g)
+    assert sorted(np.signbit(values).tolist()) == [False, True]
+    assert np.signbit(values[at[:, 0]]).tolist() == [True, False] * 32
+
+
 def test_quenched_sweep_leaves_the_callers_charges_unchanged():
     # the couplings are built in place, in a copy of the charges
     omega = np.random.default_rng(3).standard_normal(64)
@@ -638,11 +671,18 @@ def test_class_sweeps_keep_the_full_lattice_bits(monkeypatch, folded, l,
     if not folded:
         specs.append(PotentialSpec(kind="copolymer"))
     rng = np.random.default_rng(100 * l + rows)
-    for spec, pts in itertools.product(specs, GUARD_RECORDS):
+    # the last ends off a multiple of BLOCK with no record point on one
+    for spec, pts in itertools.product(specs, GUARD_RECORDS + [[10, 42, 90]]):
         pts = np.array(pts)
         g = 0.8 * rng.standard_normal((rows, pts[-1])) - 0.2
-        assert_same_bits(class_rows(monkeypatch, walk, spec, g, pts, folded),
-                         full_lattice_rows(walk, spec, g, pts, folded))
+        # +-1 charges, whose couplings a table weighs once; those rows
+        # beside Gaussian ones, in one call; and one constant row
+        pm1 = 0.8 * (rng.integers(0, 2, (rows, pts[-1])) * 2.0 - 1.0) - 0.2
+        for couplings in (g, pm1, np.vstack([pm1, g]),
+                          np.full((1, pts[-1]), 0.3)):
+            assert_same_bits(
+                class_rows(monkeypatch, walk, spec, couplings, pts, folded),
+                full_lattice_rows(walk, spec, couplings, pts, folded))
         # the annealed sweep, linear and (beta = 40) in logs
         ker = layout(walk, spec, int(pts[-1]), folded)
         for beta in (0.7, 40.0):
