@@ -613,6 +613,12 @@ def _run_free_energy(config, ctx: RunContext) -> int:
     num = _present(config.get("numerics", {}), "n_points")
     ann = annealed_free_energy(
         walk, spec, charges, task["beta"], task["h"], task["n_max"], **num)
+    if "quenched" in task:  # before any file: a failure here writes none
+        que = quenched_free_energy(
+            walk, spec, charges, task["beta"], task["h"], task["n_max"],
+            n_samples=task["quenched"]["n_samples"],
+            seed=job_seed(ctx.seed, 0), **num,
+        )
     _emit(ctx, "free_energy_ladder", LADDER_COLUMNS, ladder_csv_rows(ann))
     summary = {
         "beta": task["beta"], "h": task["h"], "n_max": task["n_max"],
@@ -623,11 +629,6 @@ def _run_free_energy(config, ctx: RunContext) -> int:
     }
     code = EXIT_OK if ann.converged else EXIT_NUMERIC
     if "quenched" in task:
-        que = quenched_free_energy(
-            walk, spec, charges, task["beta"], task["h"], task["n_max"],
-            n_samples=task["quenched"]["n_samples"],
-            seed=job_seed(ctx.seed, 0), **num,
-        )
         _emit(ctx, "free_energy_quenched", QUENCHED_COLUMNS,
               ladder_csv_rows(que))
         summary.update(

@@ -23,7 +23,10 @@ state by a block.  ``height_law`` (w = 1, its last n mod 32 steps one
 below 1e200 and whose return weight is finite run this way, all rows of a
 call in one product; each row's returns inside a block, at even steps,
 come from one small matrix on the 33 class sites around the origin, read
-off the same band build.  The band product is numpy's own and
+off the same band build.  A first-passage block only saves those 33 sites
+and takes the product: once per BATCH = 8 blocks, and after the last, one
+product weighs the saved blocks' returns, one accumulate extends the
+partial sums, and the cap is checked.  The band product is numpy's own and
 single-threaded, so results do not depend on a BLAS thread count; they
 agree with the one-step recursion within 1e-12 relative, with the same
 zeros, divergence flags and stopping steps.
@@ -125,10 +128,13 @@ def layout(walk, spec, n: int, folded: bool | None = None) -> _Kernel:
 
 
 # steps per banded product of fixed site weights; every output's bits are
-# pinned to it.  One core, on the origin's class: `scaling` op 0.36/0.24/0.22
-# s at 16/32/48, and `critical-curve` op, whose many short rows each pay an
-# O(BLOCK^2 sites / 4) band build, 0.13/0.11/0.13 s
+# pinned to it.  Longer blocks cut the products of long recursions, but
+# every row pays an O(BLOCK^2 sites / 4) band build
 BLOCK = 32
+
+# blocks of ``_block_passage`` per batch of returns, partial sums and cap
+# check; blocks run past the cap change no output, so no bit depends on it
+BATCH = 8
 
 
 def _band_powers(ker, w, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -254,27 +260,44 @@ def _block_passage(ker, w, w0, m_max: int, cap: float):
     until every row's partial sum has passed cap; w, (rows, sites), is
     killed at the origin.  The bands and the returns, at even steps only,
     come from one ``_band_powers`` call of min(BLOCK, m_max) powers, less
-    one if odd: the most the overflow rule bounds.  A band is 0 past its
-    row and states are finite: rows cannot mix bits."""
+    one if odd: the most the overflow rule bounds.  A block only saves the
+    class sites around each origin and takes the banded product; once per
+    BATCH blocks, and after the last, one product weighs the saved blocks'
+    returns (none past m_max, where the bound no longer holds), one
+    accumulate extends the partial sums and the cap is checked.  Blocks run
+    after a row's sum passes cap are zeroed by ``first_passage``.  A band
+    is 0 past its row and states are finite: rows cannot mix bits."""
     r, o, n_blocks = len(w), ker.origin, -(-m_max // BLOCK)
     band, ret_rows = _band_powers(ker, w, min(BLOCK, m_max) // 2 * 2)
     n = len(band) // r  # class sites per row
     states, win = _class_states(r, n, o)
     at = win[:, o // 2 :: n, :, None]  # the class sites around each origin
-    a = np.zeros((m_max + 1, r))  # a block of every row is one slice
-    run = np.zeros((BLOCK + 1, r))  # partial sums, then a block's values
+    saved = np.empty((BATCH, r, BLOCK + 1, 1))  # those of a batch's blocks
+    a = np.zeros((n_blocks * BLOCK + 1, r))  # whole blocks; steps by row
+    ret = a[2::2].reshape(n_blocks, BLOCK // 2, r)  # even steps, by block
+    run = np.zeros((BATCH * BLOCK + 1, r))  # partial sums, then a batch's a
     for b in range(n_blocks):
-        n0, h, i = b * BLOCK, min(BLOCK, m_max - b * BLOCK), b % 2
-        np.multiply(np.matmul(ret_rows[:, : h // 2], at[i])[:, :, 0].T, w0,
-                    out=a[n0 + 2 : n0 + h + 1 : 2])
-        run[1 : h + 1] = a[n0 + 1 : n0 + h + 1]
-        np.add.accumulate(run[: h + 1], out=run[: h + 1])
-        if cap < min(run[h].tolist()):  # partial sums only grow
-            break
-        run[0] = run[h]
+        i, j = b % 2, b % BATCH
+        saved[j] = at[i]
+        if j + 1 == BATCH or b + 1 == n_blocks:
+            b0 = b - j  # the batch's first block, its steps n0 + 1 .. n1
+            n0, n1 = b0 * BLOCK, min((b + 1) * BLOCK, m_max)
+            full = (n1 - n0) // BLOCK
+            # one product for its blocks of BLOCK steps, one for a last
+            # block cut short at m_max; k returns per block
+            for c0, c1 in ((0, full), (full, j + 1)):
+                k = min(BLOCK, n1 - n0 - c0 * BLOCK) // 2
+                np.multiply(np.matmul(ret_rows[:, :k], saved[c0:c1])[..., 0]
+                            .transpose(0, 2, 1), w0,
+                            out=ret[b0 + c0 : b0 + c1, :k])
+            run[1 : n1 - n0 + 1] = a[n0 + 1 : n1 + 1]
+            np.add.accumulate(run[: n1 - n0 + 1], out=run[: n1 - n0 + 1])
+            if cap < min(run[n1 - n0].tolist()):  # partial sums only grow
+                break
+            run[0] = run[n1 - n0]
         if b + 1 < n_blocks:
             np.einsum("ij,ij->i", band, win[i], out=states[1 - i])
-    return a.T
+    return a[: m_max + 1].T
 
 
 def _log_passage(ker, log_w, log_w0, m_max: int, cap: float):

@@ -344,10 +344,11 @@ def annealed_critical_curve(walk, spec, charges, betas, bound_betas=(),
     # (beta, tol) of each search; the lower bounds come last
     jobs = [(b, tol) for b in betas] + [(b / s, tol / s) for b in bound_betas]
 
-    def localized(pending):
-        return [_estimate(ew) > 1.0 for ew in _excursion_rows(
-            walk, spec, charges, [jobs[i][0] for i, _ in pending],
-            [h for _, h in pending], m_max)]
+    def localized(pending):  # the estimate is at least the partial sum
+        rows = _excursion_rows(walk, spec, charges,
+                               [jobs[i][0] for i, _ in pending],
+                               [h for _, h in pending], m_max)
+        return [float(ew.a.sum()) > 1.0 or _estimate(ew) > 1.0 for ew in rows]
 
     found = _lockstep([_annealed_search(charges, spec, *job) for job in jobs],
                       localized)

@@ -432,10 +432,15 @@ def _quenched_estimates(walk, spec, charges, beta, hs, n_max: int,
             log_z_constrained=con[rows].mean(axis=0),
         )
         f_con_samples = con[rows, -1] / ladder[-1]
-        sem = (
-            float(np.std(f_con_samples, ddof=1) / math.sqrt(n_samples))
-            if n_samples > 1 else 0.0
-        )
+        try:  # samples' f some 1e154 apart: raise, not warn
+            with np.errstate(over="raise"):
+                sem = (
+                    float(np.std(f_con_samples, ddof=1) / math.sqrt(n_samples))
+                    if n_samples > 1 else 0.0
+                )
+        except FloatingPointError:
+            raise FloatingPointError(
+                "the quenched samples' f overflow their variance") from None
         estimates.append(_estimate_from_ladder(
             mean_sweep, beta, h, sem=sem, n_samples=n_samples, seed=seed,
             sample_sweeps=sweeps,

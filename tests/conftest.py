@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from softpin.cli import RunContext, _emit
 from softpin.model import ChargeModel, PotentialSpec, WalkSpec
@@ -24,6 +25,33 @@ def pytest_collection_modifyitems(config, items):
         if item.path.is_relative_to(TESTS):
             for rule in ("error::RuntimeWarning", "error::UserWarning:softpin"):
                 item.add_marker(pytest.mark.filterwarnings(rule))
+
+
+def log_uniform(top: float, zero: bool = True):
+    """10^u for u uniform on [-log10(top), log10(top)], or 0 unless zero
+    is False: couplings and amplitudes from vanishing to past overflow."""
+    e = math.log10(top)
+    powers = st.floats(-e, e).map(lambda u: 10.0 ** u)
+    return st.one_of(st.just(0.0), powers) if zero else powers
+
+
+def signed(magnitudes):
+    """Either sign of a magnitude drawn from ``magnitudes``."""
+    return st.tuples(st.sampled_from([1.0, -1.0]), magnitudes).map(
+        lambda t: t[0] * t[1])
+
+
+# every kind of potential, its amplitude or table values up to 1e10
+potential_specs = st.one_of(
+    st.builds(PotentialSpec, kind=st.sampled_from(["pinning", "copolymer"]),
+              amplitude=log_uniform(1e10, zero=False)),
+    st.builds(PotentialSpec, kind=st.just("power_tail"),
+              amplitude=log_uniform(1e10, zero=False),
+              theta=st.floats(0.1, 6.0)),
+    st.builds(PotentialSpec, kind=st.just("table"), table=st.dictionaries(
+        st.integers(-4, 4), log_uniform(1e10), min_size=1,
+    ).filter(lambda t: any(v > 0 for v in t.values()))),
+)
 
 
 @pytest.fixture

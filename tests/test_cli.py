@@ -22,6 +22,8 @@ from softpin.continuum import (
     continuum_free_energy_mc,
 )
 
+from conftest import log_uniform, signed
+
 CS1, CS2 = 0.513531, 0.395852  # frozen height-sum constants, alpha=0.6 theta=3
 
 
@@ -752,6 +754,27 @@ def test_overflowing_weights_exit_3_with_no_file(tmp_path, capsys,
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("subcommand,task", [
+    ("free-energy", {"beta": 1e200, "h": 0.0, "n_max": 16,
+                     "quenched": {"n_samples": 2}}),
+    ("critical-curve", {"beta_grid": [1e200],
+                        "quenched": {"n_samples": 2, "n_max": 16}}),
+])
+def test_overflowing_quenched_sem_exits_3_with_no_file(tmp_path, capsys,
+                                                       subcommand, task):
+    # +-1 charges at beta = 1e200: the samples' f lie some 1e199 apart, and
+    # their variance overflowed with a RuntimeWarning, ahead of exit 3 and
+    # two files, or of a band written from sem = inf
+    out = tmp_path / "out"
+    model = dict(pinning_model(alpha=0.6), charges={"law": "bernoulli_pm1"})
+    cfg = write_cfg(tmp_path, "c.yaml", {
+        "model": model, "task": task, "numerics": {"m_max": 16},
+        "output": {"dir": str(out)}})
+    assert main([subcommand, "--config", cfg]) == 3
+    assert "numerics failed" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_strong_pinning_free_energy_writes_half_the_origin_reward(tmp_path):
     # beta = 60: psi(0) = 1800, and f_annealed = psi(0)/2 + log(p2)/2
     out = tmp_path / "out"
@@ -792,11 +815,15 @@ def test_strong_copolymer_quenched_ladder_is_written_finite(tmp_path):
 
 _POTENTIALS = st.one_of(
     st.fixed_dictionaries(
-        {"kind": st.sampled_from(["pinning", "copolymer"])}),
+        {"kind": st.sampled_from(["pinning", "copolymer"]),
+         "amplitude": log_uniform(1e10, zero=False)}),
     st.fixed_dictionaries(
-        {"kind": st.just("power_tail"), "theta": st.floats(0.1, 6.0)}),
+        {"kind": st.just("power_tail"), "theta": st.floats(0.1, 6.0),
+         "amplitude": log_uniform(1e10, zero=False)}),
+    # a table of zeros is a config error of the model, not of the schema
     st.fixed_dictionaries({"kind": st.just("table"), "table": st.dictionaries(
-        st.integers(-4, 4), st.floats(0.0, 2.0), min_size=1, max_size=4)}),
+        st.integers(-4, 4), log_uniform(1e10), min_size=1, max_size=4,
+    ).filter(lambda t: any(v > 0 for v in t.values()))}),
 )
 
 
@@ -805,14 +832,16 @@ _POTENTIALS = st.one_of(
                                    "critical-curve"]),
        alpha=st.floats(0.05, 0.95), potential=_POTENTIALS,
        law=st.sampled_from(["gaussian", "bernoulli_pm1"]),
-       beta=st.floats(0.0, 1e3), h=st.floats(-5.0, 5.0),
-       m_max=st.sampled_from([16, 64]), n_max=st.sampled_from([16, 32]),
+       beta=log_uniform(1e300), h=signed(log_uniform(1e300)),
+       m_max=st.sampled_from([16, 64, 300]), n_max=st.sampled_from([16, 32]),
        quenched=st.booleans(),
-       beta_grid=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=3),
+       beta_grid=st.lists(log_uniform(1e300), min_size=1, max_size=3),
        lower_bound=st.booleans())
 def test_exit_code_is_0_2_or_3_and_written_numbers_are_finite(
         subcommand, alpha, potential, law, beta, h, m_max, n_max, quenched,
         beta_grid, lower_bound):
+    # a config that passes the validator exits 0 or 3, never 2, and warns
+    # of nothing but the return law's missing mass at small m_max
     task = {"beta": beta, "h": h}
     if subcommand == "free-energy":
         task["n_max"] = n_max
@@ -826,11 +855,13 @@ def test_exit_code_is_0_2_or_3_and_written_numbers_are_finite(
         "task": task,
         "numerics": {"m_max": m_max},
     }
-    with tempfile.TemporaryDirectory() as out, np.errstate(all="ignore"), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # return-law mass at small m_max
+    cli._validate(config, subcommand)
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.filterwarnings("ignore", "first-return mass short",
+                                UserWarning)
         code = run(subcommand, config, out=out)
-        assert code in (0, 2, 3)
+        assert code in (0, 3)
         if code != 0:
             return
         cells = [cell for path in Path(out).glob("*.csv")

@@ -324,19 +324,24 @@ def one_row_block_loop(ker, log_w, log_w0, m_max, cap):
 
 @pytest.mark.parametrize("lattice", ["folded", "signed"])
 @pytest.mark.parametrize("m_max,l", [(5, None), (32, None), (33, None),
-                                     (100, None), (100, 5)])
+                                     (100, None), (100, 5), (600, None),
+                                     (1000, None)])
 def test_block_rows_in_one_product_keep_their_one_row_bits(lattice, m_max,
                                                            l):
     # one growing row, its return weight set so that its partial sum passes
     # the cap at step 2, 32, 34, 66 or 98 (in the first to the fourth
-    # block, or at a block's end), next to a decaying row that never does,
-    # a row with w0 = 0 and a row in logs; l = 5 is narrower than the band
+    # block, or at a block's end), or, past the first batch of 8 blocks,
+    # at step 300, 500 or 512 (inside the second batch, and in its last
+    # block), 770 or 1000 (in the first and the last block of the fourth),
+    # next to a decaying row that never does, a row with w0 = 0 and a row
+    # in logs; l = 5 is narrower than the band
     spec = SPECS[lattice]
     ker = layout(replace(WALK, l_max=l), spec, m_max)
     grow = 0.05 * phi_eval(spec, ker.heights)
     partial = np.cumsum(one_row_block_loop(ker, grow, 0.0, m_max,
                                            math.inf)[0])
-    crossings = [n for n in (2, 32, 34, 66, 98) if n <= m_max]
+    crossings = [n for n in (2, 32, 34, 66, 98, 300, 500, 512, 770, 1000)
+                 if n <= m_max]
     log_w0 = [math.log(DIVERGENCE_CAP / partial[n]) + 1e-6
               for n in crossings] + [0.0, -math.inf, 0.0]
     log_w = np.array([grow] * len(crossings) + [
@@ -356,6 +361,25 @@ def test_block_rows_in_one_product_keep_their_one_row_bits(lattice, m_max,
             want = one_row_block_loop(ker, log_w[i], log_w0[i], m_max,
                                       DIVERGENCE_CAP)
             assert np.array_equal(one[0], want[0]) and one[1:] == want[1:]
+
+
+@pytest.mark.parametrize("lattice", ["folded", "signed"])
+@pytest.mark.parametrize("m_max", [33, 40, 63])
+def test_no_return_past_m_max_is_computed(lattice, m_max):
+    # site weights just under the block bound max(w)^m_max <= 1e200: the
+    # returns of the last block's steps past m_max could overflow, and
+    # times w0 = 0 be NaN, so none is computed; the row of w0 = 0 has a = 0
+    # and no warning, the row of w0 = 1 the one-row block loop's bits
+    ker = layout(WALK, SPECS[lattice], m_max)
+    log_w = np.full((2, len(ker.heights)),
+                    math.log(1e200) / m_max * (1.0 - 1e-9))
+    assert in_logs(ker, log_w, m_max) == [False, False]
+    a, diverged, m_stop = first_passage(ker, log_w, [-math.inf, 0.0], m_max,
+                                        DIVERGENCE_CAP)
+    assert not a[0].any() and not diverged[0] and m_stop[0] == m_max
+    want = one_row_block_loop(ker, log_w[1], 0.0, m_max, DIVERGENCE_CAP)
+    assert np.array_equal(a[1], want[0])
+    assert (diverged[1], m_stop[1]) == want[1:]
 
 
 def test_return_weight_multiplies_each_return_once():

@@ -22,7 +22,8 @@ from softpin.transfer import (
     renewal_root,
 )
 
-from conftest import arrays_left_in_cycles, log_step, tiled
+from conftest import (arrays_left_in_cycles, log_step, log_uniform,
+                      potential_specs, signed, tiled)
 
 GAUSS = ChargeModel("gaussian")
 BERN = ChargeModel("bernoulli_pm1")
@@ -188,6 +189,34 @@ def test_coupling_times_site_value_overflow_raises_before_any_warning():
     amp = PotentialSpec(kind="pinning", amplitude=1e10)
     with pytest.raises(FloatingPointError, match="overflows"):
         quenched_sweep(SRW, amp, 1e300, 0.0, np.ones(64), [64])
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(0.05, 0.95), spec=potential_specs,
+       law=st.sampled_from(["gaussian", "bernoulli_pm1"]),
+       beta=log_uniform(1e300), h=signed(log_uniform(1e300)),
+       n=st.sampled_from([16, 64, 300]), seed=st.integers(0, 2**32 - 1))
+def test_sweep_numbers_are_finite_or_flagged(alpha, spec, law, beta, h, n,
+                                             seed):
+    # every log Z finite, or FloatingPointError, with no RuntimeWarning
+    walk, charges = WalkSpec(alpha=alpha), ChargeModel(law)
+    omega = charges.sample(np.random.default_rng(seed), n)
+    for sweep in (lambda: annealed_sweep(walk, spec, charges, beta, h, [n]),
+                  lambda: quenched_sweep(walk, spec, beta, h, omega, [n])):
+        try:
+            sw = sweep()
+        except FloatingPointError:
+            continue
+        assert np.all(np.isfinite(sw.log_z_free))
+        assert np.all(np.isfinite(sw.log_z_constrained))
+
+
+def test_overflowing_quenched_sem_raises_before_any_warning():
+    # the two samples' f lie some 1e199 apart: np.std warned of an overflow
+    # in its square and returned sem = inf
+    with pytest.raises(FloatingPointError, match="overflow their variance"):
+        quenched_free_energy(WalkSpec(alpha=0.6), PIN, BERN, 1e200, 0.0,
+                             n_max=16, n_samples=2, seed=0)
 
 
 def test_repeated_couplings_are_found_bit_for_bit_and_unsorted(monkeypatch):
