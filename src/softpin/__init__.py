@@ -10,12 +10,15 @@ profile that may extend over many heights.  Modules:
 - ``transfer``     free/constrained partition functions and free-energy
                    ladders, annealed and quenched
 - ``localization`` excursion-sum localization criterion, annealed critical
-                   curves, rescaled lower bounds, start-point invariance
-- ``continuum``    Bessel-process densities, Dirichlet-type simplex integrals,
+                   curves and rescaled lower bounds, quenched bands
+- ``continuum``    Bessel-process densities, simplex weight integrals,
                    continuum free energies (closed form and Monte Carlo)
 - ``scaling``      weak-coupling schedules, polynomial-chaos style series
                    coefficients, discrete-to-continuum comparisons
 - ``cli``          batch front end over the above
+
+The independent references the tests check these against live in
+``tests/oracles.py``.
 """
 
 __version__ = "0.1.0"

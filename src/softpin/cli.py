@@ -52,10 +52,11 @@ and need no model block.
 
 The blocks are checked against the schemas below by ``_check``, which
 reads the nine JSON Schema keywords they use, with draft 2020-12's
-meaning: ``type`` (1.0 is an integer; a bool is neither a number nor an
-integer), ``enum``, ``minimum``, ``exclusiveMinimum``, ``properties``,
-``required``, ``additionalProperties``, ``items`` and ``minItems``.  A
-message names the first offending place, as in ``config.task.beta``.
+meaning: ``type`` (1.0 is an integer, handed on as 1; a bool is neither a
+number nor an integer), ``enum``, ``minimum``, ``exclusiveMinimum``,
+``properties``, ``required``, ``additionalProperties``, ``items`` and
+``minItems``.  A message names the first offending place, as in
+``config.task.beta``.
 
 Importing this module loads numpy and PyYAML, but no scipy and no schema
 library: ``scaling``, ``continuum`` and ``bessel-check`` import the
@@ -73,8 +74,9 @@ jobs are numbered in task order (grid position first).  ``--threads`` is
 accepted and ignored: jobs run one after another in the calling thread,
 because the per-step loops hold the interpreter lock and a thread pool only
 slowed runs down.  CSV files open with comment lines carrying the SHA-256
-of the numeric config blocks (seed, model, task, numerics) and the toolkit
-version; JSON files carry the same fields in a leading ``_meta`` object.
+of the numeric config blocks as written (seed, model, task, numerics) and
+the toolkit version; JSON files carry the same fields in a leading
+``_meta`` object.
 
 Exit codes: 0 success; 2 invalid config (a non-finite number, a
 non-integer table height or a non-number table value among them),
@@ -380,14 +382,17 @@ _IS_TYPE = {
 }
 
 
-def _check(schema: dict, value, path: str) -> None:
-    """Raise ConfigError at the first place value breaks schema, read as
-    draft 2020-12 reads the nine keywords of the module docstring."""
+def _check(schema: dict, value, path: str):
+    """value with its integer nodes as int (1.0 as 1), or ConfigError at
+    the first place it breaks schema, read as draft 2020-12 reads the nine
+    keywords of the module docstring."""
     types = schema.get("type", ())
     types = [types] if isinstance(types, str) else types
     if types and not any(_IS_TYPE[t](value) for t in types):
         raise ConfigError(f"{path}: {value!r} is not of type "
                           + " or ".join(map(repr, types)))
+    if "integer" in types and isinstance(value, float):
+        value = int(value)
     if "enum" in schema and value not in schema["enum"]:
         raise ConfigError(f"{path}: {value!r} is not one of {schema['enum']}")
     if _is_number(value):
@@ -404,30 +409,36 @@ def _check(schema: dict, value, path: str) -> None:
                 raise ConfigError(f"{path}: {key!r} is a required property")
         props = schema.get("properties", {})
         extra = schema.get("additionalProperties", True)
+        checked = {}
         for key, item in value.items():
             if key in props:
-                _check(props[key], item, _at(path, key))
+                item = _check(props[key], item, _at(path, key))
             elif extra is False:
                 raise ConfigError(f"{path}: unknown key {key!r}")
             elif extra is not True:
-                _check(extra, item, _at(path, key))
+                item = _check(extra, item, _at(path, key))
+            checked[key] = item
+        return checked
     if isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
             raise ConfigError(f"{path}: needs at least {schema['minItems']} "
                               "items")
-        for i, item in enumerate(value):
-            _check(schema.get("items", {}), item, _at(path, i))
+        return [_check(schema.get("items", {}), item, _at(path, i))
+                for i, item in enumerate(value)]
+    return value
 
 
-def _validate(config: dict, subcommand: str) -> None:
+def _validate(config: dict, subcommand: str) -> dict:
+    """config checked, with its integer nodes as int for the handlers."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a mapping")
     for path in _nonfinite(config):
         raise ConfigError(f"config{path}: not a finite number")
-    _check(_BASE, config, "config")
+    checked = _check(_BASE, config, "config")
     if subcommand not in MODEL_FREE and "model" not in config:
         raise ConfigError(f"config: {subcommand} needs a model block")
-    _check(_TASKS[subcommand], config["task"], "config.task")
+    checked["task"] = _check(_TASKS[subcommand], config["task"], "config.task")
+    return checked
 
 
 # ----------------------------------------------------------- config plumbing
@@ -894,9 +905,9 @@ def run(subcommand: str, config: dict, *, seed: int | None = None,
     ``threads`` is accepted for compatibility and ignored.
     """
     try:
-        _validate(config, subcommand)
+        checked = _validate(config, subcommand)
         output = config.get("output", {})
-        eff_seed = seed if seed is not None else config.get("seed", 0)
+        eff_seed = seed if seed is not None else checked.get("seed", 0)
         if not 0 <= eff_seed < 2 ** 64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         out_dir = out if out is not None else output.get("dir", ".")
@@ -909,7 +920,9 @@ def run(subcommand: str, config: dict, *, seed: int | None = None,
         ctx = RunContext(
             seed=eff_seed, out_dir=out_dir, fmt=eff_fmt, prefix=prefix,
             meta={
-                "config_sha256": config_digest(config, eff_seed),
+                # over the config as written, where seed may be 1.0
+                "config_sha256": config_digest(
+                    config, seed if seed is not None else config.get("seed", 0)),
                 "version": __version__,
                 "subcommand": subcommand,
             },
@@ -922,7 +935,7 @@ def run(subcommand: str, config: dict, *, seed: int | None = None,
             os.remove(probe)
         except OSError as exc:
             raise ConfigError(f"output directory not writable: {exc}") from None
-        return _HANDLERS[subcommand](config, ctx)
+        return _HANDLERS[subcommand](checked, ctx)
     except ConfigError as exc:
         print(f"softpin: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,9 +9,9 @@ the origin its marginal density has the closed form
 and away from the origin it involves the modified Bessel function I of
 (negative, fractional) order -alpha — modified, not ordinary: only the
 all-positive-terms kernel is a probability density (at alpha = 1/2 it
-reduces to the cosh of the reflected-Brownian kernel).  I_{-alpha} comes
-from scipy.special: ``iv`` for the function, and the exponentially scaled
-``ive`` for its logarithm, which stays finite where I itself overflows.
+reduces to the cosh of the reflected-Brownian kernel).  Its logarithm
+comes from scipy.special's exponentially scaled ``ive``, which stays finite
+where I itself overflows.
 
 The weak-coupling limits of the lattice free energy are expressed through
 three functionals of this process:
@@ -49,21 +49,17 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
-from scipy.special import gammainc, gammaln, iv, ive, logsumexp
+from scipy.special import gammainc, gammaln, ive, logsumexp
 
 __all__ = [
-    "REGIMES",
     "ContinuumParams",
     "ContinuumPhasePoint",
     "classify_regime",
     "scaling_exponents",
-    "bessel_i",
     "log_bessel_i",
     "bessel_density",
-    "hat_g",
     "sharp_constant",
     "local_time_mean",
-    "dirichlet_ik",
     "simplex_weight_integral",
     "CoefficientCandidates",
     "coefficient_candidates",
@@ -75,9 +71,6 @@ __all__ = [
     "McEstimate",
     "continuum_free_energy_mc",
 ]
-
-REGIMES = ("long_range", "intermediate", "short_range")
-
 
 def classify_regime(alpha: float, theta: float) -> str:
     """Tail regime of the potential relative to the walk exponent.
@@ -160,20 +153,6 @@ def log_bessel_i(alpha: float, z: float) -> float:
     return math.log(ive(-alpha, z)) + z
 
 
-def bessel_i(alpha: float, z: float) -> float:
-    """Modified Bessel function I_{-alpha}(z) for 0 < alpha < 1, z > 0.
-
-    This is the function entering the reflected-diffusion kernel: its
-    series has all-positive terms (no cancellation) and shares the
-    z -> 0 asymptote (2/z)^alpha / Gamma(1-alpha) with the ordinary
-    Bessel function; at alpha = 1/2 it reduces to sqrt(2/(pi z)) cosh z,
-    which is what the reflected-Brownian kernel requires.  Evaluated by
-    scipy's ``iv``; overflows for z above ~700 — use log_bessel_i there.
-    """
-    _check_bessel_args(alpha, z)
-    return float(iv(-alpha, z))
-
-
 # ------------------------------------------------------------- densities
 
 def bessel_density(alpha: float, t: float, x: float, y: float) -> float:
@@ -208,18 +187,9 @@ def bessel_density(alpha: float, t: float, x: float, y: float) -> float:
     return math.exp(log_val)
 
 
-def hat_g(alpha: float, t: float, x: float) -> float:
-    """Sharp small-target kernel t^(alpha-1) e^(-x^2/2t)."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
-    return t ** (alpha - 1.0) * math.exp(-x * x / (2.0 * t))
-
-
 def sharp_constant(alpha: float) -> float:
-    """Normalizer relating small-ball probabilities to hat_g:
-    Gamma(2 - alpha) / 2^(alpha - 1)."""
+    """Normalizer relating small-ball probabilities to the sharp kernel
+    t^(alpha-1) e^(-x^2/2t): Gamma(2 - alpha) / 2^(alpha - 1)."""
     return math.gamma(2.0 - alpha) / 2.0 ** (alpha - 1.0)
 
 
@@ -230,18 +200,7 @@ def local_time_mean(alpha: float, T: float) -> float:
     return T**alpha / alpha
 
 
-# ------------------------------------------------- Dirichlet simplex sums
-
-def dirichlet_ik(theta_param: float, k: int) -> float:
-    """Ordered-simplex integral of prod (s_l - s_{l-1})^(-theta) over
-    0 < s_1 < ... < s_k < 1: Gamma(1-theta)^k / Gamma(k(1-theta) + 1)."""
-    if not 0.0 < theta_param < 1.0:
-        raise ValueError("theta_param must lie in (0, 1)")
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    g = 1.0 - theta_param
-    return math.exp(k * gammaln(g) - gammaln(k * g + 1.0))
-
+# ------------------------------------------------ simplex weight integrals
 
 def _simplex_level(alpha: float, T: float, t_prev: np.ndarray, depth: int,
                    nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:

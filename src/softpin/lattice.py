@@ -100,19 +100,16 @@ class SignedKernel(_Kernel):
     """Kernel on {-L..L}; index i is height i - L."""
 
 
-def layout(walk, spec, n: int, folded: bool | None = None) -> _Kernel:
+def layout(walk, spec, n: int) -> _Kernel:
     """Kernel of an n-step recursion of walk under spec, truncated at the
     walk's height L = ``walk.resolve_l(n)``.
 
     The folded lattice serves symmetric potentials, and spec=None (no
-    potential), unless ``folded`` is False; the signed one serves the rest.
+    potential); the signed one serves the rest.
     """
-    symmetric = spec is None or spec.symmetric
-    use_folded = symmetric if folded is None else folded
-    if use_folded and not symmetric:
-        raise ValueError("folded recursion needs a symmetric potential")
+    folded = spec is None or spec.symmetric
     l = walk.resolve_l(n)
-    x = np.arange(0 if use_folded else -l, l + 1)
+    x = np.arange(0 if folded else -l, l + 1)
     d = walk.drift(x)
     p_up = 0.5 * (1.0 + d)
     p_down = 0.5 * (1.0 - d)
@@ -122,7 +119,7 @@ def layout(walk, spec, n: int, folded: bool | None = None) -> _Kernel:
     p_up[-1] = 0.0
     p_up[0] += p_down[0]
     p_down[0] = 0.0
-    if use_folded:
+    if folded:
         return FoldedKernel(l, p_up, p_down, x, 0)
     return SignedKernel(l, p_up, p_down, x, l)
 

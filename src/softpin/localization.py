@@ -46,10 +46,7 @@ __all__ = [
     "transient_criterion",
     "annealed_critical_curve",
     "annealed_critical_h",
-    "rescaled_lower_bound",
     "quenched_critical_h",
-    "criterion_start_invariance",
-    "StartInvarianceResult",
 ]
 
 DIVERGENCE_CAP = 1e12
@@ -367,14 +364,6 @@ def annealed_critical_h(walk, spec, charges, beta: float, tol: float = 1e-3,
                                    m_max=m_max)[0][0]
 
 
-def rescaled_lower_bound(walk, spec, charges, beta: float, tol: float = 1e-3,
-                         m_max: int = 4096) -> CriticalBracket:
-    """Rescaled annealed curve bounding the quenched critical height from
-    below: (1+alpha) * h_c^ann(beta/(1+alpha))."""
-    return annealed_critical_curve(walk, spec, charges, [], [beta], tol=tol,
-                                   m_max=m_max)[1][0]
-
-
 def quenched_critical_h(walk, spec, charges, beta: float, n_max: int = 4096,
                         n_samples: int = 200, seed: int = 0,
                         tol: float = 5e-3,
@@ -424,45 +413,3 @@ def quenched_critical_h(walk, spec, charges, beta: float, n_max: int = 4096,
     conf = math.erf(detect / math.sqrt(2.0))
     return CriticalBracket(beta=beta, lo=band_lo, hi=band_hi, confidence=conf)
 
-
-# ------------------------------------------------------- start invariance
-
-@dataclass(frozen=True)
-class StartInvarianceResult:
-    values: np.ndarray      # A_x per start state (inf when diverged)
-    above: np.ndarray       # A_x > 1 per state
-    consistent: bool        # same side of 1 from every start
-
-
-def criterion_start_invariance(transition: np.ndarray, psi_values: np.ndarray,
-                               m_max: int = 4096) -> StartInvarianceResult:
-    """First-return criterion evaluated from every state of a finite chain.
-
-    For an irreducible finite chain the predicate A_x > 1 does not depend
-    on the start state x (the excursion sums are linked through a Möbius
-    relation), even though the values A_x differ.
-    """
-    p = np.asarray(transition, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError("transition must be square")
-    if np.any(p < 0) or not np.allclose(p.sum(axis=1), 1.0, atol=1e-10):
-        raise ValueError("transition rows must be probability vectors")
-    w = np.exp(np.asarray(psi_values, dtype=float))
-    if len(w) != p.shape[0]:
-        raise ValueError("psi_values length mismatch")
-    # each start state is a row; a row is inf once its partial sum passes
-    # the cap or overflows (first_passage's rule), and may overflow past it
-    v, diag = p * w, np.diag_indices(len(w))  # one step out of each state
-    values = np.zeros(len(w))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(m_max):
-            values += v[diag]
-            v[diag] = 0.0
-            if not (values <= DIVERGENCE_CAP).any():
-                break
-            v = (v @ p) * w
-    values[~(values <= DIVERGENCE_CAP)] = math.inf
-    above = values > 1.0
-    return StartInvarianceResult(
-        values=values, above=above, consistent=bool(above.all() or not above.any())
-    )

@@ -46,12 +46,10 @@ __all__ = [
     "PartitionSweep",
     "FreeEnergyEstimate",
     "RenewalRoot",
-    "annealed_partition",
     "annealed_sweep",
     "quenched_sweep",
     "annealed_free_energy",
     "quenched_free_energy",
-    "compare_free_constrained",
     "renewal_root",
     "default_ladder",
 ]
@@ -274,25 +272,23 @@ def _rows(ker, g: np.ndarray, x, pts: np.ndarray):
 
 
 def annealed_sweep(walk: WalkSpec, spec: PotentialSpec, charges: ChargeModel,
-                   beta: float, h: float, record_at,
-                   folded: bool | None = None) -> PartitionSweep:
+                   beta: float, h: float, record_at) -> PartitionSweep:
     pts = _check_record_points(record_at)
-    ker = layout(walk, spec, int(pts[-1]), folded)
+    ker = layout(walk, spec, int(pts[-1]))
     # one row of unit couplings: 1.0 x has the bits of x
     (free,), (con,) = _rows(ker, np.ones((1, pts[-1])),
                             psi(charges, spec, beta, h, ker.heights), pts)
     return PartitionSweep(n_values=pts, log_z_free=free, log_z_constrained=con)
 
 
-def _quenched_rows(walk, spec, beta: float, h, g: np.ndarray, pts,
-                   folded: bool | None = None):
+def _quenched_rows(walk, spec, beta: float, h, g: np.ndarray, pts):
     """``_rows`` of the couplings beta * omega - h in front of phi, built in
     place in g, which holds the charges omega by row and is given up; h is
     one height or a column of one per row."""
     # named here, where _rows would see them only as non-finite couplings
     if not (math.isfinite(beta) and np.isfinite(h).all()):
         raise ValueError("beta and h must be finite")
-    ker = layout(walk, spec, int(pts[-1]), folded)
+    ker = layout(walk, spec, int(pts[-1]))
     # a non-finite charge or an overflow is _rows' to reject, warning-free
     with np.errstate(over="ignore", invalid="ignore"):
         g *= beta
@@ -301,8 +297,7 @@ def _quenched_rows(walk, spec, beta: float, h, g: np.ndarray, pts,
 
 
 def quenched_sweep(walk: WalkSpec, spec: PotentialSpec, beta: float, h: float,
-                   omega: np.ndarray, record_at,
-                   folded: bool | None = None) -> PartitionSweep:
+                   omega: np.ndarray, record_at) -> PartitionSweep:
     """log partition functions along record_at of one chain whose step n
     weighs site x by (beta omega[n - 1] - h) phi(x); omega is not changed."""
     pts = _check_record_points(record_at)
@@ -310,15 +305,8 @@ def quenched_sweep(walk: WalkSpec, spec: PotentialSpec, beta: float, h: float,
     if len(omega) < pts[-1]:
         raise ValueError("need one charge per step")
     (free,), (con,) = _quenched_rows(walk, spec, beta, h, omega[None].copy(),
-                                     pts, folded)
+                                     pts)
     return PartitionSweep(n_values=pts, log_z_free=free, log_z_constrained=con)
-
-
-def annealed_partition(walk, spec, charges, beta, h, n: int,
-                       folded: bool | None = None):
-    """(log Z_free, log Z_constrained) after n steps, n even."""
-    sw = annealed_sweep(walk, spec, charges, beta, h, [n], folded=folded)
-    return float(sw.log_z_free[0]), float(sw.log_z_constrained[0])
 
 
 # ------------------------------------------------------------ free energies
@@ -446,18 +434,6 @@ def _quenched_estimates(walk, spec, charges, beta, hs, n_max: int,
             sample_sweeps=sweeps,
         ))
     return estimates
-
-
-def compare_free_constrained(walk, spec, charges, beta, h,
-                             ladder) -> np.ndarray:
-    """Rows (N, (log Z_free - log Z_constrained)/N) along the ladder.
-
-    The per-step boundary-condition discrepancy; nonnegative, and decaying
-    like O(log N / N) whenever the two conditions share a free energy.
-    """
-    sweep = annealed_sweep(walk, spec, charges, beta, h, ladder)
-    diff = (sweep.log_z_free - sweep.log_z_constrained) / sweep.n_values
-    return np.column_stack([sweep.n_values.astype(float), diff])
 
 
 # ------------------------------------------------------------- renewal root

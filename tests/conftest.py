@@ -1,6 +1,5 @@
 import gc
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -89,48 +88,6 @@ def emit(tmp_path):
         path = _emit(ctx, "rows", columns, rows)
         return Path(path).read_text(encoding="utf-8").splitlines()
     return write
-
-
-def tiled(ker, r: int):
-    """``ker`` on r rows laid end to end on one flat lattice, for oracles
-    that step every site of many rows at once.  No mass crosses between
-    rows, as p_up is 0 on each row's top site and p_down on its bottom
-    one."""
-    return replace(ker, p_up=np.tile(ker.p_up, r),
-                   p_down=np.tile(ker.p_down, r))
-
-
-def log_step(ker, v, out):
-    """``ker.step`` of the flat state v held in logs, one logaddexp per
-    site, into ``out``, which must not share memory with v."""
-    with np.errstate(divide="ignore"):  # -inf where p is 0: rows never mix
-        log_up, log_down = np.log(ker.p_up[:-1]), np.log(ker.p_down[1:])
-    np.add(v[:-1], log_up, out=out[1:])
-    out[0] = -math.inf
-    np.logaddexp(out[:-1], v[1:] + log_down, out=out[:-1])
-    return out
-
-
-def enumerate_srw_first_return(n: int) -> float:
-    """Oracle: P(first return to 0 at step n) for the simple random walk,
-    by exhaustive enumeration of all 2^n sign paths."""
-    count = 0
-    for bits in range(2 ** n):
-        s = 0
-        hit = None
-        for i in range(n):
-            s += 1 if (bits >> i) & 1 else -1
-            if s == 0:
-                hit = i + 1
-                break
-        if hit == n:
-            count += 1
-    return count / 2.0 ** n
-
-
-def random_walks(rng: np.random.Generator, n: int):
-    for _ in range(n):
-        yield WalkSpec(alpha=float(rng.uniform(0.05, 0.95)))
 
 
 def arrays_left_in_cycles(call) -> list[np.ndarray]:

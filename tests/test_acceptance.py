@@ -21,15 +21,12 @@ from softpin.continuum import (
     ContinuumPhasePoint,
     bessel_density,
     coefficient_candidates,
-    dirichlet_ik,
     ztilde_growth_rate,
 )
 from softpin.lattice import layout
 from softpin.localization import (
     annealed_critical_h,
-    criterion_start_invariance,
     excursion_sum,
-    rescaled_lower_bound,
     quenched_critical_h,
 )
 from softpin.model import (
@@ -42,10 +39,12 @@ from softpin.model import (
 from softpin.scaling import ScalingSchedule, scaled_free_energy
 from softpin.transfer import (
     annealed_free_energy,
-    annealed_partition,
-    compare_free_constrained,
     quenched_free_energy,
 )
+
+from oracles import (annealed_partition, compare_free_constrained,
+                     criterion_start_invariance, dirichlet_ik,
+                     rescaled_lower_bound)
 
 GAUSS = ChargeModel("gaussian")
 SRW = WalkSpec(alpha=0.5)

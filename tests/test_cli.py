@@ -7,7 +7,6 @@ import tempfile
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -836,24 +835,28 @@ _POTENTIALS = st.one_of(
        m_max=st.sampled_from([16, 64, 300]), n_max=st.sampled_from([16, 32]),
        quenched=st.booleans(),
        beta_grid=st.lists(log_uniform(1e300), min_size=1, max_size=3),
-       lower_bound=st.booleans())
+       lower_bound=st.booleans(), whole=st.sampled_from([int, float]))
 def test_exit_code_is_0_2_or_3_and_written_numbers_are_finite(
         subcommand, alpha, potential, law, beta, h, m_max, n_max, quenched,
-        beta_grid, lower_bound):
+        beta_grid, lower_bound, whole):
     # a config that passes the validator exits 0 or 3, never 2, and warns
-    # of nothing but the return law's missing mass at small m_max
+    # of nothing but the return law's missing mass at small m_max; its
+    # integer fields are ints or whole floats
     task = {"beta": beta, "h": h}
     if subcommand == "free-energy":
-        task["n_max"] = n_max
+        task["n_max"] = whole(n_max)
         if quenched:
-            task["quenched"] = {"n_samples": 2}
+            task["quenched"] = {"n_samples": whole(2)}
     if subcommand == "critical-curve":
         task = {"beta_grid": beta_grid, "lower_bound": lower_bound}
+        if quenched:
+            task["quenched"] = {"n_samples": whole(2), "n_max": whole(n_max)}
     config = {
+        "seed": whole(1),
         "model": {"walk": {"alpha": alpha}, "potential": potential,
                   "charges": {"law": law}},
         "task": task,
-        "numerics": {"m_max": m_max},
+        "numerics": {"m_max": whole(m_max)},
     }
     cli._validate(config, subcommand)
     with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
@@ -874,6 +877,53 @@ def test_exit_code_is_0_2_or_3_and_written_numbers_are_finite(
         except ValueError:  # verdicts, booleans, empty cells
             pass
     assert all(math.isfinite(x) for x in numbers)
+
+
+def as_ints(config):
+    """config with each whole float an int."""
+    if isinstance(config, dict):
+        return {k: as_ints(v) for k, v in config.items()}
+    if isinstance(config, list):
+        return [as_ints(v) for v in config]
+    return int(config) if isinstance(config, float) and config.is_integer() \
+        else config
+
+
+@pytest.mark.parametrize("subcommand,config", [
+    ("free-energy", {"seed": 1.0, "model": pinning_model(), "task": {
+        "beta": 0.5, "h": 0.2, "n_max": 64, "quenched": {"n_samples": 2}}}),
+    ("continuum", {"seed": 1.0, "task": {
+        "alpha": 0.3, "theta": 0.25, "beta_hat": 0.7, "h_hat": 0.2,
+        "mc": {"T": 0.5, "n_paths": 30, "dt": 0.001, "n_bootstrap": 16}}}),
+    ("free-energy", {"model": pinning_model(), "task": {
+        "beta": 0.5, "h": 0.2, "n_max": 64, "quenched": {"n_samples": 2.0}}}),
+    ("localize", {"model": pinning_model(), "task": {"beta": 0.5, "h": 0.1},
+                  "numerics": {"m_max": 256.0}}),
+    ("bessel-check", {"task": {"alpha": 0.5, "n": 16.0}}),
+    ("critical-curve", {"model": pinning_model(), "task": {
+        "beta_grid": [0.5], "quenched": {"n_samples": 2.0, "n_max": 16.0}},
+        "numerics": {"m_max": 256}}),
+    ("free-energy", {"model": pinning_model(), "task": {
+        "beta": 0.5, "h": 0.2, "n_max": 16.0}}),
+    ("free-energy", {"model": {"walk": {"alpha": 0.6, "l_max": 64.0},
+                               "potential": {"kind": "pinning"}},
+                     "task": {"beta": 0.5, "h": 0.2, "n_max": 64}}),
+    ("scaling", {"model": {"walk": {"alpha": 0.6}, "potential": {
+        "kind": "power_tail", "theta": 2.5}}, "task": {
+        "alpha": 0.6, "theta": 2.5, "beta_hat": 1.5, "h_hat": 0.1,
+        "n_ladder": [64.0], "cstar_phi": 0.5, "cstar_phi2": 0.4}}),
+], ids=["seed-quenched", "seed-mc", "n_samples", "m_max", "n",
+        "critical-quenched", "n_max", "l_max", "n_ladder"])
+def test_whole_float_integers_run_as_ints(tmp_path, subcommand, config):
+    # 1.0 is an integer to the schema: a whole float in an integer field
+    # runs, and writes the data rows of the int config
+    written = {}
+    for name, cfg in (("float", config), ("int", as_ints(config))):
+        out = tmp_path / name
+        assert run(subcommand, cfg, out=str(out)) == 0
+        written[name] = {p.name: p.read_text(encoding="utf-8").splitlines()[3:]
+                         for p in out.iterdir()}
+    assert written["float"] == written["int"]
 
 
 def test_flagged_monte_carlo_exits_3(tmp_path, capsys):

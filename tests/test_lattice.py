@@ -1,7 +1,7 @@
 """Tests for the killed first-passage recursion.
 
 Oracles: the same recursion one row at a time, two per-step loops and
-the block loop of one row written out here, and dense matrix powers.  Rows
+the block loop of one row (all in oracles.py), and dense matrix powers.  Rows
 that cannot overflow take block steps, all of a call's rows in one banded
 product per 32 steps: each has the bits of the one-row block loop, and
 their excursion weights agree with a plain linear loop within 1e-12
@@ -12,7 +12,6 @@ recursion.
 
 import itertools
 import math
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -25,78 +24,14 @@ from softpin.lattice import first_passage, layout
 from softpin.localization import DIVERGENCE_CAP
 from softpin.model import ChargeModel, PotentialSpec, WalkSpec, phi_eval, psi
 
-from conftest import log_step, tiled
+from oracles import (one_row_block_loop, reference_first_passage,
+                     reference_log_passage, tiled_log_passage)
 
 WALK = WalkSpec(alpha=0.6)
 SPECS = {
     "folded": PotentialSpec(kind="power_tail", theta=3.0),
     "signed": PotentialSpec(kind="copolymer"),
 }
-
-
-def crossed(partial, cap):
-    """The one stopping rule: the partial sum passes cap or overflows."""
-    return not partial <= min(cap, sys.float_info.max)
-
-
-def reference_first_passage(ker, log_w, log_w0, m_max, cap):
-    """One walk in linear weights, one step at a time."""
-    origin = ker.origin
-    w = np.exp(np.where(np.arange(len(log_w)) == origin, -math.inf, log_w))
-    try:
-        w0 = math.exp(log_w0)
-    except OverflowError:
-        w0 = math.inf
-    a = np.zeros(m_max + 1)
-    v = np.zeros(len(w))
-    v[origin] = 1.0
-    partial = 0.0
-    for n in range(1, m_max + 1):
-        v = ker.step(v)
-        if v[origin]:
-            a[n] = v[origin] * w0
-        v[origin] = 0.0
-        v = v * w
-        partial += a[n]
-        if crossed(partial, cap):
-            return a, True, n
-    return a, False, m_max
-
-
-def log_add(x, y):
-    """log(e^x + e^y)."""
-    if x < y:
-        x, y = y, x
-    return x if y == -math.inf else x + math.log1p(math.exp(y - x))
-
-
-def reference_log_passage(ker, log_w, log_w0, m_max, cap):
-    """One walk in logs, one site at a time: exact at any weights."""
-    sites, origin = len(log_w), ker.origin
-    ninf = -math.inf
-    log_up = [math.log(p) if p > 0.0 else ninf for p in ker.p_up]
-    log_down = [math.log(p) if p > 0.0 else ninf for p in ker.p_down]
-    a = np.zeros(m_max + 1)
-    v = [ninf] * sites
-    v[origin] = 0.0
-    partial = 0.0
-    for n in range(1, m_max + 1):
-        nxt = [ninf] * sites
-        for i in range(sites):
-            if i > 0:
-                nxt[i] = v[i - 1] + log_up[i - 1]
-            if i + 1 < sites:
-                nxt[i] = log_add(nxt[i], v[i + 1] + log_down[i + 1])
-        try:
-            a[n] = math.exp(nxt[origin] + log_w0)
-        except OverflowError:
-            a[n] = math.inf
-        nxt[origin] = ninf
-        v = [x + y for x, y in zip(nxt, log_w)]
-        partial += a[n]
-        if crossed(partial, cap):
-            return a, True, n
-    return a, False, m_max
 
 
 def assert_matches(got, want):
@@ -294,33 +229,6 @@ def test_each_row_takes_its_own_path_for_m_max_steps(monkeypatch):
 
 
 # ------------------------------------------------ block rows in one product
-
-def one_row_block_loop(ker, log_w, log_w0, m_max, cap):
-    """One row by the block recursion written out for it alone, its state
-    on the origin's class (the sites o, o +- 2, ..): per block, the returns
-    at even steps R @ v on the 33 class sites around the origin times
-    math.exp(log_w0), then, if another block follows, v -> M^32 v by one
-    einsum on the padded class state."""
-    k, o = softpin.lattice.BLOCK, ker.origin
-    w = np.exp(np.where(np.arange(len(log_w)) == o, -math.inf, log_w))
-    band, ret_rows = softpin.lattice._band_powers(ker, w[None],
-                                                  min(k, m_max) // 2 * 2)
-    v = np.zeros(len(band) + k)
-    v[k // 2 + o // 2] = 1.0
-    a = np.zeros(m_max + 1)
-    for n0 in range(0, m_max, k):
-        h = min(k, m_max - n0)
-        a[n0 + 2 : n0 + h + 1 : 2] = (ret_rows[0, : h // 2]
-                                      @ v[o // 2 : o // 2 + k + 1]
-                                      * math.exp(log_w0))
-        if n0 + k < m_max:
-            v = np.pad(np.einsum("ij,ij->i", band, np.lib.stride_tricks
-                                 .sliding_window_view(v, k + 1)), k // 2)
-    past = ~(np.cumsum(a) <= min(cap, sys.float_info.max))
-    m_stop = int(past.argmax()) if past.any() else m_max
-    a[m_stop + 1 :] = 0.0
-    return a, bool(past.any()), m_stop
-
 
 @pytest.mark.parametrize("lattice", ["folded", "signed"])
 @pytest.mark.parametrize("m_max,l", [(5, None), (32, None), (33, None),
@@ -595,28 +503,6 @@ def test_strong_coupling_rows_match_a_per_site_log_recursion(
 
 
 # ------------------------------------------ the log rows on every site
-
-def tiled_log_passage(ker, log_w, log_w0, m_max, cap):
-    """Oracle of ``lattice._log_passage``, bit for bit: one ``log_step`` at
-    a time on every site of ``ker`` tiled over the rows, a return read at
-    every step, the other class's -inf included."""
-    r, sites = log_w.shape
-    at = slice(ker.origin, None, sites)
-    ker, log_w = tiled(ker, r), log_w.ravel()
-    v, nxt = np.full(r * sites, -math.inf), np.empty(r * sites)
-    v[at] = 0.0
-    a = np.zeros((r, m_max + 1))
-    partial = np.zeros(r)
-    for n in range(1, m_max + 1):
-        log_step(ker, v, nxt)
-        np.exp(nxt[at] + log_w0, out=a[:, n])
-        nxt += log_w
-        v, nxt = nxt, v
-        partial += a[:, n]
-        if not (partial <= cap).any():
-            break
-    return a
-
 
 @pytest.mark.parametrize("rows", [1, 3, 7])
 @pytest.mark.parametrize("l", [1, 2, 3, 8, 9, 40, 41])

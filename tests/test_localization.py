@@ -32,15 +32,15 @@ from softpin.localization import (
     DIVERGENCE_CAP,
     annealed_critical_curve,
     annealed_critical_h,
-    criterion_start_invariance,
     excursion_sum,
     excursion_weights,
     quenched_critical_h,
-    rescaled_lower_bound,
     transient_criterion,
 )
 
 from conftest import log_uniform, potential_specs, signed
+from oracles import (criterion_start_invariance, enumerate_first_return_sum,
+                     rescaled_lower_bound)
 
 LOG_COSH_1 = 0.4337808304830271
 
@@ -621,21 +621,6 @@ CHAIN_P = np.array([
     [0.4, 0.4, 0.2],
 ])
 CHAIN_PSI = np.array([0.3, -0.2, 0.1])
-
-
-def enumerate_first_return_sum(p, psi_values, start, m_max):
-    """Exhaustive path sum of the weighted first-return series."""
-    n = p.shape[0]
-    w = np.exp(psi_values)
-    total = 0.0
-    for m in range(1, m_max + 1):
-        for interior in itertools.product(range(n), repeat=m - 1):
-            if any(s == start for s in interior):
-                continue
-            path = (start,) + interior + (start,)
-            prob = math.prod(p[a, b] for a, b in zip(path[:-1], path[1:]))
-            total += prob * math.prod(w[s] for s in path[1:])
-    return total
 
 
 class TestStartInvariance:

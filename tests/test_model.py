@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from softpin.lattice import height_law, layout
 from softpin.localization import excursion_sum
 from softpin.model import (
     ChargeModel,
-    CWeights,
     DivergentSumError,
     PhasePoint,
     PotentialSpec,
@@ -22,7 +21,7 @@ from softpin.model import (
 )
 from softpin.transfer import annealed_free_energy
 
-from conftest import enumerate_srw_first_return
+from oracles import layout_as, path_sum
 
 
 # ------------------------------------------------------------------ kernels
@@ -33,7 +32,8 @@ LATTICES = pytest.mark.parametrize("folded", [True, False],
 
 
 def kernel(alpha: float, l: int, folded: bool):
-    return layout(WalkSpec(alpha=alpha, l_max=l), None, 0, folded=folded)
+    return layout_as(WalkSpec(alpha=alpha, l_max=l), None, 0,
+                     signed=not folded)
 
 
 @LATTICES
@@ -216,7 +216,9 @@ def test_return_law_srw_small_n_exact(srw):
     # enumeration oracle for the first few first-return probabilities
     k = return_law(srw, 10)
     for n in range(2, 11):
-        assert k[n] == pytest.approx(enumerate_srw_first_return(n), abs=1e-12)
+        first = path_sum(srw, n, lambda path: 0 not in path[:-1]
+                         and path[-1] == 0)
+        assert k[n] == pytest.approx(first, abs=1e-12)
     assert k[2] == pytest.approx(0.5, abs=1e-15)
     assert k[4] == pytest.approx(0.125, abs=1e-15)
     assert all(k[n] == 0.0 for n in range(1, 11, 2))

@@ -1,5 +1,6 @@
-"""Package-wide checks: exported names resolve, the names the benchmark
-tracer wraps resolve, only the CLI writes files or defines output columns,
+"""Package-wide checks: exported names resolve and are reached from the
+package, the README or the benchmark tracer, the names the tracer wraps
+resolve, only the CLI writes files or defines output columns,
 the walk alone carries the truncation height, ``lattice.layout`` alone
 builds kernels, and only the handlers that need scipy load it."""
 
@@ -9,6 +10,7 @@ import importlib.util
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import textwrap
@@ -49,6 +51,53 @@ def test_every_traced_name_resolves():
         if not callable(owner):
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def _loads_by_definition() -> dict:
+    """(module, top-level name) -> the names its code loads, read off the
+    AST of each package module: a Name or attribute read, or a name
+    imported from a module.  Statements that define no name are keyed by
+    (module, None)."""
+    loads = {}
+    for path in Path(softpin.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = getattr(top, "targets", [])
+            owner = getattr(top, "name", None) or (
+                targets[0].id if len(targets) == 1
+                and isinstance(targets[0], ast.Name) else None)
+            names = loads.setdefault((path.stem, owner), set())
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+                elif isinstance(getattr(node, "ctx", None), ast.Load):
+                    names.add(getattr(node, "id", getattr(node, "attr", "")))
+    return loads
+
+
+def test_every_exported_name_is_reached():
+    # an exported name is loaded by package code other than its own
+    # definition and the definitions found unreached, named in README.md,
+    # or wrapped by the benchmark tracer; what only tests use lives in
+    # tests/oracles.py
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    traced = {(module.rpartition(".")[2], attr.split(".")[0])
+              for module, attr, *_ in _load_tracer().TRACED}
+    loads = _loads_by_definition()
+    unreached = set()
+    candidates = {
+        (name.rpartition(".")[2], n) for name in MODULES
+        for n in getattr(importlib.import_module(name), "__all__", ())
+        if not re.search(rf"\b{n}\b", readme)
+    } - traced
+    while True:
+        found = {(module, n) for module, n in candidates - unreached
+                 if not any(n in names for key, names in loads.items()
+                            if key != (module, n) and key not in unreached)}
+        if not found:
+            break
+        unreached |= found
+    assert sorted(unreached) == []
 
 
 def _write_calls(source: str) -> list[int]:

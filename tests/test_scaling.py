@@ -27,9 +27,9 @@ from softpin.scaling import (
     scaling_exponents,
     series_coefficient,
 )
-from softpin.transfer import annealed_free_energy, annealed_partition
+from softpin.transfer import annealed_free_energy
 
-from conftest import tiled
+from oracles import annealed_partition, enumerate_series, tiled_series
 
 GAUSS = ChargeModel("gaussian")
 BERN = ChargeModel("bernoulli_pm1")
@@ -114,32 +114,6 @@ def test_incompatible_model_rejected():
 
 # --------------------------------------------------------- series coefficients
 
-def enumerate_series(walk, spec, charges, beta, h, tn, k_max):
-    """Oracle: expansion coefficients by exhaustive enumeration of sign paths.
-
-    Returns (coeff, z_free) where coeff[j] = E[e_j(chi(S_1), ..., chi(S_tn))]
-    with e_j the j-th elementary symmetric polynomial -- the sum over j
-    chosen time points -- and z_free = E[prod_n (1 + chi(S_n))].
-    """
-    coeff = np.zeros(k_max + 1)
-    z_free = 0.0
-    for steps in itertools.product((1, -1), repeat=tn):
-        s = 0
-        prob = 1.0
-        esym = np.zeros(k_max + 1)
-        esym[0] = 1.0
-        prod = 1.0
-        for d in steps:
-            prob *= 0.5 * (1.0 + d * float(walk.drift(s)))
-            s += d
-            c = math.expm1(float(psi(charges, spec, beta, h, s)))
-            esym[1:] = esym[1:] + c * esym[:-1]
-            prod *= 1.0 + c
-        coeff += prob * esym
-        z_free += prob * prod
-    return coeff, z_free
-
-
 @pytest.mark.parametrize("spec,charges,beta,h", [
     (PotentialSpec(kind="pinning"), GAUSS, 0.7, 0.3),
     (PT3, GAUSS, 0.8, 0.2),
@@ -187,26 +161,6 @@ def test_series_k1_matches_marginal_expectation():
         expect += float(np.dot(chi, v))
     got = series_coefficient(WALK6, GAUSS, PT3, point, tn, k=1)
     assert got == pytest.approx(expect, rel=1e-12)
-
-
-def tiled_series(walk, charges, spec, point, tn, k):
-    """Oracle of ``series_coefficient``, bit for bit: its k + 1 layers one
-    ``step`` at a time on every site of the kernel tiled over them, the
-    other class's zeros included."""
-    ker = layout(walk, spec, tn)
-    chi = np.exp(np.asarray(psi(charges, spec, point.beta, point.h,
-                                ker.heights), dtype=float)) - 1.0
-    layers = np.zeros((k + 1, len(chi)))
-    layers[0, ker.origin] = 1.0
-    stepped = np.zeros_like(layers)
-    ker, flat, flat_stepped = tiled(ker, k + 1), layers.ravel(), stepped.ravel()
-    for _ in range(tn):
-        ker.step(flat, flat_stepped)
-        for j in range(k, 0, -1):
-            np.multiply(stepped[j - 1], chi, out=layers[j])
-            layers[j] += stepped[j]
-        layers[0] = stepped[0]
-    return float(layers[k].sum())
 
 
 @pytest.mark.parametrize("l", [None, 1, 2, 3, 9])

@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import itertools
 import math
 from dataclasses import replace
@@ -13,17 +15,17 @@ from softpin.lattice import layout
 from softpin.model import ChargeModel, PotentialSpec, WalkSpec, phi_eval, psi, return_law
 from softpin.transfer import (
     annealed_free_energy,
-    annealed_partition,
     annealed_sweep,
-    compare_free_constrained,
     default_ladder,
     quenched_free_energy,
     quenched_sweep,
     renewal_root,
 )
 
-from conftest import (arrays_left_in_cycles, log_step, log_uniform,
-                      potential_specs, signed, tiled)
+from conftest import arrays_left_in_cycles, log_uniform, potential_specs, signed
+from oracles import (annealed_partition, compare_free_constrained,
+                     full_lattice_log_sweep, full_lattice_sweep, layout_as,
+                     log_space_sweep, path_sum, tiled)
 
 GAUSS = ChargeModel("gaussian")
 BERN = ChargeModel("bernoulli_pm1")
@@ -35,60 +37,34 @@ SRW = WalkSpec(alpha=0.5)
 F_PINNED_SRW = -0.5 * math.log(1.0 - (1.0 - math.exp(-0.5)) ** 2)
 
 
-def enumerate_partition(walk, spec, n, site_log_weight):
-    """Oracle: sum over all 2^n sign paths of prob * exp(sum of site weights).
-
-    Only valid while the paths cannot hit the truncation boundary mid-path.
-    Returns (Z_free, Z_constrained).
-    """
-    z_free = 0.0
-    z_con = 0.0
-    for steps in itertools.product((1, -1), repeat=n):
-        s = 0
-        prob = 1.0
-        w = 0.0
-        for d in steps:
-            prob *= 0.5 * (1.0 + d * float(walk.drift(s)))
-            s += d
-            w += site_log_weight(s)
-        z_free += prob * math.exp(w)
-        if s == 0:
-            z_con += prob * math.exp(w)
-    return z_free, z_con
+def free_and_pinned(log_weight):
+    """f of ``path_sum`` for (Z_free, Z_constrained): a path weighs
+    e^log_weight(path), and is pinned if it ends at 0."""
+    return lambda path: math.exp(log_weight(path)) * np.array([1.0,
+                                                               path[-1] == 0])
 
 
-def log_space_sweep(ker, log_weights, record_at):
-    """Oracle: the forward recursion of one chain from the origin in logs,
-    a logaddexp of the two neighbour moves of ``ker`` per step, then the
-    step's log site weights log_weights(n).  Exact at any coupling, as no
-    term leaves float range.  Returns (log_z_free, log_z_constrained)."""
-    with np.errstate(divide="ignore"):  # -inf where a move is impossible
-        log_up, log_down = np.log(ker.p_up), np.log(ker.p_down)
-    lv = np.full(len(ker.heights), -np.inf)
-    lv[ker.origin] = 0.0
-    free, con = [], []
-    for n in range(1, max(record_at) + 1):
-        from_below = np.concatenate(([-np.inf], lv[:-1] + log_up[:-1]))
-        from_above = np.concatenate((lv[1:] + log_down[1:], [-np.inf]))
-        lv = np.logaddexp(from_below, from_above) + log_weights(n)
-        if n in record_at:
-            top = lv.max()
-            free.append(top + math.log(np.exp(lv - top).sum()))
-            con.append(lv[ker.origin])
-    return np.array(free), np.array(con)
+@contextlib.contextmanager
+def laid_out(folded):
+    """The sweeps of ``softpin.transfer`` within it run on the lattice
+    they lay out, or, unless folded, on the signed one."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "layout",
+                   functools.partial(layout_as, signed=not folded))
+        yield
 
 
-def quenched_oracle(walk, spec, beta, h, omega, record_at, folded=None):
-    ker = layout(walk, spec, max(record_at), folded)
+def quenched_oracle(walk, spec, beta, h, omega, record_at, signed=False):
+    ker = layout_as(walk, spec, max(record_at), signed)
     phi = np.asarray(phi_eval(spec, ker.heights), dtype=float)
     return log_space_sweep(
         ker, lambda n: (beta * omega[n - 1] - h) * phi, record_at)
 
 
-def quenched_rows(walk, spec, g, pts, folded=None):
+def quenched_rows(walk, spec, g, pts, signed=False):
     """``transfer._rows`` of the couplings g in front of phi: the rows of
     ``quenched_sweep`` and ``quenched_free_energy``."""
-    ker = layout(walk, spec, int(pts[-1]), folded)
+    ker = layout_as(walk, spec, int(pts[-1]), signed)
     return transfer._rows(ker, g, phi_eval(spec, ker.heights), pts)
 
 
@@ -264,9 +240,8 @@ def test_non_finite_coupling_rows_rejected(bad):
 def test_annealed_n4_matches_enumeration(charges):
     beta, h = 0.8, 0.3
     for walk in (SRW, WalkSpec(alpha=0.7)):
-        zf, zc = enumerate_partition(
-            walk, PIN, 4, lambda x: psi(charges, PIN, beta, h, x)
-        )
+        zf, zc = path_sum(walk, 4, free_and_pinned(lambda path: sum(
+            psi(charges, PIN, beta, h, x) for x in path)))
         lf, lc = annealed_partition(replace(walk, l_max=8), PIN, charges, beta,
                                     h, 4)
         assert lf == pytest.approx(math.log(zf), abs=1e-12)
@@ -277,17 +252,8 @@ def test_quenched_n4_matches_enumeration():
     # pinned potential, charges +1,-1,+1,-1, beta=1, h=0
     omega = np.array([1.0, -1.0, 1.0, -1.0])
     beta, h = 1.0, 0.0
-    z_free = 0.0
-    z_con = 0.0
-    for steps in itertools.product((1, -1), repeat=4):
-        s = 0
-        w = 0.0
-        for n, d in enumerate(steps, start=1):
-            s += d
-            w += (beta * omega[n - 1] - h) * phi_eval(PIN, s)
-        z_free += 0.5 ** 4 * math.exp(w)
-        if s == 0:
-            z_con += 0.5 ** 4 * math.exp(w)
+    z_free, z_con = path_sum(SRW, 4, free_and_pinned(lambda path: sum(
+        (beta * omega[n] - h) * phi_eval(PIN, s) for n, s in enumerate(path))))
     sw = quenched_sweep(replace(SRW, l_max=4), PIN, beta, h, omega, [4])
     assert sw.log_z_free[0] == pytest.approx(math.log(z_free), abs=1e-12)
     assert sw.log_z_constrained[0] == pytest.approx(math.log(z_con), abs=1e-12)
@@ -297,16 +263,8 @@ def test_quenched_power_tail_matches_enumeration():
     pw = PotentialSpec(kind="power_tail", theta=2.0)
     omega = np.array([0.3, -1.2, 0.7, 0.1, -0.4, 0.9])
     walk = WalkSpec(alpha=0.65)
-    z_free, z_con = 0.0, 0.0
-    for steps in itertools.product((1, -1), repeat=6):
-        s, prob, w = 0, 1.0, 0.0
-        for n, d in enumerate(steps, start=1):
-            prob *= 0.5 * (1.0 + d * float(walk.drift(s)))
-            s += d
-            w += (0.9 * omega[n - 1] - 0.2) * phi_eval(pw, s)
-        z_free += prob * math.exp(w)
-        if s == 0:
-            z_con += prob * math.exp(w)
+    z_free, z_con = path_sum(walk, 6, free_and_pinned(lambda path: sum(
+        (0.9 * omega[n] - 0.2) * phi_eval(pw, s) for n, s in enumerate(path))))
     sw = quenched_sweep(replace(walk, l_max=8), pw, 0.9, 0.2, omega, [6])
     assert sw.log_z_free[0] == pytest.approx(math.log(z_free), abs=1e-12)
     assert sw.log_z_constrained[0] == pytest.approx(math.log(z_con), abs=1e-12)
@@ -324,19 +282,11 @@ def test_quenched_beta_zero_equals_annealed():
 def test_folded_and_signed_layouts_agree():
     pw = PotentialSpec(kind="power_tail", theta=2.5)
     for b, h in [(0.0, 0.0), (0.7, 0.2), (1.2, -0.1)]:
-        f = annealed_partition(WalkSpec(alpha=0.4), pw, GAUSS, b, h, 128, folded=True)
-        s = annealed_partition(WalkSpec(alpha=0.4), pw, GAUSS, b, h, 128, folded=False)
+        f = annealed_partition(WalkSpec(alpha=0.4), pw, GAUSS, b, h, 128)
+        with laid_out(folded=False):
+            s = annealed_partition(WalkSpec(alpha=0.4), pw, GAUSS, b, h, 128)
         assert f[0] == pytest.approx(s[0], abs=1e-11)
         assert f[1] == pytest.approx(s[1], abs=1e-11)
-
-
-def test_folded_layout_rejected_for_asymmetric_potential():
-    cop = PotentialSpec(kind="copolymer")
-    with pytest.raises(ValueError):
-        annealed_partition(SRW, cop, GAUSS, 0.5, 0.2, 16, folded=True)
-    # auto layout handles it
-    lf, _ = annealed_partition(SRW, cop, GAUSS, 0.5, 0.2, 16)
-    assert math.isfinite(lf)
 
 
 def test_truncation_doubling_leaves_log_z_unchanged():
@@ -566,81 +516,10 @@ def test_rows_on_both_paths_match_one_row_calls(spec):
 
 # ------------------------------------- the sweeps stepped on every site
 
-def full_lattice_sweep(ker, step_weights, record_at):
-    """Oracle of ``transfer._sweep``, bit for bit: the same recursion one
-    ``step`` at a time on every site of the kernel ``ker`` tiled over the
-    rows (conftest's ``tiled``), the other class's zeros included, with
-    step_weights(n) the flat site weights of step n, each row scaled by
-    2^-e after every step, e the binary exponent of its maximum.  Returns
-    (log_z_free, log_z_constrained, lost)."""
-    pts = record_at.tolist()
-    sites, origin = len(ker.heights), ker.origin
-    r = len(ker.p_up) // sites
-    v, nxt = np.zeros(r * sites), np.empty(r * sites)
-    v[origin::sites] = 1.0
-    count = np.zeros(r, dtype=np.int64)
-    rec_free = np.zeros((r, len(pts)))
-    rec_con = np.zeros_like(rec_free)
-    lost = np.zeros(r, dtype=bool)
-    idx = 1 if pts[0] == 0 else 0
-    for n in range(1, pts[-1] + 1):
-        ker.step(v, nxt)
-        nxt *= step_weights(n)
-        if n == pts[idx]:
-            lost |= nxt[origin::sites] < transfer._TINY
-        by_row = nxt.reshape(r, sites)
-        e = np.frexp(by_row.max(axis=1))[1]
-        np.ldexp(by_row, -e[:, None], out=by_row)
-        count += e
-        v, nxt = nxt, v
-        if n == pts[idx]:
-            log_scale = count * math.log(2.0)
-            rec_free[:, idx] = log_scale + np.log(by_row.sum(axis=-1))
-            con = v[origin::sites]
-            lost |= con < transfer._TINY
-            with np.errstate(divide="ignore"):
-                rec_con[:, idx] = log_scale + np.log(con)
-            idx += 1
-    return rec_free, rec_con, lost
-
-
-def full_lattice_log_sweep(ker, step_log_weights, record_at):
-    """Oracle of ``transfer._sweep`` in logs, bit for bit: one ``log_step``
-    at a time on every site of the kernel ``ker`` tiled over the rows,
-    each row shifted by the floor of its maximum every
-    _LOG_RESCALE_EVERY steps and at record steps, the floors counted in
-    one integer."""
-    pts = record_at.tolist()
-    sites, origin = len(ker.heights), ker.origin
-    r = len(ker.p_up) // sites
-    v, nxt = np.full(r * sites, -math.inf), np.empty(r * sites)
-    v[origin::sites] = 0.0
-    count = np.zeros(r, dtype=np.int64)
-    rec_free = np.zeros((r, len(pts)))
-    rec_con = np.zeros_like(rec_free)
-    idx = 1 if pts[0] == 0 else 0
-    for n in range(1, pts[-1] + 1):
-        log_step(ker, v, nxt)
-        nxt += step_log_weights(n)
-        v, nxt = nxt, v
-        if n % transfer._LOG_RESCALE_EVERY and n != pts[idx]:
-            continue
-        by_row = v.reshape(r, sites)
-        e = np.floor(by_row.max(axis=1)).astype(np.int64)
-        by_row -= e[:, None]
-        count += e
-        if n == pts[idx]:
-            # each row's maximum now lies in [0, 1): no exp overflows
-            rec_free[:, idx] = count + np.log(np.exp(by_row).sum(axis=1))
-            rec_con[:, idx] = count + v[origin::sites]
-            idx += 1
-    return rec_free, rec_con
-
-
-def full_lattice_rows(walk, spec, g, pts, folded):
-    """Oracle of ``quenched_rows`` on the oracles above: (log_z_free,
+def full_lattice_rows(walk, spec, g, pts, signed):
+    """Oracle of ``quenched_rows`` on the full-lattice sweeps: (log_z_free,
     log_z_constrained, lost), lost being that of the linear sweep's rows."""
-    ker = layout(walk, spec, int(pts[-1]), folded)
+    ker = layout_as(walk, spec, int(pts[-1]), signed)
     phi = np.asarray(phi_eval(spec, ker.heights), dtype=float)
 
     def run(rows, sweep, linear):
@@ -663,7 +542,7 @@ def full_lattice_rows(walk, spec, g, pts, folded):
     return free, con, lost
 
 
-def class_rows(monkeypatch, walk, spec, g, pts, folded):
+def class_rows(monkeypatch, walk, spec, g, pts, signed):
     """``quenched_rows`` and the lost flags of its linear sweep, if any."""
     seen, sweep = [np.zeros(0, dtype=bool)], transfer._sweep
 
@@ -674,7 +553,7 @@ def class_rows(monkeypatch, walk, spec, g, pts, folded):
         return out
 
     monkeypatch.setattr(transfer, "_sweep", spy)
-    free, con = quenched_rows(walk, spec, g, pts, folded)
+    free, con = quenched_rows(walk, spec, g, pts, signed)
     monkeypatch.undo()
     return free, con, seen[-1]
 
@@ -710,12 +589,14 @@ def test_class_sweeps_keep_the_full_lattice_bits(monkeypatch, folded, l,
         for couplings in (g, pm1, np.vstack([pm1, g]),
                           np.full((1, pts[-1]), 0.3)):
             assert_same_bits(
-                class_rows(monkeypatch, walk, spec, couplings, pts, folded),
-                full_lattice_rows(walk, spec, couplings, pts, folded))
+                class_rows(monkeypatch, walk, spec, couplings, pts,
+                           not folded),
+                full_lattice_rows(walk, spec, couplings, pts, not folded))
         # the annealed sweep, linear and (beta = 40) in logs
-        ker = layout(walk, spec, int(pts[-1]), folded)
+        ker = layout_as(walk, spec, int(pts[-1]), not folded)
         for beta in (0.7, 40.0):
-            sw = annealed_sweep(walk, spec, GAUSS, beta, 0.1, pts, folded)
+            with laid_out(folded):
+                sw = annealed_sweep(walk, spec, GAUSS, beta, 0.1, pts)
             log_w = np.asarray(psi(GAUSS, spec, beta, 0.1, ker.heights),
                                dtype=float)
             if beta < 1:
@@ -742,17 +623,17 @@ def test_class_sweeps_lose_and_rerun_the_rows_the_full_lattice_does(
         pts = np.array(pts)
         g = np.array([b * rng.standard_normal(pts[-1]) - h
                       for b, h in couplings])
-        got = class_rows(monkeypatch, walk, pw, g, pts, folded)
-        want = full_lattice_rows(walk, pw, g, pts, folded)
+        got = class_rows(monkeypatch, walk, pw, g, pts, not folded)
+        want = full_lattice_rows(walk, pw, g, pts, not folded)
         assert want[2].tolist() == [h == 650.0 for b, h in couplings
                                     if b < 100]
         assert_same_bits(got, want)
 
 
-def rows_at(monkeypatch, drift_bits, walk, spec, g, pts, folded):
+def rows_at(monkeypatch, drift_bits, walk, spec, g, pts, signed):
     """``class_rows`` with ``_sweep``'s drift budget set to drift_bits."""
     monkeypatch.setattr(transfer, "_DRIFT_BITS", drift_bits)
-    return class_rows(monkeypatch, walk, spec, g, pts, folded)
+    return class_rows(monkeypatch, walk, spec, g, pts, signed)
 
 
 @pytest.mark.parametrize("folded", [True, False])
@@ -771,14 +652,14 @@ def test_rescale_interval_and_neighbour_rows_leave_every_bit(monkeypatch,
                                        GUARD_RECORDS + [[128, 1000, 2048]]):
         pts = np.array(pts)
         g = 0.8 * rng.standard_normal((3, pts[-1])) - 0.2
-        every = rows_at(monkeypatch, 0, walk, spec, g, pts, folded)
-        block = rows_at(monkeypatch, 10 ** 6, walk, spec, g, pts, folded)
+        every = rows_at(monkeypatch, 0, walk, spec, g, pts, not folded)
+        block = rows_at(monkeypatch, 10 ** 6, walk, spec, g, pts, not folded)
         assert_same_bits(every, block)
         assert_same_bits(every, class_rows(monkeypatch, walk, spec, g, pts,
-                                           folded))
+                                           not folded))
         near = 690.0 * rng.choice([-1.0, 1.0], pts[-1])  # max |phi| = 1
         mixed = class_rows(monkeypatch, walk, spec,
-                           np.vstack([g[:2], near, g[2:]]), pts, folded)
+                           np.vstack([g[:2], near, g[2:]]), pts, not folded)
         assert_same_bits([a[[0, 1, 3]] for a in mixed], block)
 
 
@@ -796,17 +677,17 @@ _SPECS = st.one_of(
 def test_sweeps_match_a_log_space_recursion(alpha, spec, charges, beta, h,
                                             folded, n_max, seed):
     # every coupling, weak or strong: finite and the log-space oracle's
-    walk, folded = WalkSpec(alpha=alpha), folded and spec.symmetric
-    ladder = [n_max // 4, n_max // 2, n_max]
-    ker = layout(walk, spec, n_max, folded)
+    walk, ladder = WalkSpec(alpha=alpha), [n_max // 4, n_max // 2, n_max]
+    ker = layout_as(walk, spec, n_max, not folded)
     log_w = np.asarray(psi(charges, spec, beta, h, ker.heights), dtype=float)
-    assert_matches_oracle(
-        annealed_sweep(walk, spec, charges, beta, h, ladder, folded=folded),
-        log_space_sweep(ker, lambda n: log_w, ladder))
     omega = charges.sample(np.random.default_rng(seed), n_max)
-    assert_matches_oracle(
-        quenched_sweep(walk, spec, beta, h, omega, ladder, folded=folded),
-        quenched_oracle(walk, spec, beta, h, omega, ladder, folded))
+    with laid_out(folded):
+        assert_matches_oracle(
+            annealed_sweep(walk, spec, charges, beta, h, ladder),
+            log_space_sweep(ker, lambda n: log_w, ladder))
+        assert_matches_oracle(
+            quenched_sweep(walk, spec, beta, h, omega, ladder),
+            quenched_oracle(walk, spec, beta, h, omega, ladder, not folded))
 
 
 def test_strong_coupling_sweeps_stay_finite():
