@@ -45,7 +45,8 @@ Task blocks::
                      k_weights: 64, n_probe: 4096, series: {k: 1, T: 1.0}?}
     continuum:      {alpha, theta, c_tail: 1.0, beta_hat, h_hat,
                      cstar_phi: null, cstar_phi2: null,
-                     ztilde: {mu, T}?, mc: {T, n_paths, dt?, eps?}?}
+                     ztilde: {mu, T}?,
+                     mc: {T, n_paths, dt?, eps?, n_bootstrap?}?}
 
 ``bessel-check`` and ``continuum`` read everything from their task block
 and need no model block.
@@ -81,9 +82,12 @@ the toolkit version; JSON files carry the same fields in a leading
 Exit codes: 0 success; 2 invalid config (a non-finite number, a
 non-integer table height or a non-number table value among them),
 unknown subcommand, or unwritable output; 3 numeric non-convergence
-(divergence flags, failed brackets, flagged Monte Carlo estimates,
-arithmetic failures, and non-finite results: a file that would hold a
-non-finite number is not written).
+(divergence flags, failed brackets, arithmetic failures, non-finite
+results, unconverged ladders and flagged Monte Carlo estimates).  The
+handler computes every table of the run before ``_write`` checks them all
+and opens a file, so a run that stops on an error (exit 2, or exit 3 from
+the numerics or a non-finite cell) writes no file.  An unconverged ladder
+or a flagged Monte Carlo estimate exits 3 and still writes every file.
 """
 
 from __future__ import annotations
@@ -96,7 +100,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import yaml
@@ -518,27 +522,6 @@ def _build_model(config: dict):
     return walk, spec, charges
 
 
-@dataclass
-class RunContext:
-    seed: int
-    out_dir: str
-    fmt: str
-    prefix: str
-    meta: dict
-
-    @property
-    def header_lines(self) -> tuple[str, ...]:
-        return (
-            f"config sha256 {self.meta['config_sha256']}",
-            f"softpin {self.meta['version']}",
-            f"subcommand {self.meta['subcommand']}",
-        )
-
-    def path(self, stem: str) -> str:
-        ext = "csv" if self.fmt == "csv" else "json"
-        return os.path.join(self.out_dir, f"{self.prefix}{stem}.{ext}")
-
-
 def _plain(v):
     """Collapse numpy scalars so CSV repr and JSON encoding stay canonical."""
     if isinstance(v, np.bool_):
@@ -551,7 +534,6 @@ def _plain(v):
 
 
 def _cell(v) -> str:
-    v = _plain(v)
     if v is None:
         return ""
     if isinstance(v, float):
@@ -559,29 +541,36 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _emit(ctx: RunContext, stem: str, columns, rows: list[dict]) -> str:
-    for r in rows:
-        for c in columns:
-            v = _plain(r.get(c))
-            if isinstance(v, float) and not math.isfinite(v):
-                raise FloatingPointError(
-                    f"non-finite {c} = {v!r}; {stem} not written")
-    path = ctx.path(stem)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if ctx.fmt == "csv":
-            for line in ctx.header_lines:
-                fh.write(f"# {line}\n")
-            fh.write(",".join(columns) + "\n")
-            for r in rows:
-                fh.write(",".join(_cell(r.get(c)) for c in columns) + "\n")
-        else:
-            json.dump({
-                "_meta": ctx.meta,
-                "columns": list(columns),
-                "rows": [{c: _plain(r.get(c)) for c in columns} for r in rows],
-            }, fh, indent=2)
-            fh.write("\n")
-    return path
+def _write(tables, out_dir: str, fmt: str, prefix: str, meta: dict) -> None:
+    """Write each (stem, columns, row dicts) table to out_dir as
+    ``{prefix}{stem}.{fmt}``; a non-finite cell in any table raises
+    FloatingPointError before any file is opened."""
+    plain = [(stem, columns, [[_plain(r.get(c)) for c in columns]
+                              for r in rows])
+             for stem, columns, rows in tables]
+    for stem, columns, rows in plain:
+        for cells in rows:
+            for c, v in zip(columns, cells):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise FloatingPointError(
+                        f"non-finite {c} = {v!r} in {stem}; no file written")
+    for stem, columns, rows in plain:
+        path = os.path.join(out_dir, f"{prefix}{stem}.{fmt}")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            if fmt == "csv":
+                fh.write(f"# config sha256 {meta['config_sha256']}\n"
+                         f"# softpin {meta['version']}\n"
+                         f"# subcommand {meta['subcommand']}\n")
+                fh.write(",".join(columns) + "\n")
+                for cells in rows:
+                    fh.write(",".join(map(_cell, cells)) + "\n")
+            else:
+                json.dump({
+                    "_meta": meta,
+                    "columns": list(columns),
+                    "rows": [dict(zip(columns, cells)) for cells in rows],
+                }, fh, indent=2)
+                fh.write("\n")
 
 
 # ------------------------------------------------------------ output columns
@@ -618,19 +607,13 @@ def ladder_csv_rows(estimate: FreeEnergyEstimate) -> list[dict]:
 
 # ------------------------------------------------------------------ handlers
 
-def _run_free_energy(config, ctx: RunContext) -> int:
+def _run_free_energy(config, seed: int):
     walk, spec, charges = _build_model(config)
     task = config["task"]
     num = _present(config.get("numerics", {}), "n_points")
     ann = annealed_free_energy(
         walk, spec, charges, task["beta"], task["h"], task["n_max"], **num)
-    if "quenched" in task:  # before any file: a failure here writes none
-        que = quenched_free_energy(
-            walk, spec, charges, task["beta"], task["h"], task["n_max"],
-            n_samples=task["quenched"]["n_samples"],
-            seed=job_seed(ctx.seed, 0), **num,
-        )
-    _emit(ctx, "free_energy_ladder", LADDER_COLUMNS, ladder_csv_rows(ann))
+    tables = [("free_energy_ladder", LADDER_COLUMNS, ladder_csv_rows(ann))]
     summary = {
         "beta": task["beta"], "h": task["h"], "n_max": task["n_max"],
         "f_annealed": ann.value, "annealed_error": ann.error,
@@ -640,19 +623,24 @@ def _run_free_energy(config, ctx: RunContext) -> int:
     }
     code = EXIT_OK if ann.converged else EXIT_NUMERIC
     if "quenched" in task:
-        _emit(ctx, "free_energy_quenched", QUENCHED_COLUMNS,
-              ladder_csv_rows(que))
+        que = quenched_free_energy(
+            walk, spec, charges, task["beta"], task["h"], task["n_max"],
+            n_samples=task["quenched"]["n_samples"],
+            seed=job_seed(seed, 0), **num,
+        )
+        tables.append(("free_energy_quenched", QUENCHED_COLUMNS,
+                       ladder_csv_rows(que)))
         summary.update(
             f_quenched=que.value, quenched_error=que.error,
             n_samples=que.n_samples, quenched_converged=que.converged,
         )
         if not que.converged:
             code = EXIT_NUMERIC
-    _emit(ctx, "free_energy_summary", tuple(summary), [summary])
-    return code
+    tables.append(("free_energy_summary", tuple(summary), [summary]))
+    return code, tables
 
 
-def _run_critical_curve(config, ctx: RunContext) -> int:
+def _run_critical_curve(config, seed: int):
     walk, spec, charges = _build_model(config)
     task = config["task"]
     que = task.get("quenched")
@@ -671,17 +659,16 @@ def _run_critical_curve(config, ctx: RunContext) -> int:
         if que is not None:
             q = quenched_critical_h(
                 walk, spec, charges, beta, n_max=que["n_max"],
-                n_samples=que["n_samples"], seed=job_seed(ctx.seed, j),
+                n_samples=que["n_samples"], seed=job_seed(seed, j),
                 **_present(que, "tol", "detect"),
             )
             row.update(hc_que_lo=q.lo, hc_que_hi=q.hi,
                        confidence=q.confidence)
         rows.append(row)
-    _emit(ctx, "critical_curve", CURVE_COLUMNS, rows)
-    return EXIT_OK
+    return EXIT_OK, [("critical_curve", CURVE_COLUMNS, rows)]
 
 
-def _run_localize(config, ctx: RunContext) -> int:
+def _run_localize(config, seed: int):
     walk, spec, charges = _build_model(config)
     task = config["task"]
     cv = transient_criterion(
@@ -698,8 +685,7 @@ def _run_localize(config, ctx: RunContext) -> int:
         "threshold": cv.threshold, "localized": cv.verdict,
         "diverged": cv.diverged,
     }
-    _emit(ctx, "localize", tuple(row), [row])
-    return EXIT_OK
+    return EXIT_OK, [("localize", tuple(row), [row])]
 
 
 def _half_line_integral(alpha: float, t: float, x: float) -> float:
@@ -712,7 +698,7 @@ def _half_line_integral(alpha: float, t: float, x: float) -> float:
     return lo + hi
 
 
-def _run_bessel_check(config, ctx: RunContext) -> int:
+def _run_bessel_check(config, seed: int):
     task = config["task"]
     walk = WalkSpec(alpha=task["alpha"], **_present(task, "epsilon_corr"))
     n = task["n"]
@@ -744,14 +730,18 @@ def _run_bessel_check(config, ctx: RunContext) -> int:
         rows.append({"check": "density_norm", "param": x, "value": integral,
                      "target": 1.0, "ratio": integral})
 
-    _emit(ctx, "bessel_check", ("check", "param", "value", "target", "ratio"),
-          rows)
-    return EXIT_OK
+    return EXIT_OK, [("bessel_check",
+                      ("check", "param", "value", "target", "ratio"), rows)]
 
 
-def _run_scaling(config, ctx: RunContext) -> int:
+def _run_scaling(config, seed: int):
     from .continuum import ContinuumParams
-    from .scaling import ScalingSchedule, compare_to_continuum, scaled_free_energy
+    from .scaling import (
+        ScalingSchedule,
+        _cstar_pair,
+        compare_to_continuum,
+        scaled_free_energy,
+    )
 
     walk, spec, charges = _build_model(config)
     task = config["task"]
@@ -761,10 +751,15 @@ def _run_scaling(config, ctx: RunContext) -> int:
         n_ladder=tuple(task["n_ladder"]),
     )
     kwargs = _present(task, "cstar_phi", "cstar_phi2", "k_weights", "n_probe")
+    if params.regime == "short_range":
+        # the ladder's target and the series read one pair: estimate it once
+        kwargs["cstar_phi"], kwargs["cstar_phi2"] = _cstar_pair(
+            schedule, walk, spec, task.get("cstar_phi"),
+            task.get("cstar_phi2"), **_present(task, "k_weights", "n_probe"))
     points = scaled_free_energy(
         schedule, walk, charges, spec, **_present(task, "m_mult"), **kwargs,
     )
-    _emit(ctx, "scaling_ladder", SCALED_COLUMNS, [
+    tables = [("scaling_ladder", SCALED_COLUMNS, [
         {
             "N": p.n, "beta_N": p.beta_n, "h_N": p.h_n,
             "N_times_F": p.n_times_f, "continuum_target": p.continuum_target,
@@ -772,13 +767,13 @@ def _run_scaling(config, ctx: RunContext) -> int:
             "diverged": p.diverged,
         }
         for p in points
-    ])
+    ])]
     if "series" in task:
         rows = compare_to_continuum(
             schedule, walk, charges, spec,
             **_present(task["series"], "T", "k"), **kwargs,
         )
-        _emit(ctx, "scaling_series", SERIES_COLUMNS, [
+        tables.append(("scaling_series", SERIES_COLUMNS, [
             {
                 "N": r.n, "k": r.k, "C_TNk": r.c_tnk,
                 "hatC_gamma_ak": r.hat_gamma_ak,
@@ -786,11 +781,11 @@ def _run_scaling(config, ctx: RunContext) -> int:
                 "rel_gap": r.rel_gap,
             }
             for r in rows
-        ])
-    return EXIT_OK
+        ]))
+    return EXIT_OK, tables
 
 
-def _run_continuum(config, ctx: RunContext) -> int:
+def _run_continuum(config, seed: int):
     from .continuum import (
         ContinuumParams,
         ContinuumPhasePoint,
@@ -833,28 +828,24 @@ def _run_continuum(config, ctx: RunContext) -> int:
             "value": (zt["mu"] * math.gamma(params.alpha))
             ** (1.0 / params.alpha),
         })
-    # the Monte Carlo block runs before any file is written, so an
-    # mc block it rejects leaves no output behind
-    est = None
-    if "mc" in task:
-        mc = task["mc"]
-        est = continuum_free_energy_mc(
-            params, cp, T=mc["T"], n_paths=mc["n_paths"],
-            seed=job_seed(ctx.seed, 0),
-            **_present(mc, "dt", "eps", "n_bootstrap"),
-            **({} if cs2 is None else {"cstar_phi2": cs2}),
-        )
-    _emit(ctx, "continuum", ("name", "value"), rows)
-    if est is None:
-        return EXIT_OK
+    tables = [("continuum", ("name", "value"), rows)]
+    if "mc" not in task:
+        return EXIT_OK, tables
+    mc = task["mc"]
+    est = continuum_free_energy_mc(
+        params, cp, T=mc["T"], n_paths=mc["n_paths"],
+        seed=job_seed(seed, 0),
+        **_present(mc, "dt", "eps", "n_bootstrap"),
+        **({} if cs2 is None else {"cstar_phi2": cs2}),
+    )
     row = {
         "alpha": params.alpha, "theta": params.theta,
         "beta_hat": cp.beta_hat, "h_hat": cp.h_hat, "T": est.T,
         "dt": est.dt, "n_paths": est.n_paths, "estimate": est.estimate,
         "stderr": est.stderr, "flagged": est.flagged,
     }
-    _emit(ctx, "continuum_mc", tuple(row), [row])
-    return EXIT_NUMERIC if est.flagged else EXIT_OK
+    tables.append(("continuum_mc", tuple(row), [row]))
+    return EXIT_NUMERIC if est.flagged else EXIT_OK, tables
 
 
 _HANDLERS = {
@@ -902,7 +893,9 @@ def run(subcommand: str, config: dict, *, seed: int | None = None,
         threads: int = 1) -> int:
     """Validate and execute one subcommand; returns the process exit code.
 
-    ``threads`` is accepted for compatibility and ignored.
+    The handler computes the run's tables and ``_write`` writes them, so a
+    run that raises writes no file.  ``threads`` is ignored; it stays
+    because the benchmark's tests still pass it.
     """
     try:
         checked = _validate(config, subcommand)
@@ -917,16 +910,13 @@ def run(subcommand: str, config: dict, *, seed: int | None = None,
         prefix = output.get("prefix") or ""
         if prefix and not prefix.endswith("_"):
             prefix += "_"
-        ctx = RunContext(
-            seed=eff_seed, out_dir=out_dir, fmt=eff_fmt, prefix=prefix,
-            meta={
-                # over the config as written, where seed may be 1.0
-                "config_sha256": config_digest(
-                    config, seed if seed is not None else config.get("seed", 0)),
-                "version": __version__,
-                "subcommand": subcommand,
-            },
-        )
+        meta = {
+            # over the config as written, where seed may be 1.0
+            "config_sha256": config_digest(
+                config, seed if seed is not None else config.get("seed", 0)),
+            "version": __version__,
+            "subcommand": subcommand,
+        }
         try:
             os.makedirs(out_dir, exist_ok=True)
             probe = os.path.join(out_dir, ".softpin_write_probe")
@@ -935,7 +925,9 @@ def run(subcommand: str, config: dict, *, seed: int | None = None,
             os.remove(probe)
         except OSError as exc:
             raise ConfigError(f"output directory not writable: {exc}") from None
-        return _HANDLERS[subcommand](checked, ctx)
+        code, tables = _HANDLERS[subcommand](checked, eff_seed)
+        _write(tables, out_dir, eff_fmt, prefix, meta)
+        return code
     except ConfigError as exc:
         print(f"softpin: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -960,10 +952,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"softpin: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return run(
-        args.subcommand, config, seed=args.seed, out=args.out,
-        fmt=args.format, threads=args.threads,
-    )
+    return run(args.subcommand, config, seed=args.seed, out=args.out,
+               fmt=args.format)
 
 
 if __name__ == "__main__":

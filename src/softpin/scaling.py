@@ -127,9 +127,12 @@ def _require_compatible(schedule: ScalingSchedule, walk: WalkSpec,
         )
 
 
-def _cstar_pair(walk: WalkSpec, spec: PotentialSpec,
-                cstar_phi: float | None, cstar_phi2: float | None,
-                k_weights: int, n_probe: int) -> tuple[float, float]:
+def _cstar_pair(schedule: ScalingSchedule, walk: WalkSpec,
+                spec: PotentialSpec, cstar_phi: float | None,
+                cstar_phi2: float | None, k_weights: int = DEFAULT_K_WEIGHTS,
+                n_probe: int = DEFAULT_N_PROBE) -> tuple[float, float]:
+    """(cstar[phi], cstar[phi^2]) from one c(k) estimate, unless supplied."""
+    _require_compatible(schedule, walk, spec)
     if cstar_phi is None or cstar_phi2 is None:
         weights = estimate_c_weights(walk, k_max=k_weights, n_probe=n_probe)
         if cstar_phi is None:
@@ -176,7 +179,7 @@ def scaled_free_energy(schedule: ScalingSchedule, walk: WalkSpec,
         raise ValueError("m_mult must be >= 4")
     target = None
     if schedule.regime == "short_range":
-        c1, c2 = _cstar_pair(walk, spec, cstar_phi, cstar_phi2,
+        c1, c2 = _cstar_pair(schedule, walk, spec, cstar_phi, cstar_phi2,
                              k_weights, n_probe)
         target = continuum_free_energy_short(
             schedule.params,
@@ -268,8 +271,8 @@ def compare_to_continuum(schedule: ScalingSchedule, walk: WalkSpec,
         raise ValueError("continuum comparison supports 1 <= k <= 3")
     if T <= 0.0:
         raise ValueError("T must be positive")
-    _require_compatible(schedule, walk, spec)
-    c1, c2 = _cstar_pair(walk, spec, cstar_phi, cstar_phi2, k_weights, n_probe)
+    c1, c2 = _cstar_pair(schedule, walk, spec, cstar_phi, cstar_phi2,
+                         k_weights, n_probe)
     cand = coefficient_candidates(
         schedule.params,
         ContinuumPhasePoint(schedule.beta_hat, schedule.h_hat),

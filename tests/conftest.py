@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from softpin.cli import RunContext, _emit
+from softpin.cli import _write
 from softpin.model import ChargeModel, PotentialSpec, WalkSpec
 
 TESTS = Path(__file__).parent
@@ -76,17 +76,16 @@ def srw():
 
 @pytest.fixture
 def emit(tmp_path):
-    """Write row dicts through the CLI's one writer; returns the CSV lines.
+    """Write one table of row dicts through the CLI's one writer,
+    ``cli._write``, as ``rows.csv``; returns the CSV lines.
 
     The three comment lines come first, the first being
     ``# config sha256 abc``; the column line is line 3.
     """
     def write(columns, rows):
-        ctx = RunContext(seed=0, out_dir=str(tmp_path), fmt="csv", prefix="",
-                         meta={"config_sha256": "abc", "version": "0",
-                               "subcommand": "test"})
-        path = _emit(ctx, "rows", columns, rows)
-        return Path(path).read_text(encoding="utf-8").splitlines()
+        _write([("rows", columns, rows)], str(tmp_path), "csv", "",
+               {"config_sha256": "abc", "version": "0", "subcommand": "test"})
+        return (tmp_path / "rows.csv").read_text(encoding="utf-8").splitlines()
     return write
 
 

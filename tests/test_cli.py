@@ -164,6 +164,23 @@ def test_scaling_subcommand_ladder_and_series(tmp_path):
     assert all(r["k"] == "1" for r in srows)
 
 
+def test_scaling_estimates_the_c_weights_once(tmp_path, monkeypatch):
+    # the ladder's target and the series candidates read one cstar pair
+    from softpin import scaling
+
+    calls = []
+    estimate = scaling.estimate_c_weights
+    monkeypatch.setattr(scaling, "estimate_c_weights",
+                        lambda *a, **k: calls.append(a) or estimate(*a, **k))
+    assert run("scaling", {
+        "model": {"walk": {"alpha": 0.6},
+                  "potential": {"kind": "power_tail", "theta": 3.0}},
+        "task": {"alpha": 0.6, "theta": 3.0, "beta_hat": 1.0, "h_hat": 0.1,
+                 "n_ladder": [16, 32], "series": {"k": 1}},
+    }, out=str(tmp_path)) == 0
+    assert len(calls) == 1
+
+
 def test_continuum_subcommand_closed_forms(tmp_path):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, "c.yaml", {
@@ -955,6 +972,28 @@ def test_monte_carlo_step_count_out_of_range_exits_2(tmp_path, capsys, theta,
     assert "T / dt" in capsys.readouterr().err
     # the closed forms are not written either: a rejected run writes nothing
     assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("theta,series,message", [
+    (0.6, {}, "short_range regime"),
+    (3.0, {"k": 4}, "1 <= k <= 3"),
+    (3.0, {"T": 0.01}, "tn must be a positive integer"),  # round(0.16) = 0
+], ids=["not-short-range", "k-4", "tn-0"])
+def test_rejected_series_block_writes_no_file(tmp_path, capsys, theta, series,
+                                              message):
+    # the ladder is computed, but the run stops on the series block:
+    # scaling_ladder.csv is not written either
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "c.yaml", {
+        "model": {"walk": {"alpha": 0.6},
+                  "potential": {"kind": "power_tail", "theta": theta}},
+        "task": {"alpha": 0.6, "theta": theta, "beta_hat": 1.0, "h_hat": 0.1,
+                 "n_ladder": [16, 32], "series": series},
+        "output": {"dir": str(out)},
+    })
+    assert main(["scaling", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_installed_entry_point_reports_version():
