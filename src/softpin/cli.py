@@ -80,14 +80,15 @@ the toolkit version; JSON files carry the same fields in a leading
 ``_meta`` object.
 
 Exit codes: 0 success; 2 invalid config (a non-finite number, a
-non-integer table height or a non-number table value among them),
-unknown subcommand, or unwritable output; 3 numeric non-convergence
-(divergence flags, failed brackets, arithmetic failures, non-finite
-results, unconverged ladders and flagged Monte Carlo estimates).  The
-handler computes every table of the run before ``_write`` checks them all
-and opens a file, so a run that stops on an error (exit 2, or exit 3 from
-the numerics or a non-finite cell) writes no file.  An unconverged ladder
-or a flagged Monte Carlo estimate exits 3 and still writes every file.
+non-integer table height, a height given twice, as 0 and "0", or a
+non-number table value among them), unknown subcommand, or unwritable
+output; 3 numeric non-convergence (divergence flags, failed brackets,
+arithmetic failures, non-finite results, unconverged ladders and flagged
+Monte Carlo estimates).  The handler computes every table of the run
+before ``_write`` checks them all and opens a file, so a run that stops on
+an error (exit 2, or exit 3 from the numerics or a non-finite cell) writes
+no file.  An unconverged ladder or a flagged Monte Carlo estimate exits 3
+and still writes every file.
 """
 
 from __future__ import annotations
@@ -515,7 +516,12 @@ def _build_model(config: dict):
         walk = replace(walk, l_max=l)
     pot = dict(m["potential"])
     if pot.get("table") is not None:
-        pot["table"] = {_height(k): float(v) for k, v in pot["table"].items()}
+        heights = [_height(k) for k in pot["table"]]
+        for i, x in enumerate(heights):  # 0 and "0" are one height
+            if x in heights[:i]:
+                raise ConfigError(
+                    f"config model.potential.table: height {x} is given twice")
+        pot["table"] = dict(zip(heights, map(float, pot["table"].values())))
     kwargs = {k: v for k, v in pot.items() if v is not None}
     spec = PotentialSpec(**kwargs)
     charges = ChargeModel(**m.get("charges", {}))
@@ -750,14 +756,14 @@ def _run_scaling(config, seed: int):
         params=params, beta_hat=task["beta_hat"], h_hat=task["h_hat"],
         n_ladder=tuple(task["n_ladder"]),
     )
-    kwargs = _present(task, "cstar_phi", "cstar_phi2", "k_weights", "n_probe")
+    pair = {}  # read in the short_range regime only
     if params.regime == "short_range":
         # the ladder's target and the series read one pair: estimate it once
-        kwargs["cstar_phi"], kwargs["cstar_phi2"] = _cstar_pair(
+        pair["cstar_phi"], pair["cstar_phi2"] = _cstar_pair(
             schedule, walk, spec, task.get("cstar_phi"),
             task.get("cstar_phi2"), **_present(task, "k_weights", "n_probe"))
     points = scaled_free_energy(
-        schedule, walk, charges, spec, **_present(task, "m_mult"), **kwargs,
+        schedule, walk, charges, spec, **_present(task, "m_mult"), **pair,
     )
     tables = [("scaling_ladder", SCALED_COLUMNS, [
         {
@@ -771,7 +777,7 @@ def _run_scaling(config, seed: int):
     if "series" in task:
         rows = compare_to_continuum(
             schedule, walk, charges, spec,
-            **_present(task["series"], "T", "k"), **kwargs,
+            **_present(task["series"], "T", "k"), **pair,
         )
         tables.append(("scaling_series", SERIES_COLUMNS, [
             {

@@ -27,7 +27,6 @@ __all__ = [
     "PotentialSpec",
     "ChargeModel",
     "WalkSpec",
-    "PhasePoint",
     "CWeights",
     "CStarResult",
     "DivergentSumError",
@@ -190,18 +189,6 @@ class WalkSpec:
 
     def resolve_l(self, horizon: int) -> int:
         return self.l_max if self.l_max is not None else recommended_truncation(horizon)
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """Inverse temperature / bias pair (beta, h); h may have either sign."""
-
-    beta: float
-    h: float
-
-    def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
 
 
 def psi(charges: ChargeModel, spec: PotentialSpec, beta: float, h: float, x):

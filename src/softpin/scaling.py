@@ -39,7 +39,7 @@ from .continuum import (
 )
 from .lattice import _class_sweep, layout
 from .localization import excursion_weights
-from .model import ChargeModel, PhasePoint, PotentialSpec, WalkSpec, c_star, estimate_c_weights, psi
+from .model import ChargeModel, PotentialSpec, WalkSpec, c_star, estimate_c_weights, psi
 from .transfer import renewal_root
 
 __all__ = [
@@ -56,10 +56,6 @@ __all__ = [
 # ladder top F ~ 1/N, so 48 N reaches e^(-48 F N) ~ e^(-5) past the
 # renewal root's e-folding scale before the fitted tail takes over
 DEFAULT_M_MULT = 48
-
-# defaults for estimating the c(k) weights entering the continuum constants
-DEFAULT_K_WEIGHTS = 64
-DEFAULT_N_PROBE = 4096
 
 
 @dataclass(frozen=True)
@@ -98,9 +94,6 @@ class ScalingSchedule:
     def h_n(self, n: int) -> float:
         return self.h_hat * float(n) ** -self.exponents[1]
 
-    def phase_point(self, n: int) -> PhasePoint:
-        return PhasePoint(beta=self.beta_n(n), h=self.h_n(n))
-
 
 def _require_compatible(schedule: ScalingSchedule, walk: WalkSpec,
                         spec: PotentialSpec) -> None:
@@ -129,9 +122,11 @@ def _require_compatible(schedule: ScalingSchedule, walk: WalkSpec,
 
 def _cstar_pair(schedule: ScalingSchedule, walk: WalkSpec,
                 spec: PotentialSpec, cstar_phi: float | None,
-                cstar_phi2: float | None, k_weights: int = DEFAULT_K_WEIGHTS,
-                n_probe: int = DEFAULT_N_PROBE) -> tuple[float, float]:
-    """(cstar[phi], cstar[phi^2]) from one c(k) estimate, unless supplied."""
+                cstar_phi2: float | None, k_weights: int = 64,
+                n_probe: int = 4096) -> tuple[float, float]:
+    """(cstar[phi], cstar[phi^2]): the supplied values, any missing one from
+    one c(k) estimate.  The CLI calls this once per run and passes the pair
+    to ``scaled_free_energy`` and ``compare_to_continuum``."""
     _require_compatible(schedule, walk, spec)
     if cstar_phi is None or cstar_phi2 is None:
         weights = estimate_c_weights(walk, k_max=k_weights, n_probe=n_probe)
@@ -140,6 +135,13 @@ def _cstar_pair(schedule: ScalingSchedule, walk: WalkSpec,
         if cstar_phi2 is None:
             cstar_phi2 = c_star(spec, weights, power=2).value
     return cstar_phi, cstar_phi2
+
+
+def _given_pair(c1: float | None, c2: float | None) -> tuple[float, float]:
+    if c1 is None or c2 is None:
+        raise ValueError("short_range needs cstar_phi and cstar_phi2; compute "
+                         "them by model.c_star on model.estimate_c_weights")
+    return c1, c2
 
 
 @dataclass(frozen=True)
@@ -160,44 +162,37 @@ def scaled_free_energy(schedule: ScalingSchedule, walk: WalkSpec,
                        charges: ChargeModel, spec: PotentialSpec,
                        m_mult: int = DEFAULT_M_MULT,
                        cstar_phi: float | None = None,
-                       cstar_phi2: float | None = None,
-                       k_weights: int = DEFAULT_K_WEIGHTS,
-                       n_probe: int = DEFAULT_N_PROBE) -> list[ScaledFreeEnergyPoint]:
+                       cstar_phi2: float | None = None) -> list[ScaledFreeEnergyPoint]:
     """N * F_ann(beta_N, h_N) along the ladder, with the continuum target.
 
     The free energy is the root of the truncated renewal identity built
     from the excursion weights at (beta_N, h_N), summed out to m_mult * N
     steps (fitted power-law tail beyond).  In the short_range regime the
     continuum target is the explicit light-tail free energy, evaluated with
-    the lattice constants cstar[phi] and cstar[phi^2] (estimated from the
-    walk's height distribution unless supplied); the other regimes have no
-    closed form and report no target.  A rung whose excursion sum diverges
-    is localized with an infinite N * F.
+    the lattice constants cstar[phi] and cstar[phi^2], which the caller
+    supplies (``_cstar_pair`` estimates them); the other regimes have no
+    closed form, read neither constant and report no target.  A rung whose
+    excursion sum diverges is localized with an infinite N * F.
     """
     _require_compatible(schedule, walk, spec)
     if m_mult < 4:
         raise ValueError("m_mult must be >= 4")
     target = None
     if schedule.regime == "short_range":
-        c1, c2 = _cstar_pair(schedule, walk, spec, cstar_phi, cstar_phi2,
-                             k_weights, n_probe)
         target = continuum_free_energy_short(
             schedule.params,
             ContinuumPhasePoint(schedule.beta_hat, schedule.h_hat),
-            c1, c2,
+            *_given_pair(cstar_phi, cstar_phi2),
         )
     out = []
-    for n in range(len(schedule.n_ladder)):
-        size = schedule.n_ladder[n]
+    for size in schedule.n_ladder:
         beta_n, h_n = schedule.beta_n(size), schedule.h_n(size)
         ew = excursion_weights(walk, spec, charges, beta_n, h_n,
                                m_max=m_mult * size)
         # a diverged sum has no renewal root: F is beyond resolution
         root = None if ew.diverged else renewal_root(ew.a, walk.alpha)
         n_times_f = math.inf if root is None else size * root.f
-        rel_gap = None
-        if target is not None and target > 0.0:
-            rel_gap = abs(n_times_f - target) / target
+        rel_gap = abs(n_times_f - target) / target if target else None
         out.append(ScaledFreeEnergyPoint(
             n=size, beta_n=beta_n, h_n=h_n, n_times_f=n_times_f,
             continuum_target=target, rel_gap=rel_gap,
@@ -209,9 +204,9 @@ def scaled_free_energy(schedule: ScalingSchedule, walk: WalkSpec,
 # ------------------------------------------------------- series coefficients
 
 def series_coefficient(walk: WalkSpec, charges: ChargeModel,
-                       spec: PotentialSpec, point: PhasePoint, tn: int,
+                       spec: PotentialSpec, beta: float, h: float, tn: int,
                        k: int) -> float:
-    """k-th coefficient of the partition expansion in chi = e^psi - 1:
+    """k-th coefficient at (beta, h) of the expansion in chi = e^psi - 1:
 
         C_{TN,k} = sum_{n_1 < ... < n_k <= TN} E[prod_l chi(|S_{n_l}|)].
 
@@ -227,8 +222,8 @@ def series_coefficient(walk: WalkSpec, charges: ChargeModel,
     if tn < 1:
         raise ValueError("tn must be a positive integer")
     ker = layout(walk, spec, tn)
-    chi = np.exp(np.asarray(psi(charges, spec, point.beta, point.h,
-                                ker.heights), dtype=float)) - 1.0
+    chi = np.exp(np.asarray(psi(charges, spec, beta, h, ker.heights),
+                            dtype=float)) - 1.0
     rows, steps, chis, back = _class_sweep(ker, k + 1, chi)
     rows[0, 1:] = 0.0  # only layer 0 starts at the origin
     for n in range(1, tn + 1):
@@ -255,15 +250,14 @@ def compare_to_continuum(schedule: ScalingSchedule, walk: WalkSpec,
                          charges: ChargeModel, spec: PotentialSpec,
                          T: float = 1.0, k: int = 1,
                          cstar_phi: float | None = None,
-                         cstar_phi2: float | None = None,
-                         k_weights: int = DEFAULT_K_WEIGHTS,
-                         n_probe: int = DEFAULT_N_PROBE) -> list[SeriesComparisonRow]:
+                         cstar_phi2: float | None = None) -> list[SeriesComparisonRow]:
     """C_{TN,k} along the ladder against both closed-form candidates.
 
     Light-tail (short_range) schedules only: that is where the coefficient
     has a closed form to converge to.  The two candidates differ by the
     factor alpha k (see the continuum module); the relative gap is reported
-    against the canonical Gamma(alpha k + 1) form.
+    against the canonical Gamma(alpha k + 1) form.  The caller supplies the
+    cstar pair the candidates read (``_cstar_pair`` estimates it).
     """
     if schedule.regime != "short_range":
         raise ValueError("closed-form comparison needs the short_range regime")
@@ -271,23 +265,20 @@ def compare_to_continuum(schedule: ScalingSchedule, walk: WalkSpec,
         raise ValueError("continuum comparison supports 1 <= k <= 3")
     if T <= 0.0:
         raise ValueError("T must be positive")
-    c1, c2 = _cstar_pair(schedule, walk, spec, cstar_phi, cstar_phi2,
-                         k_weights, n_probe)
+    _require_compatible(schedule, walk, spec)
     cand = coefficient_candidates(
         schedule.params,
         ContinuumPhasePoint(schedule.beta_hat, schedule.h_hat),
-        c1, c2, T, k,
+        *_given_pair(cstar_phi, cstar_phi2), T, k,
     )
-    rows = []
+    rows, canon = [], cand.canonical
     for size in schedule.n_ladder:
         tn = int(round(T * size))
-        c_tnk = series_coefficient(walk, charges, spec,
-                                   schedule.phase_point(size), tn, k)
-        rel_gap = None
-        if cand.gamma_ak_plus1 != 0.0:
-            rel_gap = abs(c_tnk - cand.gamma_ak_plus1) / abs(cand.gamma_ak_plus1)
+        c_tnk = series_coefficient(walk, charges, spec, schedule.beta_n(size),
+                                   schedule.h_n(size), tn, k)
+        rel_gap = abs(c_tnk - canon) / abs(canon) if canon != 0.0 else None
         rows.append(SeriesComparisonRow(
             n=size, k=k, c_tnk=c_tnk, hat_gamma_ak=cand.gamma_ak,
-            hat_gamma_ak_plus1=cand.gamma_ak_plus1, rel_gap=rel_gap,
+            hat_gamma_ak_plus1=canon, rel_gap=rel_gap,
         ))
     return rows

@@ -216,13 +216,13 @@ def compare_free_constrained(walk, spec, charges, beta, h,
     return np.column_stack([sweep.n_values.astype(float), diff])
 
 
-def tiled_series(walk, charges, spec, point, tn, k):
+def tiled_series(walk, charges, spec, beta, h, tn, k):
     """``series_coefficient``, bit for bit: its k + 1 layers one ``step``
     at a time on every site of the kernel tiled over them, the other
     class's zeros included."""
     ker = layout(walk, spec, tn)
-    chi = np.exp(np.asarray(psi(charges, spec, point.beta, point.h,
-                                ker.heights), dtype=float)) - 1.0
+    chi = np.exp(np.asarray(psi(charges, spec, beta, h, ker.heights),
+                            dtype=float)) - 1.0
     layers = np.zeros((k + 1, len(chi)))
     layers[0, ker.origin] = 1.0
     stepped = np.zeros_like(layers)

@@ -457,6 +457,41 @@ def test_missing_and_malformed_config_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text,message", [
+    ("- model\n- task\n", "config must be a mapping"),
+    ("", "config file is empty"),
+    ("# comments only\n", "config file is empty"),
+], ids=["list", "empty", "comments-only"])
+def test_config_that_is_no_mapping_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "c.yaml"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["localize", "--config", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seed_past_64_bits_exits_2_with_no_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "c.yaml", {
+        "model": pinning_model(), "task": {"beta": 0.0, "h": 0.1},
+    })
+    assert main(["localize", "--config", cfg, "--out", str(out),
+                 "--seed", str(2 ** 64)]) == 2
+    assert "unsigned 64-bit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_output_prefix_names_the_files(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "c.yaml", {
+        "model": pinning_model(), "task": {"beta": 0.0, "h": 0.1},
+        "output": {"dir": str(out), "prefix": "run"},
+    })
+    assert main(["localize", "--config", cfg]) == 0
+    assert [p.name for p in out.iterdir()] == ["run_localize.csv"]
+
+
 def test_loader_without_libyaml_reads_the_same_config(tmp_path, capsys,
                                                       monkeypatch):
     # PyYAML built without libyaml has no CSafeLoader; the pure-Python
@@ -645,6 +680,24 @@ def test_non_finite_numbers_and_non_integer_heights_exit_2(
     assert main([subcommand, "--config", path]) == 2
     assert key in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("table", ["{0: 1.0, '0': 0.25}",
+                                   "{'0': 0.25, 0: 1.0}"],
+                         ids=["int-first", "string-first"])
+def test_table_height_given_twice_exits_2_with_no_file(tmp_path, capsys,
+                                                      table):
+    # 0 and "0" name one height: neither value may silently win
+    path = tmp_path / "c.yaml"
+    path.write_text(
+        "model:\n"
+        "  walk: {alpha: 0.5}\n"
+        f"  potential: {{kind: table, table: {table}}}\n"
+        "task: {beta: 0.5, h: 0.1}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["localize", "--config", str(path), "--out", str(out)]) == 2
+    assert "table: height 0 is given twice" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("potential", [

@@ -205,17 +205,17 @@ class TestExcursionSum:
         for h in (0.2, 0.5, 1.0):
             cv = excursion_sum(srw, pinning, gaussian, 0.0, h, m_max=4096)
             assert cv.estimate == pytest.approx(math.exp(-h), abs=1e-4)
-            assert cv.verdict == "no"
+            assert cv.verdict == "no" and cv.localized is False
 
     def test_charge_free_sum_at_origin_is_one(self, srw, pinning, gaussian):
         cv = excursion_sum(srw, pinning, gaussian, 0.0, 0.0, m_max=4096)
         assert cv.estimate == pytest.approx(1.0, abs=1e-3)
         # exactly critical: no finite truncation should take a side
-        assert cv.verdict == "undetermined"
+        assert cv.verdict == "undetermined" and cv.localized is None
 
     def test_localized_point_certified(self, srw, pinning, gaussian):
         cv = excursion_sum(srw, pinning, gaussian, 1.0, 0.0, m_max=4096)
-        assert cv.verdict == "yes"
+        assert cv.verdict == "yes" and cv.localized is True
         # partial sum below the exact value, bound covering it
         exact = math.exp(0.5)
         assert cv.value < exact < cv.value + cv.tail_bound

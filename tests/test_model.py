@@ -10,7 +10,6 @@ from softpin.localization import excursion_sum
 from softpin.model import (
     ChargeModel,
     DivergentSumError,
-    PhasePoint,
     PotentialSpec,
     WalkSpec,
     c_star,
@@ -204,12 +203,6 @@ def test_drift_antisymmetric_and_bounded(alpha, x):
         assert float(w.drift(0)) == 0.0
 
 
-def test_phase_point_validation():
-    PhasePoint(beta=0.0, h=-0.5)  # negative h is allowed
-    with pytest.raises(ValueError):
-        PhasePoint(beta=-0.1, h=0.0)
-
-
 # -------------------------------------------------------------- return law
 
 def test_return_law_srw_small_n_exact(srw):
@@ -319,6 +312,7 @@ def test_c_star_single_site_identities(srw):
     # the ratio that sets the small-coupling critical curve prefactor
     assert second.value / (2.0 * first.value) == pytest.approx(a / 2.0, rel=1e-12)
     assert first.tail_bound == 0.0
+    assert float(first) == first.value  # a CStarResult reads as its value
 
 
 def test_c_star_power_tail_has_tail_bound():

@@ -11,7 +11,6 @@ from softpin.lattice import layout
 from softpin.localization import annealed_critical_h
 from softpin.model import (
     ChargeModel,
-    PhasePoint,
     PotentialSpec,
     WalkSpec,
     c_star,
@@ -66,9 +65,6 @@ def test_schedule_couplings_follow_power_laws():
     for n in sched.n_ladder:
         assert sched.beta_n(n) == 1.3 * n ** -a
         assert sched.h_n(n) == 0.7 * n ** -b
-        pt = sched.phase_point(n)
-        assert isinstance(pt, PhasePoint)
-        assert (pt.beta, pt.h) == (sched.beta_n(n), sched.h_n(n))
     betas = [sched.beta_n(n) for n in sched.n_ladder]
     hs = [sched.h_n(n) for n in sched.n_ladder]
     assert all(x > y for x, y in zip(betas, betas[1:]))
@@ -125,7 +121,7 @@ def test_series_coefficient_matches_enumeration(spec, charges, beta, h):
     tn = 8
     coeff, _ = enumerate_series(walk, spec, charges, beta, h, tn, k_max=4)
     for k in range(1, 5):
-        got = series_coefficient(walk, charges, spec, PhasePoint(beta, h), tn, k)
+        got = series_coefficient(walk, charges, spec, beta, h, tn, k)
         assert got == pytest.approx(coeff[k], rel=1e-12, abs=1e-15)
 
 
@@ -150,16 +146,16 @@ def test_series_k1_matches_marginal_expectation():
     # evolution of the height distribution
     sched = short_schedule()
     tn = 64
-    point = sched.phase_point(tn)
+    beta, h = sched.beta_n(tn), sched.h_n(tn)
     kern = layout(WALK6, PT3, tn)
-    chi = np.expm1(psi(GAUSS, PT3, point.beta, point.h, kern.heights))
+    chi = np.expm1(psi(GAUSS, PT3, beta, h, kern.heights))
     v = np.zeros(len(kern.heights))
     v[0] = 1.0
     expect = 0.0
     for _ in range(tn):
         v = kern.step(v)
         expect += float(np.dot(chi, v))
-    got = series_coefficient(WALK6, GAUSS, PT3, point, tn, k=1)
+    got = series_coefficient(WALK6, GAUSS, PT3, beta, h, tn, k=1)
     assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -174,27 +170,30 @@ def test_series_layers_on_the_classes_keep_the_full_lattice_bits(
         spec, charges, beta, h, l):
     # odd tn ends the layers on the origin's other class; a signed
     # lattice of odd L has its origin on an odd site
-    walk, point = WalkSpec(alpha=0.6, l_max=l), PhasePoint(beta, h)
+    walk = WalkSpec(alpha=0.6, l_max=l)
     for tn, k in itertools.product([1, 2, 7, 8, 33, 256, 1025], range(1, 5)):
-        assert (series_coefficient(walk, charges, spec, point, tn, k)
-                == tiled_series(walk, charges, spec, point, tn, k))
+        assert (series_coefficient(walk, charges, spec, beta, h, tn, k)
+                == tiled_series(walk, charges, spec, beta, h, tn, k))
 
 
 def test_series_chi_zero_gives_zero():
     for k in range(1, 5):
         assert series_coefficient(
-            WALK6, GAUSS, PT3, PhasePoint(0.0, 0.0), tn=32, k=k
+            WALK6, GAUSS, PT3, 0.0, 0.0, tn=32, k=k
         ) == 0.0
 
 
 def test_series_validation():
-    point = PhasePoint(0.5, 0.1)
     with pytest.raises(ValueError):
-        series_coefficient(WALK6, GAUSS, PT3, point, tn=16, k=0)
+        series_coefficient(WALK6, GAUSS, PT3, 0.5, 0.1, tn=16, k=0)
     with pytest.raises(ValueError):
-        series_coefficient(WALK6, GAUSS, PT3, point, tn=16, k=5)
+        series_coefficient(WALK6, GAUSS, PT3, 0.5, 0.1, tn=16, k=5)
     with pytest.raises(ValueError):
-        series_coefficient(WALK6, GAUSS, PT3, point, tn=0, k=1)
+        series_coefficient(WALK6, GAUSS, PT3, 0.5, 0.1, tn=0, k=1)
+    # psi rejects a negative beta; a negative h is allowed
+    with pytest.raises(ValueError, match="beta must be >= 0"):
+        series_coefficient(WALK6, GAUSS, PT3, -0.1, 0.0, tn=16, k=1)
+    assert series_coefficient(WALK6, GAUSS, PT3, 0.0, -0.5, tn=16, k=1) > 0.0
 
 
 # --------------------------------------------------------- free-energy ladder
@@ -271,6 +270,18 @@ def test_scaled_intermediate_regime_has_no_closed_form_target():
         assert r.rel_gap is None
         assert r.localized
         assert 0.0 < r.n_times_f < 2.0
+
+
+@pytest.mark.parametrize("pair", [{}, {"cstar_phi": CS1},
+                                  {"cstar_phi2": CS2}],
+                         ids=["neither", "phi-only", "phi2-only"])
+def test_short_range_calls_need_both_cstar_constants(pair):
+    # the caller supplies the pair (the CLI estimates it once per run)
+    sched = short_schedule(ladder=(16, 32))
+    for harness in (scaled_free_energy, compare_to_continuum):
+        with pytest.raises(ValueError, match=r"model\.c_star.*"
+                                             r"model\.estimate_c_weights"):
+            harness(sched, WALK6, GAUSS, PT3, **pair)
 
 
 def test_scaled_free_energy_rejects_short_horizon():

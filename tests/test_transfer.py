@@ -351,6 +351,7 @@ def test_default_ladder():
 
 def test_estimate_bracket_and_convergence_flag():
     est = annealed_free_energy(SRW, PIN, GAUSS, 0.5, 0.5, n_max=2 ** 11)
+    assert est.bracket == (est.f_constrained, est.f_free)
     assert est.f_constrained <= est.value <= est.f_free
     assert est.gap >= 0.0
     assert est.converged
